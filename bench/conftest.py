@@ -1,0 +1,9 @@
+"""Make the package under ``src/`` importable for the benchmark's own tests.
+
+Run them from the repository root with ``python3 -m pytest bench``.
+"""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
