@@ -29,6 +29,7 @@ from .quasiprob import (
     compare_closed_form,
     evaluate,
     grid_values,
+    probe_sweep,
 )
 from .rindler import R_MAX, coefficient_report
 from .su2kernel import DistributionKind, SphericalPoint
@@ -109,18 +110,18 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _state(nu: float, r: float, accelerated: tuple[int, ...]):
-    from .rindler import AccelerationConfig, accelerate
-    from .states import GhzWernerParams, ghz_werner
-
-    rho = ghz_werner(GhzWernerParams(nu=nu))
-    if accelerated:
-        rho = accelerate(rho, AccelerationConfig(r=r, accelerated=accelerated))
-    return rho
+def _emit_rows(args, rows, meta: dict) -> None:
+    """Rows as CSV, or as JSON samples under ``meta`` plus the column names."""
+    if args.format == "csv":
+        _emit(args, _csv_text(rows))
+    else:
+        meta = {**meta, "columns": CSV_HEADER.split(",")}
+        payload = {"meta": meta, "samples": [list(row) for row in rows]}
+        _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _grid_rows(nu, r, accelerated, kind, thetas, phis):
-    rho = _state(nu, r, accelerated)
+    rho = accelerated_ghz(nu, accelerated, r)
     values = grid_values(rho, kind, thetas, phis)
     k = len(accelerated)
     s = int(kind)
@@ -134,7 +135,7 @@ def _grid_rows(nu, r, accelerated, kind, thetas, phis):
 def _cmd_eval(args) -> int:
     accelerated = _parse_accelerated(args.accelerated)
     point = SphericalPoint(args.theta, args.phi)
-    rho = _state(args.nu, args.r, accelerated)
+    rho = accelerated_ghz(args.nu, accelerated, args.r)
     sample = evaluate(rho, args.kind, (point,) * rho.n_qubits)
     sys.stdout.write(_fmt(sample.value) + "\n")
     return EXIT_OK
@@ -147,66 +148,48 @@ def _cmd_grid(args) -> int:
     thetas = np.linspace(0.0, math.pi, args.theta_steps)
     phis = np.arange(args.phi_steps) * (2.0 * math.pi / args.phi_steps)
     rows = _grid_rows(args.nu, args.r, accelerated, args.kind, thetas, phis)
-    if args.format == "csv":
-        _emit(args, _csv_text(rows))
-    else:
-        meta = {
-            "command": "grid",
-            "nu": args.nu,
-            "r": args.r,
-            "accelerated": list(accelerated),
-            "k": len(accelerated),
-            "s": int(args.kind),
-            "theta_steps": args.theta_steps,
-            "phi_steps": args.phi_steps,
-            "columns": CSV_HEADER.split(","),
-        }
-        payload = {"meta": meta, "samples": [list(row) for row in rows]}
-        _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    meta = {
+        "command": "grid",
+        "nu": args.nu,
+        "r": args.r,
+        "accelerated": list(accelerated),
+        "k": len(accelerated),
+        "s": int(args.kind),
+        "theta_steps": args.theta_steps,
+        "phi_steps": args.phi_steps,
+    }
+    _emit_rows(args, rows, meta)
     return EXIT_OK
 
 
-def _cmd_scan_r(args) -> int:
-    accelerated = _parse_accelerated(args.accelerated)
-    if not accelerated:
-        raise UsageError("scan-r needs at least one accelerated qubit")
-    if args.r_steps < 2:
-        raise UsageError("r-steps must be at least 2")
-    point = SphericalPoint(args.theta, args.phi)
+def _probe_rows(nus, rs, accelerated, kind, theta, phi):
+    """Point values over nus x rs (nu-major), every qubit at (theta, phi)."""
+    values = probe_sweep(nus, rs, accelerated, kind, SphericalPoint(theta, phi))
     k = len(accelerated)
-    s = int(args.kind)
-    rows = []
-    for r in np.linspace(0.0, R_MAX, args.r_steps):
-        rho = _state(args.nu, float(r), accelerated)
-        sample = evaluate(rho, args.kind, (point,) * rho.n_qubits)
-        rows.append((args.theta, args.phi, args.nu, float(r), k, s, sample.value))
-    _emit_rows(args, rows, command="scan-r")
-    return EXIT_OK
+    s = int(kind)
+    return [
+        (theta, phi, float(nu), float(r), k, s, float(values[i, j]))
+        for i, nu in enumerate(nus)
+        for j, r in enumerate(rs)
+    ]
 
 
-def _cmd_scan_nu(args) -> int:
+def _cmd_scan(args) -> int:
+    """scan-r (r over [0, pi/4] at fixed nu) and scan-nu (nu over [0, 1] at fixed r)."""
     accelerated = _parse_accelerated(args.accelerated)
-    if args.nu_steps < 2:
-        raise UsageError("nu-steps must be at least 2")
-    point = SphericalPoint(args.theta, args.phi)
-    k = len(accelerated)
-    s = int(args.kind)
-    rows = []
-    for nu in np.linspace(0.0, 1.0, args.nu_steps):
-        rho = _state(float(nu), args.r, accelerated)
-        sample = evaluate(rho, args.kind, (point,) * rho.n_qubits)
-        rows.append((args.theta, args.phi, float(nu), args.r, k, s, sample.value))
-    _emit_rows(args, rows, command="scan-nu")
-    return EXIT_OK
-
-
-def _emit_rows(args, rows, command: str) -> None:
-    if args.format == "csv":
-        _emit(args, _csv_text(rows))
+    if args.command == "scan-r":
+        if not accelerated:
+            raise UsageError("scan-r needs at least one accelerated qubit")
+        if args.r_steps < 2:
+            raise UsageError("r-steps must be at least 2")
+        nus, rs = [args.nu], np.linspace(0.0, R_MAX, args.r_steps)
     else:
-        meta = {"command": command, "columns": CSV_HEADER.split(",")}
-        payload = {"meta": meta, "samples": [list(row) for row in rows]}
-        _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        if args.nu_steps < 2:
+            raise UsageError("nu-steps must be at least 2")
+        nus, rs = np.linspace(0.0, 1.0, args.nu_steps), [args.r]
+    rows = _probe_rows(nus, rs, accelerated, args.kind, args.theta, args.phi)
+    _emit_rows(args, rows, {"command": args.command})
+    return EXIT_OK
 
 
 _VERIFY_VARIANT_CASES = [
@@ -285,32 +268,19 @@ def _figure_specs():
     def nu_theta_map():
         rows = []
         for nu in nus:
-            rho = _state(float(nu), 0.0, ())
+            rho = accelerated_ghz(float(nu), 0, 0.0)
             values = grid_values(rho, wigner, thetas, np.array([probe_phi]))
             for i, theta in enumerate(thetas):
                 rows.append((float(theta), probe_phi, float(nu), 0.0, 0, 0, values[i, 0]))
         return rows
 
     def nu_r_map(k):
-        accelerated = tuple(range(k))
-        point = SphericalPoint(probe_theta, probe_phi)
-        rows = []
-        for nu in nus:
-            for r in rs:
-                rho = _state(float(nu), float(r), accelerated)
-                sample = evaluate(rho, wigner, (point,) * rho.n_qubits)
-                rows.append((probe_theta, probe_phi, float(nu), float(r), k, 0, sample.value))
-        return rows
+        return _probe_rows(nus, rs, tuple(range(k)), wigner, probe_theta, probe_phi)
 
     def r_curves(nu):
-        point = SphericalPoint(probe_theta, probe_phi)
         rows = []
         for k in (1, 2, 3):
-            accelerated = tuple(range(k))
-            for r in r_curve:
-                rho = _state(nu, float(r), accelerated)
-                sample = evaluate(rho, wigner, (point,) * rho.n_qubits)
-                rows.append((probe_theta, probe_phi, nu, float(r), k, 0, sample.value))
+            rows += _probe_rows([nu], r_curve, tuple(range(k)), wigner, probe_theta, probe_phi)
         return rows
 
     specs = [
@@ -377,19 +347,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_grid.add_argument("-o", "--output", help="output file (stdout if omitted)")
     p_grid.set_defaults(func=_cmd_grid)
 
-    p_scan_r = sub.add_parser("scan-r", help="sweep r at a fixed probe point")
-    add_common(p_scan_r, point_defaults=(math.pi / 2.0, math.pi))
-    p_scan_r.add_argument("--r-steps", type=int, default=R_CURVE_STEPS)
-    p_scan_r.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_scan_r.add_argument("-o", "--output")
-    p_scan_r.set_defaults(func=_cmd_scan_r)
-
-    p_scan_nu = sub.add_parser("scan-nu", help="sweep nu at a fixed probe point")
-    add_common(p_scan_nu, point_defaults=(math.pi / 2.0, math.pi))
-    p_scan_nu.add_argument("--nu-steps", type=int, default=MAP_STEPS)
-    p_scan_nu.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_scan_nu.add_argument("-o", "--output")
-    p_scan_nu.set_defaults(func=_cmd_scan_nu)
+    for swept, default_steps in (("r", R_CURVE_STEPS), ("nu", MAP_STEPS)):
+        p_scan = sub.add_parser(f"scan-{swept}", help=f"sweep {swept} at a fixed probe point")
+        add_common(p_scan, point_defaults=(math.pi / 2.0, math.pi))
+        p_scan.add_argument(f"--{swept}-steps", type=int, default=default_steps)
+        p_scan.add_argument("--format", choices=("csv", "json"), default="csv")
+        p_scan.add_argument("-o", "--output")
+        p_scan.set_defaults(func=_cmd_scan)
 
     p_verify = sub.add_parser(
         "verify", help="compare closed forms and coefficient tables to the numeric pipeline"
@@ -417,10 +381,7 @@ def main(argv=None) -> int:
         if hasattr(args, "s"):
             args.kind = _KIND_BY_LETTER[args.s]
         return args.func(args)
-    except (UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (MixingOutOfRange, ROutOfRange, IndexOutOfRange, DimensionError) as exc:
+    except (UsageError, ValueError, MixingOutOfRange, ROutOfRange, IndexOutOfRange, DimensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -17,9 +17,10 @@ import numpy as np
 
 from .errors import DimensionError, NonRealResult
 from .linalg import DensityMatrix, kron
-from .rindler import AccelerationConfig, accelerate
+from .rindler import MATCH_TOL, AccelerationConfig, accelerate
 from .states import GhzWernerParams, ghz_werner
 from .su2kernel import (
+    SQRT3,
     DistributionKind,
     SphericalPoint,
     kernel_grid,
@@ -27,9 +28,7 @@ from .su2kernel import (
 )
 
 IMAG_TOL = 1e-10
-MATCH_TOL = 1e-12
 BISECTION_TOL = 1e-9
-SQRT3 = math.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -302,20 +301,62 @@ def closed_form(variant: ClosedFormVariant, theta: float, phi: float, nu: float,
 
     GHZ and ACC1 agree with the numeric pipeline; ACC2 and ACC3 carry
     misprints in the source and are kept as printed so comparisons can
-    quantify the deviation.
+    quantify the deviation.  ``nu`` and ``r`` are range-checked like the
+    states they describe.
     """
     variant = ClosedFormVariant(variant)
+    GhzWernerParams(nu=nu)
+    AccelerationConfig(r=r)
     return float(_CLOSED_FORMS[variant](theta, phi, nu, r))
 
 
-def accelerated_ghz(nu: float, k_accelerated: int, r: float, n_qubits: int = 3) -> DensityMatrix:
-    """GHZ-Werner state with its first ``k_accelerated`` qubits accelerated."""
-    if not (0 <= k_accelerated <= n_qubits):
-        raise ValueError(f"k_accelerated={k_accelerated} outside 0..{n_qubits}")
+def accelerated_ghz(nu: float, k_accelerated: int | Sequence[int], r: float, n_qubits: int = 3) -> DensityMatrix:
+    """GHZ-Werner state with its first ``k_accelerated`` qubits accelerated,
+    or exactly the qubits named when ``k_accelerated`` is a sequence."""
+    if isinstance(k_accelerated, (int, np.integer)):
+        if not (0 <= k_accelerated <= n_qubits):
+            raise ValueError(f"k_accelerated={k_accelerated} outside 0..{n_qubits}")
+        k_accelerated = range(k_accelerated)
+    config = AccelerationConfig(r=r, accelerated=tuple(k_accelerated))
     rho = ghz_werner(GhzWernerParams(nu=nu, n_qubits=n_qubits))
-    if k_accelerated:
-        rho = accelerate(rho, AccelerationConfig(r=r, accelerated=tuple(range(k_accelerated))))
+    if config.accelerated:
+        rho = accelerate(rho, config)
     return rho
+
+
+def probe_sweep(
+    nus: Sequence[float],
+    rs: Sequence[float],
+    accelerated: int | Sequence[int],
+    kind: DistributionKind,
+    point: SphericalPoint,
+    n_qubits: int = 3,
+) -> np.ndarray:
+    """Point values W[i, j] of ``accelerated_ghz(nus[i], accelerated, rs[j],
+    n_qubits)`` with every qubit at ``point``.
+
+    W is affine in nu (so is the state; the channel and the trace are
+    linear).  Per r only the validated states at min(nus) and max(nus)
+    are built, one when they are equal, and the rest is interpolated.
+    Every nu and r is range-checked before the first state is built.
+    """
+    nus = np.asarray(nus, dtype=float)
+    rs = np.asarray(rs, dtype=float)
+    out = np.empty((len(nus), len(rs)))
+    if out.size == 0:
+        return out
+    lo, hi = float(nus.min()), float(nus.max())
+    for nu in (lo, hi):
+        GhzWernerParams(nu=nu, n_qubits=n_qubits)
+    for r in (rs.min(), rs.max()):
+        AccelerationConfig(r=float(r))
+    t = (nus - lo) / (hi - lo) if hi > lo else np.zeros_like(nus)
+    ends = (lo, hi) if hi > lo else (lo,)
+    points = (point,) * n_qubits
+    for j, r in enumerate(rs):
+        w = [evaluate(accelerated_ghz(nu, accelerated, float(r), n_qubits), kind, points).value for nu in ends]
+        out[:, j] = (1.0 - t) * w[0] + t * w[-1]
+    return out
 
 
 @dataclass(frozen=True)
@@ -383,13 +424,9 @@ def scan_min_vs_r(
     """
     if k_accelerated not in (1, 2, 3):
         raise ValueError(f"k_accelerated={k_accelerated} must be 1, 2, or 3")
-    pt = SphericalPoint(theta, phi)
-    out = []
-    for r in r_samples:
-        rho = accelerated_ghz(nu, k_accelerated, float(r))
-        sample = evaluate(rho, DistributionKind.WIGNER, (pt,) * rho.n_qubits)
-        out.append((float(r), sample.value))
-    return out
+    rs = [float(r) for r in r_samples]
+    values = probe_sweep((nu,), rs, k_accelerated, DistributionKind.WIGNER, SphericalPoint(theta, phi))
+    return [(r, float(w)) for r, w in zip(rs, values[0])]
 
 
 @dataclass(frozen=True)
@@ -411,17 +448,17 @@ def negativity_threshold(
     theta: float = math.pi / 2.0,
     phi: float = math.pi,
 ) -> ThresholdResult:
-    """Bisect nu in [0, 1] for the sign change of the point Wigner value."""
+    """Bisect nu in [0, 1] for the sign change of the point Wigner value.
+
+    The value is affine in nu, so the two endpoint values from
+    :func:`probe_sweep` determine it at every bisection point.
+    """
     if not (0 <= k_accelerated <= 3):
         raise ValueError(f"k_accelerated={k_accelerated} outside 0..3")
-    pt = SphericalPoint(theta, phi)
-
-    def w(nu: float) -> float:
-        rho = accelerated_ghz(nu, k_accelerated, r)
-        return evaluate(rho, DistributionKind.WIGNER, (pt,) * rho.n_qubits).value
-
+    ends = probe_sweep((0.0, 1.0), (r,), k_accelerated, DistributionKind.WIGNER, SphericalPoint(theta, phi))
+    w_0, w_1 = float(ends[0, 0]), float(ends[1, 0])
     lo, hi = 0.0, 1.0
-    w_lo, w_hi = w(lo), w(hi)
+    w_lo, w_hi = w_0, w_1
     if w_lo == 0.0:
         return ThresholdResult(nu_star=lo, sign_change=True, iterations=0)
     if w_hi == 0.0:
@@ -431,7 +468,7 @@ def negativity_threshold(
     iterations = 0
     while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
-        w_mid = w(mid)
+        w_mid = (1.0 - mid) * w_0 + mid * w_1
         iterations += 1
         if w_mid == 0.0:
             return ThresholdResult(nu_star=mid, sign_change=True, iterations=iterations)

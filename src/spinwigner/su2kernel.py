@@ -28,8 +28,6 @@ _Y00 = 0.5 / math.sqrt(math.pi)
 _N10 = math.sqrt(3.0 / (4.0 * math.pi))
 _N11 = math.sqrt(3.0 / (8.0 * math.pi))
 
-HERMITICITY_TOL = 1e-13
-
 
 class DistributionKind(IntEnum):
     """s parameter selecting one member of the quasi-probability family."""

@@ -1,9 +1,16 @@
+import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spinwigner import validate_density
+
+# pyproject's `pythonpath` puts src/ on this process's path; tests that
+# start `python -m spinwigner` in a subprocess need it there as well.
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 CRITERIA_DESCRIPTIONS = {
     1: "numeric Wigner equals the three-qubit closed form (50x50 grid, five mixing weights)",

@@ -1,0 +1,209 @@
+"""probe_sweep against a per-point oracle, its state budget, and the
+range checks of the sweep callers."""
+
+import math
+
+import numpy as np
+import pytest
+
+from spinwigner import (
+    R_MAX,
+    AccelerationConfig,
+    ClosedFormVariant,
+    DistributionKind,
+    GhzWernerParams,
+    IndexOutOfRange,
+    MixingOutOfRange,
+    ROutOfRange,
+    SphericalPoint,
+    accelerate,
+    accelerated_ghz,
+    closed_form,
+    evaluate,
+    ghz_werner,
+    negativity_threshold,
+    probe_sweep,
+    quasiprob,
+    scan_min_vs_r,
+)
+from spinwigner.cli import main
+
+SWEEP_TOL = 1e-12
+PROBE = SphericalPoint(math.pi / 2.0, math.pi)
+
+
+def oracle(nus, rs, accelerated, kind, point, n_qubits=3):
+    """One validated state and one evaluate per (nu, r) point."""
+    out = np.empty((len(nus), len(rs)))
+    for i, nu in enumerate(nus):
+        for j, r in enumerate(rs):
+            rho = accelerated_ghz(float(nu), accelerated, float(r), n_qubits)
+            out[i, j] = evaluate(rho, kind, (point,) * n_qubits).value
+    return out
+
+
+@pytest.fixture
+def sweep_axes(rng):
+    """Unsorted interior nus between the two endpoints, and rs with both ends."""
+    nus = np.concatenate([[0.15], rng.uniform(0.15, 0.9, 7), [0.9]])
+    rng.shuffle(nus)
+    rs = np.concatenate([[0.0], np.sort(rng.uniform(0.0, R_MAX, 5)), [R_MAX]])
+    return nus, rs
+
+
+@pytest.fixture
+def count_states(monkeypatch):
+    """Count the GHZ-Werner states built through the quasiprob layer."""
+    built = []
+    original = quasiprob.ghz_werner
+
+    def counting(params):
+        built.append(params.nu)
+        return original(params)
+
+    monkeypatch.setattr(quasiprob, "ghz_werner", counting)
+    return built
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("kind", list(DistributionKind))
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_nu_r_grid(self, sweep_axes, kind, k):
+        nus, rs = sweep_axes
+        point = SphericalPoint(1.1, 2.3)
+        got = probe_sweep(nus, rs, k, kind, point)
+        assert got.shape == (len(nus), len(rs))
+        assert np.abs(got - oracle(nus, rs, k, kind, point)).max() <= SWEEP_TOL
+
+    def test_full_unit_interval_at_the_probe(self):
+        nus = np.linspace(0.0, 1.0, 51)
+        rs = np.linspace(0.0, R_MAX, 6)
+        got = probe_sweep(nus, rs, 2, DistributionKind.WIGNER, PROBE)
+        assert np.abs(got - oracle(nus, rs, 2, DistributionKind.WIGNER, PROBE)).max() <= SWEEP_TOL
+
+    @pytest.mark.parametrize("kind", list(DistributionKind))
+    def test_explicit_index_tuple(self, sweep_axes, kind):
+        nus, rs = sweep_axes
+        point = SphericalPoint(0.7, 4.0)
+        got = probe_sweep(nus, rs, (0, 2), kind, point)
+        assert np.abs(got - oracle(nus, rs, (0, 2), kind, point)).max() <= SWEEP_TOL
+
+    @pytest.mark.parametrize("accelerated", [2, (1, 3), 4])
+    def test_four_qubits(self, sweep_axes, accelerated):
+        nus, rs = sweep_axes
+        point = SphericalPoint(2.0, 0.4)
+        kind = DistributionKind.WIGNER
+        got = probe_sweep(nus, rs, accelerated, kind, point, n_qubits=4)
+        want = oracle(nus, rs, accelerated, kind, point, n_qubits=4)
+        assert np.abs(got - want).max() <= SWEEP_TOL
+
+    def test_single_nu_is_evaluated_not_interpolated(self):
+        rs = np.linspace(0.0, R_MAX, 5)
+        got = probe_sweep([0.6], rs, 3, DistributionKind.Q, PROBE)
+        want = oracle([0.6], rs, 3, DistributionKind.Q, PROBE)
+        np.testing.assert_array_equal(got, want)
+
+    def test_endpoints_are_exact(self, sweep_axes):
+        nus, rs = sweep_axes
+        got = probe_sweep(nus, rs, 1, DistributionKind.WIGNER, PROBE)
+        ends = [int(np.argmin(nus)), int(np.argmax(nus))]
+        np.testing.assert_array_equal(got[ends], oracle(nus[ends], rs, 1, DistributionKind.WIGNER, PROBE))
+
+    def test_empty_axes(self):
+        assert probe_sweep([], [0.1, 0.2], 1, DistributionKind.WIGNER, PROBE).shape == (0, 2)
+        assert probe_sweep([0.1, 0.2], [], 1, DistributionKind.WIGNER, PROBE).shape == (2, 0)
+
+
+class TestStateBudget:
+    def test_nu_r_map_builds_two_states_per_r(self, count_states):
+        nus = np.linspace(0.0, 1.0, 51)
+        rs = np.linspace(0.0, R_MAX, 51)
+        probe_sweep(nus, rs, 2, DistributionKind.WIGNER, PROBE)
+        assert len(count_states) <= 2 * len(rs)
+        assert set(count_states) == {0.0, 1.0}
+
+    def test_single_nu_builds_one_state_per_r(self, count_states):
+        rs = np.linspace(0.0, R_MAX, 50)
+        probe_sweep([0.7], rs, 1, DistributionKind.WIGNER, PROBE)
+        assert len(count_states) == len(rs)
+
+    def test_scan_min_vs_r(self, count_states):
+        rs = np.linspace(0.0, R_MAX, 20)
+        scan_min_vs_r(0.5, 3, rs)
+        assert len(count_states) == len(rs)
+
+    def test_negativity_threshold_builds_two_states(self, count_states):
+        result = negativity_threshold(1, 0.3)
+        assert result.sign_change and result.iterations > 0
+        assert len(count_states) == 2
+
+    def test_cli_scan_r(self, count_states, capsys):
+        assert main(["scan-r", "--nu", "0.4", "--accelerated", "2", "--r-steps", "30"]) == 0
+        assert len(count_states) == 30
+
+    def test_cli_scan_nu(self, count_states, capsys):
+        assert main(["scan-nu", "--nu", "0", "--r", "0.5", "--accelerated", "0,2", "--nu-steps", "40"]) == 0
+        assert len(count_states) == 2
+
+
+class TestRangeChecks:
+    @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
+    def test_any_nu_out_of_range_builds_nothing(self, count_states, bad):
+        with pytest.raises(MixingOutOfRange):
+            probe_sweep([0.2, bad, 0.8], [0.1, 0.3], 1, DistributionKind.WIGNER, PROBE)
+        assert count_states == []
+
+    @pytest.mark.parametrize("bad", [-0.1, R_MAX + 0.01, math.nan])
+    def test_any_r_out_of_range_builds_nothing(self, count_states, bad):
+        with pytest.raises(ROutOfRange):
+            probe_sweep([0.2, 0.8], [0.1, bad, 0.3], 1, DistributionKind.WIGNER, PROBE)
+        assert count_states == []
+
+    @pytest.mark.parametrize("none", [0, ()])
+    def test_r_checked_without_accelerated_qubits(self, none):
+        with pytest.raises(ROutOfRange):
+            probe_sweep([0.5], [1.0], none, DistributionKind.WIGNER, PROBE)
+        with pytest.raises(ROutOfRange):
+            accelerated_ghz(0.5, none, 5.0)
+
+    def test_scan_min_vs_r_rejects_r(self):
+        with pytest.raises(ROutOfRange):
+            scan_min_vs_r(0.5, 1, [0.1, 2.0])
+
+    def test_bad_qubit_sets(self):
+        with pytest.raises(ValueError):
+            probe_sweep([0.5], [0.1], 4, DistributionKind.WIGNER, PROBE)
+        with pytest.raises(ValueError):
+            probe_sweep([0.5], [0.1], (0, 0), DistributionKind.WIGNER, PROBE)
+        with pytest.raises(IndexOutOfRange):
+            probe_sweep([0.5], [0.1], (0, 3), DistributionKind.WIGNER, PROBE)
+
+
+class TestAcceleratedGhzIndices:
+    def test_index_tuple_matches_channel(self):
+        rho = accelerated_ghz(0.4, (0, 2), 0.5)
+        want = accelerate(ghz_werner(GhzWernerParams(nu=0.4)), AccelerationConfig(r=0.5, accelerated=(0, 2)))
+        np.testing.assert_array_equal(rho.matrix, want.matrix)
+
+    def test_count_equals_leading_indices(self):
+        a = accelerated_ghz(0.7, 2, 0.3, n_qubits=4)
+        b = accelerated_ghz(0.7, (0, 1), 0.3, n_qubits=4)
+        np.testing.assert_array_equal(a.matrix, b.matrix)
+
+    def test_keyword_count_form(self):
+        rho = accelerated_ghz(nu=1.0, k_accelerated=1, r=0.6)
+        assert rho.n_qubits == 3
+
+
+class TestClosedFormRanges:
+    def test_rejects_nu(self):
+        with pytest.raises(MixingOutOfRange):
+            closed_form(ClosedFormVariant.GHZ, 0.0, 0.0, 5.0)
+
+    def test_rejects_r(self):
+        with pytest.raises(ROutOfRange):
+            closed_form(ClosedFormVariant.ACC1, 0.0, 0.0, 0.5, 3.0)
+
+    def test_boundaries_accepted(self):
+        assert math.isfinite(closed_form(ClosedFormVariant.ACC3, 0.3, 1.0, 1.0, R_MAX))
+        assert math.isfinite(closed_form(ClosedFormVariant.ACC2, 0.3, 1.0, 0.0, 0.0))
