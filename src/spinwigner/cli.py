@@ -72,24 +72,24 @@ def _clamp(value: float, lo: float, hi: float, name: str) -> float:
     return value
 
 
-def _parse_accelerated(text: str) -> tuple[int, ...]:
-    """Count form ("2" -> qubits 0,1) or explicit comma-separated indices."""
+def _parse_accelerated(text: str) -> int | tuple[int, ...]:
+    """Count form ("2" means qubits 0,1) or explicit comma-separated indices.
+
+    Only parses: the count and the index set are checked by the library
+    when the state is built.
+    """
     text = text.strip()
     try:
         if "," in text:
-            indices = tuple(int(t) for t in text.split(",") if t.strip() != "")
-        else:
-            count = int(text)
-            if not (0 <= count <= 3):
-                raise UsageError(f"accelerated count {count} outside 0..3")
-            return tuple(range(count))
+            return tuple(int(t) for t in text.split(",") if t.strip() != "")
+        return int(text)
     except ValueError as exc:
         raise UsageError(f"cannot parse --accelerated {text!r}") from exc
-    if len(set(indices)) != len(indices):
-        raise UsageError(f"duplicate qubit indices in --accelerated {text!r}")
-    if any(not (0 <= q <= 2) for q in indices):
-        raise UsageError(f"qubit indices in --accelerated {text!r} outside 0..2")
-    return indices
+
+
+def _indices(accelerated: int | tuple[int, ...]) -> tuple[int, ...]:
+    """Qubit indices of a parsed --accelerated value the library has accepted."""
+    return tuple(range(accelerated)) if isinstance(accelerated, int) else accelerated
 
 
 def _csv_text(rows) -> str:
@@ -123,7 +123,7 @@ def _emit_rows(args, rows, meta: dict) -> None:
 def _grid_rows(nu, r, accelerated, kind, thetas, phis):
     rho = accelerated_ghz(nu, accelerated, r)
     values = grid_values(rho, kind, thetas, phis)
-    k = len(accelerated)
+    k = len(_indices(accelerated))
     s = int(kind)
     rows = []
     for i, theta in enumerate(thetas):
@@ -148,12 +148,13 @@ def _cmd_grid(args) -> int:
     thetas = np.linspace(0.0, math.pi, args.theta_steps)
     phis = np.arange(args.phi_steps) * (2.0 * math.pi / args.phi_steps)
     rows = _grid_rows(args.nu, args.r, accelerated, args.kind, thetas, phis)
+    indices = _indices(accelerated)
     meta = {
         "command": "grid",
         "nu": args.nu,
         "r": args.r,
-        "accelerated": list(accelerated),
-        "k": len(accelerated),
+        "accelerated": list(indices),
+        "k": len(indices),
         "s": int(args.kind),
         "theta_steps": args.theta_steps,
         "phi_steps": args.phi_steps,
@@ -165,7 +166,7 @@ def _cmd_grid(args) -> int:
 def _probe_rows(nus, rs, accelerated, kind, theta, phi):
     """Point values over nus x rs (nu-major), every qubit at (theta, phi)."""
     values = probe_sweep(nus, rs, accelerated, kind, SphericalPoint(theta, phi))
-    k = len(accelerated)
+    k = len(_indices(accelerated))
     s = int(kind)
     return [
         (theta, phi, float(nu), float(r), k, s, float(values[i, j]))
@@ -263,24 +264,29 @@ def _figure_specs():
     wigner = DistributionKind.WIGNER
 
     def surface(nu, r, k):
-        return _grid_rows(nu, r, tuple(range(k)), wigner, thetas, phis)
+        return _grid_rows(nu, r, k, wigner, thetas, phis)
 
     def nu_theta_map():
+        # W is affine in nu: interpolate the theta column between the nu = 0
+        # and nu = 1 states, in the form probe_sweep uses
+        w_0, w_1 = (
+            grid_values(accelerated_ghz(nu, 0, 0.0), wigner, thetas, np.array([probe_phi]))[:, 0]
+            for nu in (0.0, 1.0)
+        )
         rows = []
         for nu in nus:
-            rho = accelerated_ghz(float(nu), 0, 0.0)
-            values = grid_values(rho, wigner, thetas, np.array([probe_phi]))
+            values = (1.0 - nu) * w_0 + nu * w_1
             for i, theta in enumerate(thetas):
-                rows.append((float(theta), probe_phi, float(nu), 0.0, 0, 0, values[i, 0]))
+                rows.append((float(theta), probe_phi, float(nu), 0.0, 0, 0, values[i]))
         return rows
 
     def nu_r_map(k):
-        return _probe_rows(nus, rs, tuple(range(k)), wigner, probe_theta, probe_phi)
+        return _probe_rows(nus, rs, k, wigner, probe_theta, probe_phi)
 
     def r_curves(nu):
         rows = []
         for k in (1, 2, 3):
-            rows += _probe_rows([nu], r_curve, tuple(range(k)), wigner, probe_theta, probe_phi)
+            rows += _probe_rows([nu], r_curve, k, wigner, probe_theta, probe_phi)
         return rows
 
     specs = [

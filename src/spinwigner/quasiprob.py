@@ -29,6 +29,9 @@ from .su2kernel import (
 
 IMAG_TOL = 1e-10
 BISECTION_TOL = 1e-9
+# Most cells, (theta_steps * phi_steps) ** n, of one independent-angle scan.
+# A scan at this size holds a few complex arrays of it and peaks near 0.2 GB.
+SPLIT_SCAN_MAX_CELLS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -124,17 +127,25 @@ def grid_scan(
     With ``equal_angles`` every qubit sits at the same point (the usual
     convention for the figures).  Otherwise each qubit runs over its own
     copy of the grid, which multiplies the sample count by itself n times;
-    keep the grids small in that mode.
+    a scan of more than ``SPLIT_SCAN_MAX_CELLS`` cells is refused with
+    :class:`DimensionError` before anything is allocated.
     """
     if theta_steps < 2 or phi_steps < 2:
         raise DimensionError("theta_steps and phi_steps must both be at least 2")
+    n = rho.n_qubits
+    if not equal_angles:
+        cells = (theta_steps * phi_steps) ** n
+        if cells > SPLIT_SCAN_MAX_CELLS:
+            raise DimensionError(
+                f"independent-angle scan of {n} qubits needs {cells:,} cells, "
+                f"more than the {SPLIT_SCAN_MAX_CELLS:,} allowed"
+            )
     thetas = np.linspace(0.0, math.pi, theta_steps)
     phis = np.arange(phi_steps) * (2.0 * math.pi / phi_steps)
     d_theta = math.pi / (theta_steps - 1)
     d_phi = 2.0 * math.pi / phi_steps
     point_weight = np.sin(thetas)[:, None] * d_theta * d_phi * np.ones_like(phis)[None, :]
 
-    n = rho.n_qubits
     if equal_angles:
         values = grid_values(rho, kind, thetas, phis)
         weight = point_weight

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IndexOutOfRange, MixingOutOfRange, ROutOfRange
-from .linalg import DensityMatrix, _partial_trace_raw, kron, validate_density
+from .linalg import DensityMatrix, validate_density
 from .states import GhzWernerParams, ghz_werner
 
 R_MAX = math.pi / 4.0
@@ -67,31 +67,37 @@ def unruh_isometry(r: float) -> np.ndarray:
     return v
 
 
+def _kraus_pair(r: float) -> np.ndarray:
+    """Kraus operators K_j[a, b] = V[2a + j, b] of the isometry V, shape (2, 2, 2).
+
+    Tracing out the hidden wedge j, the less significant factor of the
+    pair, leaves K0 = diag(cos r, 1) and K1 = sin r |1><0|: amplitude
+    damping with gamma = sin^2 r.
+    """
+    return unruh_isometry(r).reshape(2, 2, 2).transpose(1, 0, 2)
+
+
 def accelerate(rho: DensityMatrix, config: AccelerationConfig) -> DensityMatrix:
     """Apply the acceleration channel to every qubit named in ``config``.
 
-    Each step conjugates the state by the embedding isometry of one qubit
-    and traces out the hidden wedge factor created next to it; the steps
-    commute, so they run in ascending index order for determinism.
+    The Kraus pair of :func:`unruh_isometry` acts on the (row bit, column
+    bit) axes of each accelerated qubit in turn; the steps commute, so
+    they run in ascending index order for determinism.
     """
     n = rho.n_qubits
     for q in config.accelerated:
         if q >= n:
             raise IndexOutOfRange(f"qubit {q} outside register of {n}")
-    m = rho.matrix
-    v = unruh_isometry(config.r)
+    kraus = _kraus_pair(config.r)
+    # rho'[a, c] = sum_j K_j[a, b] rho[b, d] conj(K_j[c, d]) as one 4x4 map on (b, d)
+    transfer = np.einsum("jab,jcd->acbd", kraus, kraus.conj()).reshape(4, 4)
+    shape = (2,) * (2 * n)
+    t = rho.matrix.reshape(shape)
     for q in sorted(config.accelerated):
-        pos = n - 1 - q  # tensor slot of qubit q; factors run msb-first
-        embed = v
-        if pos > 0:
-            embed = kron(np.eye(2 ** pos), embed)
-        if pos < n - 1:
-            embed = kron(embed, np.eye(2 ** (n - 1 - pos)))
-        big = embed @ m @ embed.conj().T
-        dims = [2] * (n + 1)
-        keep = [i for i in range(n + 1) if i != pos + 1]
-        m = _partial_trace_raw(big, dims, keep)
-    return validate_density(m, n)
+        axes = (n - 1 - q, 2 * n - 1 - q)  # row and column bit of qubit q; factors run msb-first
+        front = np.moveaxis(t, axes, (0, 1)).reshape(4, -1)
+        t = np.moveaxis((transfer @ front).reshape(shape), (0, 1), axes)
+    return validate_density(t.reshape(2 ** n, 2 ** n), n)
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,87 @@
+"""The acceleration channel against the dense isometry-plus-partial-trace
+construction, its Kraus pair, and complete positivity and trace
+preservation of the single-qubit map."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spinwigner import R_MAX, AccelerationConfig, accelerate, unruh_isometry, validate_density
+from spinwigner.rindler import _kraus_pair
+
+from conftest import random_density
+
+CHANNEL_TOL = 1e-14
+R_VALUES = [0.0, 0.3, 0.6, R_MAX]
+
+
+def dense_channel(m, n, accelerated, r):
+    """Embed each accelerated qubit with the 2^(n+1) x 2^n isometry and
+    trace out the hidden wedge, the factor right after the qubit's slot."""
+    v = unruh_isometry(r)
+    for q in sorted(accelerated):
+        pos = n - 1 - q
+        embed = np.kron(np.kron(np.eye(2 ** pos), v), np.eye(2 ** (n - 1 - pos)))
+        big = (embed @ m @ embed.conj().T).reshape((2,) * (2 * n + 2))
+        m = np.trace(big, axis1=pos + 1, axis2=n + 2 + pos).reshape(2 ** n, 2 ** n)
+    return m
+
+
+def one_qubit_choi(r):
+    """Choi matrix sum_ij |i><j| (x) Phi(|i><j|) of the channel on one qubit,
+    from its action on four pure states (Phi is linear, accelerate only
+    takes states)."""
+
+    def phi(psi):
+        rho = validate_density(np.outer(psi, np.conj(psi)), 1)
+        return accelerate(rho, AccelerationConfig(r=r, accelerated=(0,))).matrix
+
+    s = 1.0 / math.sqrt(2.0)
+    p0, p1 = phi(np.array([1.0, 0.0])), phi(np.array([0.0, 1.0]))
+    x = 2.0 * phi(np.array([s, s])) - p0 - p1  # Phi(sigma_x)
+    y = 2.0 * phi(np.array([s, 1j * s])) - p0 - p1  # Phi(sigma_y)
+    blocks = [[p0, 0.5 * (x + 1j * y)], [0.5 * (x - 1j * y), p1]]
+    return np.block(blocks)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 5),
+    seed=st.integers(0, 2 ** 32 - 1),
+    r=st.floats(0.0, R_MAX),
+    data=st.data(),
+)
+def test_matches_dense_isometry_and_partial_trace(n, seed, r, data):
+    rho = random_density(n, np.random.default_rng(seed))
+    accelerated = tuple(data.draw(st.lists(st.integers(0, n - 1), unique=True), label="accelerated"))
+    got = accelerate(rho, AccelerationConfig(r=r, accelerated=accelerated)).matrix
+    want = dense_channel(rho.matrix, n, accelerated, r)
+    assert np.abs(got - want).max() <= CHANNEL_TOL
+
+
+@pytest.mark.parametrize("r", R_VALUES)
+def test_kraus_pair_of_the_isometry(r):
+    k0, k1 = _kraus_pair(r)
+    np.testing.assert_allclose(k0, np.diag([math.cos(r), 1.0]), rtol=0, atol=1e-16)
+    np.testing.assert_allclose(k1, [[0.0, 0.0], [math.sin(r), 0.0]], rtol=0, atol=1e-16)
+    # completeness: K0^dag K0 + K1^dag K1 = I
+    np.testing.assert_allclose(k0.conj().T @ k0 + k1.conj().T @ k1, np.eye(2), rtol=0, atol=1e-15)
+
+
+@settings(max_examples=30, deadline=None)
+@given(r=st.floats(0.0, R_MAX))
+def test_choi_matrix_is_positive(r):
+    choi = one_qubit_choi(r)
+    assert np.abs(choi - choi.conj().T).max() <= CHANNEL_TOL
+    assert np.linalg.eigvalsh(choi)[0] >= -CHANNEL_TOL
+
+
+@settings(max_examples=30, deadline=None)
+@given(r=st.floats(0.0, R_MAX))
+def test_choi_output_trace_is_identity(r):
+    choi = one_qubit_choi(r).reshape(2, 2, 2, 2)
+    np.testing.assert_allclose(np.trace(choi, axis1=1, axis2=3), np.eye(2), rtol=0, atol=CHANNEL_TOL)
+

@@ -89,6 +89,17 @@ class TestEval:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["eval", "scan-r"])
+    @pytest.mark.parametrize("accelerated", ["-1", "4", "1,1", "0,3", "a"])
+    def test_rejected_accelerated_sets_exit_2(self, capsys, command, accelerated):
+        # a negative count must not read as "no qubit accelerated"
+        code, out, err = run_cli(
+            capsys, command, "--nu", "0.5", f"--accelerated={accelerated}", "--theta", "0", "--phi", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_duplicate_accelerated_indices(self, capsys):
         code, _, err = run_cli(
             capsys, "eval", "--nu", "0.5", "--accelerated", "1,1", "--theta", "0", "--phi", "0"

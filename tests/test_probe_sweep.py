@@ -26,6 +26,7 @@ from spinwigner import (
     quasiprob,
     scan_min_vs_r,
 )
+from spinwigner import cli
 from spinwigner.cli import main
 
 SWEEP_TOL = 1e-12
@@ -144,6 +145,11 @@ class TestStateBudget:
     def test_cli_scan_nu(self, count_states, capsys):
         assert main(["scan-nu", "--nu", "0", "--r", "0.5", "--accelerated", "0,2", "--nu-steps", "40"]) == 0
         assert len(count_states) == 2
+
+    def test_figure_nu_theta_map_builds_two_states(self, count_states):
+        rows = dict(cli._figure_specs())["fig1c.csv"]()
+        assert len(rows) == cli.MAP_STEPS * cli.SURFACE_THETA_STEPS
+        assert count_states == [0.0, 1.0]
 
 
 class TestRangeChecks:

@@ -22,6 +22,7 @@ from spinwigner import (
     grid_values,
     negativity_threshold,
     normalization_check,
+    quasiprob,
     scan_min_vs_r,
     validate_density,
 )
@@ -157,6 +158,21 @@ class TestGridScan:
         rho = ghz_werner(GhzWernerParams(nu=0.0))
         report = grid_scan(rho, DistributionKind.WIGNER, 4, 3, equal_angles=False)
         assert np.allclose(report.values, 0.125, atol=1e-14)
+
+    @pytest.mark.parametrize(
+        "n, theta_steps, phi_steps, cells",
+        [(3, 91, 181, "4,468,480,855,111"), (2, 45, 45, "4,100,625")],
+    )
+    def test_oversized_independent_scan_refused_before_allocating(
+        self, monkeypatch, n, theta_steps, phi_steps, cells
+    ):
+        def no_kernels(*args, **kwargs):
+            raise AssertionError("kernel grid built for a refused scan")
+
+        monkeypatch.setattr(quasiprob, "kernel_grid", no_kernels)
+        rho = ghz_werner(GhzWernerParams(nu=0.7, n_qubits=n))
+        with pytest.raises(DimensionError, match=f"needs {cells} cells, more than the 4,000,000 allowed"):
+            grid_scan(rho, DistributionKind.WIGNER, theta_steps, phi_steps, equal_angles=False)
 
     @pytest.mark.parametrize("nu, k, r", TEN_STATES)
     def test_husimi_never_negative(self, nu, k, r):
