@@ -4,19 +4,28 @@ Point evaluation against the kernel product, vectorized grid scans with
 negativity diagnostics, a quadrature normalization functional, and
 comparisons against the published closed-form expressions for the
 (accelerated) GHZ-Werner family.
+
+Every evaluator is one contraction, :func:`_contract`: the trace of the
+state against a tensor product of per-qubit operator stacks, taken one
+qubit axis pair at a time.  Equal-angle surfaces contract the state with
+the Pauli basis once and sum the resulting correlation tensor by weight
+class, since with every qubit at the same point the value depends on a
+Pauli string only through how many I, X, Y and Z it holds.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, NonRealResult
-from .linalg import DensityMatrix, kron
+from .errors import DimensionError, IndexOutOfRange, NonRealResult
+from .linalg import DensityMatrix
 from .rindler import MATCH_TOL, AccelerationConfig, accelerate
 from .states import GhzWernerParams, ghz_werner
 from .su2kernel import (
@@ -24,14 +33,25 @@ from .su2kernel import (
     DistributionKind,
     SphericalPoint,
     kernel_grid,
-    kernel_n,
 )
 
 IMAG_TOL = 1e-10
 BISECTION_TOL = 1e-9
 # Most cells, (theta_steps * phi_steps) ** n, of one independent-angle scan.
-# A scan at this size holds a few complex arrays of it and peaks near 0.2 GB.
+# A two-qubit scan of 3,992,004 cells (37 x 54 per qubit) peaks at 0.096 GB
+# of numpy allocations (tracemalloc): the complex contraction and its real
+# copy, side by side.
 SPLIT_SCAN_MAX_CELLS = 4_000_000
+
+# I, X, Y, Z stacked on the last axis: _PAULIS[:, :, m] is sigma_m.
+_PAULIS = np.stack(
+    [np.eye(2), [[0.0, 1.0], [1.0, 0.0]], [[0.0, -1j], [1j, 0.0]], np.diag([1.0, -1.0])],
+    axis=-1,
+).astype(complex)
+_PAULIS.setflags(write=False)
+# Row m maps a flattened 2x2 matrix K to Tr[K sigma_m] / 2.
+_HALF_TRACES = 0.5 * _PAULIS.transpose(2, 1, 0).reshape(4, 4)
+_HALF_TRACES.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -47,10 +67,49 @@ class QuasiProbSample:
     value: float
 
 
-def _require_real(value: complex, context: str) -> float:
-    if abs(value.imag) > IMAG_TOL:
-        raise NonRealResult(f"{context}: imaginary residue {value.imag:.3e}")
-    return float(value.real)
+def _real(values: np.ndarray, context: str) -> np.ndarray:
+    """Real part of a contraction; an imaginary residue above IMAG_TOL
+    raises NonRealResult."""
+    residue = float(max(values.imag.max(), -values.imag.min()))
+    if residue > IMAG_TOL:
+        raise NonRealResult(f"{context}: imaginary residue {residue:.3e}")
+    return values.real.copy()
+
+
+def _contract(rho: DensityMatrix, ops: Sequence[np.ndarray]) -> np.ndarray:
+    """Tr[rho ops[0] x ... x ops[n-1]], complex, of shape g_0 + ... + g_{n-1}.
+
+    ``ops[q]`` has shape (2, 2) + g_q and belongs to qubit q, the basis
+    bit of weight 2^q.  The state is viewed as a (2,)*2n tensor whose row
+    and column factors run msb-first; each step contracts the lowest
+    remaining qubit's row and column axes with its operator and appends
+    g_q to the trailing axes.
+    """
+    n = rho.n_qubits
+    t = rho.matrix.reshape((2,) * (2 * n))
+    for q, op in enumerate(ops):
+        m = n - q  # qubits left; the lowest one's axes end each half
+        # sum_{x, y} rho[.., x, .., y, ..] op[y, x, g]
+        t = np.tensordot(t, op, axes=([m - 1, 2 * m - 1], [1, 0]))
+    return t
+
+
+@lru_cache(maxsize=None)
+def _weight_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pauli strings of n qubits grouped by how many I, X, Y and Z they hold.
+
+    Returns the (C, 4) table of counts, C = binom(n + 3, 3), and the class
+    index of every string in the row-major order of the (4,)*n tensor.
+    """
+    # Plain Python: built once per n, and numpy's unique/sort paths would
+    # page ~0.5 MiB more of the library into every process that scans.
+    classes: dict[tuple[int, ...], int] = {}
+    index = [classes.setdefault(tuple(mu.count(m) for m in range(4)), len(classes))
+             for mu in itertools.product(range(4), repeat=n)]
+    table, index = np.array(list(classes)), np.array(index)
+    table.setflags(write=False)
+    index.setflags(write=False)
+    return table, index
 
 
 def evaluate(rho: DensityMatrix, kind: DistributionKind, points: Sequence[SphericalPoint]) -> QuasiProbSample:
@@ -58,36 +117,41 @@ def evaluate(rho: DensityMatrix, kind: DistributionKind, points: Sequence[Spheri
     pts = tuple(points)
     if len(pts) != rho.n_qubits:
         raise DimensionError(f"expected {rho.n_qubits} points, got {len(pts)}")
-    k = kernel_n(kind, pts, rho.n_qubits)
-    raw = complex(np.einsum("ij,ji->", rho.matrix, k))
-    value = _require_real(raw, "evaluate")
+    k = kernel_grid(kind, [p.theta for p in pts], [p.phi for p in pts])
+    value = float(_real(_contract(rho, [k[..., q] for q in range(len(pts))]), "evaluate"))
     return QuasiProbSample(points=pts, kind=DistributionKind(kind), value=value)
 
 
 def grid_values(rho: DensityMatrix, kind: DistributionKind, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """Equal-angle values W(theta_i, phi_j) as a (len(thetas), len(phis)) array.
 
-    Same kernel construction as :func:`evaluate`, vectorized over the
-    angle grid; qubit i reads basis bit i of the state indices.
+    Same kernel as :func:`evaluate`, written in the Pauli basis:
+    K = sum_m v_m sigma_m with v_m = Tr[K sigma_m] / 2.  With the
+    correlation tensor T_mu = Tr[rho sigma_mu_0 x ... x sigma_mu_{n-1}],
+    W = sum_mu T_mu prod_q v_{mu_q}, and the product only depends on the
+    weight class of mu, so T is summed per class first.
     """
     thetas = np.asarray(thetas, dtype=float)
     phis = np.asarray(phis, dtype=float)
-    e = kernel_grid(kind, thetas[:, None], phis[None, :])
     n = rho.n_qubits
-    m = rho.matrix
-    acc = np.zeros(e.shape[2:], dtype=complex)
-    for x in range(2 ** n):
-        for y in range(2 ** n):
-            w = m[x, y]
-            if w == 0:
-                continue
-            prod = e[y & 1, x & 1]
-            for i in range(1, n):
-                prod = prod * e[(y >> i) & 1, (x >> i) & 1]
-            acc += w * prod
-    if float(np.abs(acc.imag).max()) > IMAG_TOL:
-        raise NonRealResult(f"grid values: imaginary residue {np.abs(acc.imag).max():.3e}")
-    return acc.real.copy()
+    corr = _real(_contract(rho, [_PAULIS] * n), "grid values")
+    classes, index = _weight_classes(n)
+    sums = np.bincount(index, weights=corr.reshape(-1), minlength=len(classes))
+    e = kernel_grid(kind, thetas[:, None], phis[None, :])
+    v = np.empty((4,) + e.shape[2:])
+    for m, row in enumerate(_HALF_TRACES):  # one complex row at a time beside the kernel
+        v[m] = _real(row @ e.reshape(4, -1), "grid values").reshape(e.shape[2:])
+    acc = np.zeros(v.shape[1:])
+    term = np.empty_like(acc)
+    for counts, s in zip(classes, sums):
+        if s == 0.0:
+            continue
+        term.fill(s)
+        for m, c in enumerate(counts):
+            for _ in range(c):
+                term *= v[m]
+        acc += term
+    return acc
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,19 +215,7 @@ def grid_scan(
         weight = point_weight
     else:
         e = kernel_grid(kind, thetas[:, None], phis[None, :])
-        acc = np.zeros((theta_steps, phi_steps) * n, dtype=complex)
-        for x in range(2 ** n):
-            for y in range(2 ** n):
-                w = rho.matrix[x, y]
-                if w == 0:
-                    continue
-                block = e[y & 1, x & 1]
-                for i in range(1, n):
-                    block = np.multiply.outer(block, e[(y >> i) & 1, (x >> i) & 1])
-                acc += w * block
-        if float(np.abs(acc.imag).max()) > IMAG_TOL:
-            raise NonRealResult("grid scan: non-negligible imaginary residue")
-        values = acc.real.copy()
+        values = _real(_contract(rho, [e] * n), "grid scan")
         weight = point_weight
         for _ in range(n - 1):
             weight = np.multiply.outer(weight, point_weight)
@@ -206,7 +258,7 @@ def normalization_check(rho: DensityMatrix, kind: DistributionKind, quad_order: 
     uniform trapezoid with 2*quad_order points in phi, per qubit.  The
     integrand is multilinear in the per-qubit kernels and the grid is a
     tensor product, so the full n-fold quadrature sum factorizes exactly
-    into per-qubit 2x2 quadratures combined by Kronecker products.
+    into one 2x2 quadrature per qubit, contracted with the state.
     """
     if quad_order < 16:
         raise ValueError(f"quad_order={quad_order} must be at least 16")
@@ -217,11 +269,7 @@ def normalization_check(rho: DensityMatrix, kind: DistributionKind, quad_order: 
     e = kernel_grid(kind, thetas[:, None], phis[None, :])
     per_qubit = (e * weights[:, None]).sum(axis=(2, 3)) * (2.0 * math.pi / n_phi)
     factor = per_qubit / (2.0 * math.pi)
-    total = factor
-    for _ in range(rho.n_qubits - 1):
-        total = kron(total, factor)
-    raw = complex(np.einsum("ij,ji->", rho.matrix, total))
-    return _require_real(raw, "normalization_check")
+    return float(_real(_contract(rho, [factor] * rho.n_qubits), "normalization_check"))
 
 
 class ClosedFormVariant(Enum):
@@ -321,14 +369,19 @@ def closed_form(variant: ClosedFormVariant, theta: float, phi: float, nu: float,
     return float(_CLOSED_FORMS[variant](theta, phi, nu, r))
 
 
-def accelerated_ghz(nu: float, k_accelerated: int | Sequence[int], r: float, n_qubits: int = 3) -> DensityMatrix:
-    """GHZ-Werner state with its first ``k_accelerated`` qubits accelerated,
-    or exactly the qubits named when ``k_accelerated`` is a sequence."""
+def _accelerated_indices(k_accelerated: int | Sequence[int], n_qubits: int) -> tuple[int, ...]:
+    """The first ``k_accelerated`` qubits for a count, else the qubits named."""
     if isinstance(k_accelerated, (int, np.integer)):
         if not (0 <= k_accelerated <= n_qubits):
             raise ValueError(f"k_accelerated={k_accelerated} outside 0..{n_qubits}")
-        k_accelerated = range(k_accelerated)
-    config = AccelerationConfig(r=r, accelerated=tuple(k_accelerated))
+        return tuple(range(k_accelerated))
+    return tuple(k_accelerated)
+
+
+def accelerated_ghz(nu: float, k_accelerated: int | Sequence[int], r: float, n_qubits: int = 3) -> DensityMatrix:
+    """GHZ-Werner state with its first ``k_accelerated`` qubits accelerated,
+    or exactly the qubits named when ``k_accelerated`` is a sequence."""
+    config = AccelerationConfig(r=r, accelerated=_accelerated_indices(k_accelerated, n_qubits))
     rho = ghz_werner(GhzWernerParams(nu=nu, n_qubits=n_qubits))
     if config.accelerated:
         rho = accelerate(rho, config)
@@ -349,18 +402,23 @@ def probe_sweep(
     W is affine in nu (so is the state; the channel and the trace are
     linear).  Per r only the validated states at min(nus) and max(nus)
     are built, one when they are equal, and the rest is interpolated.
-    Every nu and r is range-checked before the first state is built.
+    Every nu and r, then the accelerated set, is checked before the first
+    state is built, also when an axis is empty.
     """
     nus = np.asarray(nus, dtype=float)
     rs = np.asarray(rs, dtype=float)
+    for nu in nus:
+        GhzWernerParams(nu=float(nu), n_qubits=n_qubits)
+    for r in rs:
+        AccelerationConfig(r=float(r))
+    config = AccelerationConfig(r=0.0, accelerated=_accelerated_indices(accelerated, n_qubits))
+    for q in config.accelerated:
+        if q >= n_qubits:
+            raise IndexOutOfRange(f"qubit {q} outside register of {n_qubits}")
     out = np.empty((len(nus), len(rs)))
     if out.size == 0:
         return out
     lo, hi = float(nus.min()), float(nus.max())
-    for nu in (lo, hi):
-        GhzWernerParams(nu=nu, n_qubits=n_qubits)
-    for r in (rs.min(), rs.max()):
-        AccelerationConfig(r=float(r))
     t = (nus - lo) / (hi - lo) if hi > lo else np.zeros_like(nus)
     ends = (lo, hi) if hi > lo else (lo,)
     points = (point,) * n_qubits

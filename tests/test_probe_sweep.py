@@ -172,6 +172,29 @@ class TestRangeChecks:
         with pytest.raises(ROutOfRange):
             accelerated_ghz(0.5, none, 5.0)
 
+    def test_empty_nu_axis_still_checks_r_and_the_set(self, count_states):
+        with pytest.raises(ROutOfRange):
+            probe_sweep([], [5.0], 7, DistributionKind.WIGNER, PROBE)
+        with pytest.raises(ValueError, match="outside 0..3"):
+            probe_sweep([], [0.1], 7, DistributionKind.WIGNER, PROBE)
+        with pytest.raises(IndexOutOfRange):
+            probe_sweep([], [0.1], (0, 3), DistributionKind.WIGNER, PROBE)
+        assert count_states == []
+
+    def test_empty_r_axis_still_checks_nu_and_the_set(self, count_states):
+        with pytest.raises(MixingOutOfRange):
+            probe_sweep([3.0], [], 1, DistributionKind.WIGNER, PROBE)
+        with pytest.raises(ValueError, match="duplicate"):
+            probe_sweep([0.5], [], (1, 1), DistributionKind.WIGNER, PROBE)
+        assert count_states == []
+
+    @pytest.mark.parametrize("accelerated", [0, 3, (0, 2)])
+    def test_valid_empty_axes_return_empty(self, count_states, accelerated):
+        assert probe_sweep([], [], accelerated, DistributionKind.WIGNER, PROBE).shape == (0, 0)
+        assert probe_sweep([], [0.0, R_MAX], accelerated, DistributionKind.Q, PROBE).shape == (0, 2)
+        assert probe_sweep([0.0, 1.0], [], accelerated, DistributionKind.P, PROBE).shape == (2, 0)
+        assert count_states == []
+
     def test_scan_min_vs_r_rejects_r(self):
         with pytest.raises(ROutOfRange):
             scan_min_vs_r(0.5, 1, [0.1, 2.0])
