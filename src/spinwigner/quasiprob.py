@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, IndexOutOfRange, NonRealResult
+from .errors import DimensionError, NonRealResult
 from .linalg import DensityMatrix
 from .rindler import MATCH_TOL, AccelerationConfig, accelerate
 from .states import GhzWernerParams, ghz_werner
@@ -130,6 +130,10 @@ def grid_values(rho: DensityMatrix, kind: DistributionKind, thetas: np.ndarray, 
     correlation tensor T_mu = Tr[rho sigma_mu_0 x ... x sigma_mu_{n-1}],
     W = sum_mu T_mu prod_q v_{mu_q}, and the product only depends on the
     weight class of mu, so T is summed per class first.
+
+    The realness check (IMAG_TOL) is made on T and on the v surfaces, not
+    on W: W's imaginary residue is sum_mu Im(T_mu) prod_q v_{mu_q}, up to
+    2^n times T's for the P kernel, and is never formed.
     """
     thetas = np.asarray(thetas, dtype=float)
     phis = np.asarray(phis, dtype=float)
@@ -412,9 +416,7 @@ def probe_sweep(
     for r in rs:
         AccelerationConfig(r=float(r))
     config = AccelerationConfig(r=0.0, accelerated=_accelerated_indices(accelerated, n_qubits))
-    for q in config.accelerated:
-        if q >= n_qubits:
-            raise IndexOutOfRange(f"qubit {q} outside register of {n_qubits}")
+    config.check_register(n_qubits)
     out = np.empty((len(nus), len(rs)))
     if out.size == 0:
         return out

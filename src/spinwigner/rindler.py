@@ -34,8 +34,8 @@ class AccelerationConfig:
     """Acceleration parameter and the qubit indices it applies to.
 
     Qubit indices refer to basis bits (qubit 0 = least significant);
-    duplicates are rejected here, range is checked against the register
-    inside :func:`accelerate`.
+    duplicates and negative indices are rejected here, the upper end of
+    the range by :meth:`check_register` once the register size is known.
     """
 
     r: float
@@ -50,6 +50,12 @@ class AccelerationConfig:
         if any(q < 0 for q in idx):
             raise IndexOutOfRange(f"negative qubit index in {idx}")
         object.__setattr__(self, "accelerated", idx)
+
+    def check_register(self, n_qubits: int) -> None:
+        """Raise IndexOutOfRange if an accelerated qubit is not in an n-qubit register."""
+        for q in self.accelerated:
+            if q >= n_qubits:
+                raise IndexOutOfRange(f"qubit {q} outside register of {n_qubits}")
 
 
 def unruh_isometry(r: float) -> np.ndarray:
@@ -85,9 +91,7 @@ def accelerate(rho: DensityMatrix, config: AccelerationConfig) -> DensityMatrix:
     they run in ascending index order for determinism.
     """
     n = rho.n_qubits
-    for q in config.accelerated:
-        if q >= n:
-            raise IndexOutOfRange(f"qubit {q} outside register of {n}")
+    config.check_register(n)
     kraus = _kraus_pair(config.r)
     # rho'[a, c] = sum_j K_j[a, b] rho[b, d] conj(K_j[c, d]) as one 4x4 map on (b, d)
     transfer = np.einsum("jab,jcd->acbd", kraus, kraus.conj()).reshape(4, 4)

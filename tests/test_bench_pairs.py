@@ -1,6 +1,7 @@
-"""Aggregation of tools/bench_pairs.py: spreads, quartiles and pair wins."""
+"""tools/bench_pairs.py: spreads, quartiles, pair wins and the correctness gate."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -70,3 +71,34 @@ def test_summarize_per_metric():
     rate = out["values_per_s"]
     assert (rate["change_wins"], rate["parent_wins"]) == (1, 1)
     assert rate["better"] == "higher" and rate["unit"] == "1/s"
+
+
+class TestCorrectnessGate:
+    GOOD = {"exit_code": 0, "correct": True, "failed": 0, "attempted": 10}
+
+    def test_passing_run(self):
+        bench_pairs.check_run(dict(self.GOOD), "run")
+
+    @pytest.mark.parametrize("bad", [{"exit_code": 1}, {"correct": False}, {"failed": 2}, {"correct": None}])
+    def test_failing_run_raises(self, bad):
+        with pytest.raises(RuntimeError, match="run failed the correctness gate"):
+            bench_pairs.check_run({**self.GOOD, **bad}, "run")
+
+    @staticmethod
+    def checkout(root, exit_code, correct, failed):
+        """A stand-in checkout whose bench/run.py prints a result line and exits."""
+        result = {"correct": correct, "failed": failed, "attempted": 10, "metrics": {}}
+        (root / "bench").mkdir()
+        (root / "bench" / "run.py").write_text(
+            f"import sys\nprint('machine: {{}}')\nprint({json.dumps(json.dumps(result))})\nsys.exit({exit_code})\n"
+        )
+        return root
+
+    def test_run_bench_returns_a_passing_run(self, tmp_path):
+        out = bench_pairs.run_bench(self.checkout(tmp_path, 0, True, 0), "paper", 1, 1.0, 0)
+        assert out["exit_code"] == 0 and out["machine"] == {} and out["correct"] is True
+
+    @pytest.mark.parametrize("exit_code, correct, failed", [(1, False, 3), (0, False, 0), (1, True, 0)])
+    def test_run_bench_refuses_a_failing_run(self, tmp_path, exit_code, correct, failed):
+        with pytest.raises(RuntimeError, match="failed the correctness gate"):
+            bench_pairs.run_bench(self.checkout(tmp_path, exit_code, correct, failed), "paper", 1, 1.0, 0)

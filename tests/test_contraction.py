@@ -152,3 +152,20 @@ class TestRealnessCheck:
         m[0, 0] += 1e-13j
         rho = DensityMatrix(matrix=m, n_qubits=2)
         assert evaluate(rho, DistributionKind.WIGNER, self.POINTS).value == pytest.approx(0.25, abs=1e-12)
+
+    @pytest.mark.parametrize("residue, raises", [(0.9e-10, False), (1.1e-10, True)])
+    def test_grid_values_checks_the_correlation_tensor(self, residue, raises):
+        # grid_values checks T_mu = Tr[rho sigma_mu] (imaginary parts 0 or +-residue
+        # here), not W: at theta = pi the P surface's own residue is 4 times larger
+        m = np.eye(4, dtype=complex) / 4.0
+        m[0, 0] += residue * 1j
+        rho = DensityMatrix(matrix=m, n_qubits=2)
+        thetas, phis = np.array([1.0, math.pi]), np.array([0.0, 2.0])
+        w = dense_oracle.equal_angle_surface(m, DistributionKind.P, thetas, phis)
+        assert np.abs(w.imag).max() == pytest.approx(4.0 * residue, rel=1e-6)
+        if raises:
+            with pytest.raises(NonRealResult, match="grid values: imaginary residue"):
+                grid_values(rho, DistributionKind.P, thetas, phis)
+        else:
+            out = grid_values(rho, DistributionKind.P, thetas, phis)
+            np.testing.assert_allclose(out, w.real, rtol=0, atol=ORACLE_TOL)

@@ -62,6 +62,12 @@ class TestAccelerationConfig:
         with pytest.raises(IndexOutOfRange):
             AccelerationConfig(r=0.1, accelerated=(-1,))
 
+    def test_check_register(self):
+        config = AccelerationConfig(r=0.1, accelerated=(0, 2))
+        config.check_register(3)
+        with pytest.raises(IndexOutOfRange, match="qubit 2 outside register of 2"):
+            config.check_register(2)
+
 
 class TestAccelerate:
     def test_r_zero_is_identity(self, rng):

@@ -2,16 +2,20 @@
 
 Run from the repository root:
 
-    python3 tools/bench_pairs.py --parent HEAD~1 --workload register_grid \\
-        --pairs 10 --seed 17 --seconds 40 --traced --out BENCH_4.json
+    python3 tools/bench_pairs.py --parent HEAD~1 --pairs 10 --seed 17 \\
+        --seconds 40 --out BENCH_4.json
 
 The parent revision is checked out into a temporary ``git worktree``
-(removed again at the end).  For each workload, ``bench/run.py`` runs as a
-subprocess in both checkouts, ``--pairs`` times, with the same seed and
-seconds on both sides; the side that runs first alternates from one pair
-to the next.  With ``--traced``, one ``--trace 1`` run per side and
-workload follows the pairs.  This script only starts ``bench/run.py``; it
+(removed again at the end).  For each workload of ``BENCHMARK.json``,
+``bench/run.py`` runs as a subprocess in both checkouts, ``--pairs``
+times, with the same seed and seconds on both sides; the side that runs
+first alternates from one pair to the next.  One ``--trace 1`` run per
+side follows the pairs.  This script only starts ``bench/run.py``; it
 imports nothing from ``bench/``.
+
+A run that exits nonzero, reports ``correct`` false or counts a failed
+operation stops the comparison with an error: its timings say nothing
+about code that does not pass the benchmark's correctness gate.
 
 The output JSON (``BENCH_<n>.json`` by convention) holds every run's
 result object, and per workload and end-to-end metric each side's median
@@ -79,8 +83,18 @@ def summarize(pairs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def check_run(result: dict, where: str) -> None:
+    """Raise RuntimeError unless a run passed the benchmark's correctness gate."""
+    if result["exit_code"] != 0 or result.get("correct") is not True or result.get("failed", 0) != 0:
+        raise RuntimeError(
+            f"{where} failed the correctness gate: exit {result['exit_code']}, "
+            f"correct={result.get('correct')!r}, failed={result.get('failed')!r}"
+        )
+
+
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One ``bench/run.py`` run; its result object plus the machine line."""
+    """One ``bench/run.py`` run that passed its correctness gate; its result
+    object plus the machine line."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -92,6 +106,7 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     for line in lines:
         if line.startswith("machine: "):
             result["machine"] = json.loads(line[len("machine: "):])
+    check_run(result, f"{' '.join(cmd)} in {checkout}")
     return result
 
 
@@ -102,11 +117,9 @@ def git(*args: str) -> str:
 def parse_args(argv):
     parser = argparse.ArgumentParser(description="alternating parent/change benchmark pairs")
     parser.add_argument("--parent", required=True, help="git revision to compare against, e.g. HEAD~1")
-    parser.add_argument("--workload", action="append", help="workload name; repeat for several (default: all)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
-    parser.add_argument("--traced", action="store_true", help="add one traced run per side and workload")
     parser.add_argument("--out", type=Path, required=True, help="output JSON, e.g. BENCH_4.json")
     return parser.parse_args(argv)
 
@@ -114,7 +127,6 @@ def parse_args(argv):
 def main(argv=None) -> int:
     args = parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
     record = {
         "harness": (f"{' '.join(benchmark['command'])} --workload W --seed {args.seed} "
                     f"--seconds {args.seconds:g} --trace 0|1"),
@@ -130,7 +142,7 @@ def main(argv=None) -> int:
         git("worktree", "add", "--detach", str(parent_dir), record["parent"]["commit"])
         try:
             checkouts = {"parent": parent_dir, "change": ROOT}
-            for workload in workloads:
+            for workload in (w["name"] for w in benchmark["workloads"]):
                 pairs = []
                 for i in range(args.pairs):
                     order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -145,10 +157,9 @@ def main(argv=None) -> int:
                                    for side in SIDES},
                     "end_to_end": summarize(pairs, benchmark["end_to_end"]),
                     "runs": pairs,
+                    "traced": {side: run_bench(checkouts[side], workload, args.seed, args.seconds, 1)
+                               for side in SIDES},
                 }
-                if args.traced:
-                    entry["traced"] = {side: run_bench(checkouts[side], workload, args.seed, args.seconds, 1)
-                                       for side in SIDES}
                 record["workloads"][workload] = entry
                 args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
         finally:
