@@ -30,6 +30,7 @@ from .quasiprob import (
     evaluate,
     grid_values,
     probe_sweep,
+    sphere_grid,
 )
 from .rindler import R_MAX, coefficient_report
 from .su2kernel import DistributionKind, SphericalPoint
@@ -40,6 +41,9 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 CSV_HEADER = "theta,phi,nu,r,k,s,W"
+# k and s sit in the float table too: '%.12g' prints 3.0 as 3, as for an int
+_CELL = "%.12g"
+_ROW = ",".join([_CELL] * 7)
 _KIND_BY_LETTER = {
     "q": DistributionKind.Q,
     "w": DistributionKind.WIGNER,
@@ -55,10 +59,6 @@ R_CURVE_STEPS = 50
 
 class UsageError(Exception):
     """Invalid argument values detected after parsing."""
-
-
-def _fmt(value) -> str:
-    return f"{value:.12g}"
 
 
 def _clamp(value: float, lo: float, hi: float, name: str) -> float:
@@ -92,9 +92,17 @@ def _indices(accelerated: int | tuple[int, ...]) -> tuple[int, ...]:
     return tuple(range(accelerated)) if isinstance(accelerated, int) else accelerated
 
 
-def _csv_text(rows) -> str:
+def _table(theta, phi, nu, r, k, kind, w) -> np.ndarray:
+    """The seven columns broadcast against each other as one (rows, 7)
+    float array, one row per element in row-major order."""
+    return np.stack(np.broadcast_arrays(theta, phi, nu, r, k, kind, w), axis=-1).reshape(-1, 7)
+
+
+def _csv_text(table: np.ndarray) -> str:
+    # one row at a time: a whole-table tolist() holds every cell as a
+    # Python float at once
     lines = [CSV_HEADER]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    lines.extend(_ROW % tuple(row.tolist()) for row in table)
     return "\n".join(lines) + "\n"
 
 
@@ -110,26 +118,25 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _emit_rows(args, rows, meta: dict) -> None:
-    """Rows as CSV, or as JSON samples under ``meta`` plus the column names."""
+def _emit_rows(args, table: np.ndarray, meta: dict) -> None:
+    """A table as CSV, or as JSON samples (k and s as integers) under
+    ``meta`` plus the column names."""
     if args.format == "csv":
-        _emit(args, _csv_text(rows))
+        _emit(args, _csv_text(table))
     else:
+        samples = []
+        for row in table:
+            theta, phi, nu, r, k, s, w = row.tolist()
+            samples.append([theta, phi, nu, r, int(k), int(s), w])
         meta = {**meta, "columns": CSV_HEADER.split(",")}
-        payload = {"meta": meta, "samples": [list(row) for row in rows]}
+        payload = {"meta": meta, "samples": samples}
         _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _grid_rows(nu, r, accelerated, kind, thetas, phis):
-    rho = accelerated_ghz(nu, accelerated, r)
-    values = grid_values(rho, kind, thetas, phis)
-    k = len(_indices(accelerated))
-    s = int(kind)
-    rows = []
-    for i, theta in enumerate(thetas):
-        for j, phi in enumerate(phis):
-            rows.append((theta, phi, nu, r, k, s, values[i, j]))
-    return rows
+def _grid_table(nu, r, accelerated, kind, thetas, phis) -> np.ndarray:
+    """Equal-angle surface over thetas x phis (theta-major)."""
+    values = grid_values(accelerated_ghz(nu, accelerated, r), kind, thetas, phis)
+    return _table(thetas[:, None], phis, nu, r, len(_indices(accelerated)), kind, values)
 
 
 def _cmd_eval(args) -> int:
@@ -137,17 +144,14 @@ def _cmd_eval(args) -> int:
     point = SphericalPoint(args.theta, args.phi)
     rho = accelerated_ghz(args.nu, accelerated, args.r)
     sample = evaluate(rho, args.kind, (point,) * rho.n_qubits)
-    sys.stdout.write(_fmt(sample.value) + "\n")
+    sys.stdout.write(_CELL % sample.value + "\n")
     return EXIT_OK
 
 
 def _cmd_grid(args) -> int:
     accelerated = _parse_accelerated(args.accelerated)
-    if args.theta_steps < 2 or args.phi_steps < 2:
-        raise UsageError("theta-steps and phi-steps must both be at least 2")
-    thetas = np.linspace(0.0, math.pi, args.theta_steps)
-    phis = np.arange(args.phi_steps) * (2.0 * math.pi / args.phi_steps)
-    rows = _grid_rows(args.nu, args.r, accelerated, args.kind, thetas, phis)
+    thetas, phis = sphere_grid(args.theta_steps, args.phi_steps)
+    table = _grid_table(args.nu, args.r, accelerated, args.kind, thetas, phis)
     indices = _indices(accelerated)
     meta = {
         "command": "grid",
@@ -159,20 +163,15 @@ def _cmd_grid(args) -> int:
         "theta_steps": args.theta_steps,
         "phi_steps": args.phi_steps,
     }
-    _emit_rows(args, rows, meta)
+    _emit_rows(args, table, meta)
     return EXIT_OK
 
 
-def _probe_rows(nus, rs, accelerated, kind, theta, phi):
+def _probe_table(nus, rs, accelerated, kind, theta, phi) -> np.ndarray:
     """Point values over nus x rs (nu-major), every qubit at (theta, phi)."""
     values = probe_sweep(nus, rs, accelerated, kind, SphericalPoint(theta, phi))
-    k = len(_indices(accelerated))
-    s = int(kind)
-    return [
-        (theta, phi, float(nu), float(r), k, s, float(values[i, j]))
-        for i, nu in enumerate(nus)
-        for j, r in enumerate(rs)
-    ]
+    nu_col = np.asarray(nus, dtype=float)[:, None]
+    return _table(theta, phi, nu_col, rs, len(_indices(accelerated)), kind, values)
 
 
 def _cmd_scan(args) -> int:
@@ -188,8 +187,8 @@ def _cmd_scan(args) -> int:
         if args.nu_steps < 2:
             raise UsageError("nu-steps must be at least 2")
         nus, rs = np.linspace(0.0, 1.0, args.nu_steps), [args.r]
-    rows = _probe_rows(nus, rs, accelerated, args.kind, args.theta, args.phi)
-    _emit_rows(args, rows, {"command": args.command})
+    table = _probe_table(nus, rs, accelerated, args.kind, args.theta, args.phi)
+    _emit_rows(args, table, {"command": args.command})
     return EXIT_OK
 
 
@@ -217,8 +216,6 @@ _VERIFY_COEFFICIENT_CASES = [
 
 
 def _cmd_verify(args) -> int:
-    if args.theta_steps < 2 or args.phi_steps < 2:
-        raise UsageError("theta-steps and phi-steps must both be at least 2")
     variants = []
     for variant, nu, r in _VERIFY_VARIANT_CASES:
         comparison = compare_closed_form(variant, nu, r, args.theta_steps, args.phi_steps)
@@ -254,9 +251,8 @@ def _cmd_verify(args) -> int:
 
 
 def _figure_specs():
-    """(filename, row generator) pairs for the canonical figure exports."""
-    thetas = np.linspace(0.0, math.pi, SURFACE_THETA_STEPS)
-    phis = np.arange(SURFACE_PHI_STEPS) * (2.0 * math.pi / SURFACE_PHI_STEPS)
+    """(filename, table builder) pairs for the canonical figure exports."""
+    thetas, phis = sphere_grid(SURFACE_THETA_STEPS, SURFACE_PHI_STEPS)
     nus = np.linspace(0.0, 1.0, MAP_STEPS)
     rs = np.linspace(0.0, R_MAX, MAP_STEPS)
     r_curve = np.linspace(0.0, R_MAX, R_CURVE_STEPS)
@@ -264,7 +260,7 @@ def _figure_specs():
     wigner = DistributionKind.WIGNER
 
     def surface(nu, r, k):
-        return _grid_rows(nu, r, k, wigner, thetas, phis)
+        return _grid_table(nu, r, k, wigner, thetas, phis)
 
     def nu_theta_map():
         # W is affine in nu: interpolate the theta column between the nu = 0
@@ -273,21 +269,17 @@ def _figure_specs():
             grid_values(accelerated_ghz(nu, 0, 0.0), wigner, thetas, np.array([probe_phi]))[:, 0]
             for nu in (0.0, 1.0)
         )
-        rows = []
-        for nu in nus:
-            values = (1.0 - nu) * w_0 + nu * w_1
-            for i, theta in enumerate(thetas):
-                rows.append((float(theta), probe_phi, float(nu), 0.0, 0, 0, values[i]))
-        return rows
+        nu_col = nus[:, None]
+        values = (1.0 - nu_col) * w_0 + nu_col * w_1
+        return _table(thetas, probe_phi, nu_col, 0.0, 0, wigner, values)
 
     def nu_r_map(k):
-        return _probe_rows(nus, rs, k, wigner, probe_theta, probe_phi)
+        return _probe_table(nus, rs, k, wigner, probe_theta, probe_phi)
 
     def r_curves(nu):
-        rows = []
-        for k in (1, 2, 3):
-            rows += _probe_rows([nu], r_curve, k, wigner, probe_theta, probe_phi)
-        return rows
+        return np.concatenate(
+            [_probe_table([nu], r_curve, k, wigner, probe_theta, probe_phi) for k in (1, 2, 3)]
+        )
 
     specs = [
         ("fig1a.csv", lambda: surface(1.0, 0.0, 0)),

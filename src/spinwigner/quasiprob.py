@@ -58,8 +58,9 @@ _HALF_TRACES.setflags(write=False)
 class QuasiProbSample:
     """One distribution value, with the per-qubit points it was taken at.
 
-    The trace behind ``value`` must be real; an imaginary residue above
-    1e-10 is rejected at construction.
+    The dataclass itself checks nothing: the evaluators that build it pass
+    the trace through ``_real``, which raises NonRealResult for an
+    imaginary residue above IMAG_TOL (1e-10).
     """
 
     points: tuple[SphericalPoint, ...]
@@ -122,6 +123,14 @@ def evaluate(rho: DensityMatrix, kind: DistributionKind, points: Sequence[Spheri
     return QuasiProbSample(points=pts, kind=DistributionKind(kind), value=value)
 
 
+def sphere_grid(theta_steps: int, phi_steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform equal-angle axes: theta over [0, pi] inclusive, phi over
+    [0, 2*pi) exclusive.  Fewer than 2 steps on either raises DimensionError."""
+    if theta_steps < 2 or phi_steps < 2:
+        raise DimensionError("theta_steps and phi_steps must both be at least 2")
+    return np.linspace(0.0, math.pi, theta_steps), np.arange(phi_steps) * (2.0 * math.pi / phi_steps)
+
+
 def grid_values(rho: DensityMatrix, kind: DistributionKind, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """Equal-angle values W(theta_i, phi_j) as a (len(thetas), len(phis)) array.
 
@@ -134,9 +143,15 @@ def grid_values(rho: DensityMatrix, kind: DistributionKind, thetas: np.ndarray, 
     The realness check (IMAG_TOL) is made on T and on the v surfaces, not
     on W: W's imaginary residue is sum_mu Im(T_mu) prod_q v_{mu_q}, up to
     2^n times T's for the P kernel, and is never formed.
+
+    ``thetas`` and ``phis`` must be non-empty 1-D axes (DimensionError).
     """
     thetas = np.asarray(thetas, dtype=float)
     phis = np.asarray(phis, dtype=float)
+    if thetas.ndim != 1 or phis.ndim != 1 or thetas.size == 0 or phis.size == 0:
+        raise DimensionError(
+            f"thetas and phis must be non-empty 1-D axes, got shapes {thetas.shape} and {phis.shape}"
+        )
     n = rho.n_qubits
     corr = _real(_contract(rho, [_PAULIS] * n), "grid values")
     classes, index = _weight_classes(n)
@@ -198,8 +213,7 @@ def grid_scan(
     a scan of more than ``SPLIT_SCAN_MAX_CELLS`` cells is refused with
     :class:`DimensionError` before anything is allocated.
     """
-    if theta_steps < 2 or phi_steps < 2:
-        raise DimensionError("theta_steps and phi_steps must both be at least 2")
+    thetas, phis = sphere_grid(theta_steps, phi_steps)
     n = rho.n_qubits
     if not equal_angles:
         cells = (theta_steps * phi_steps) ** n
@@ -208,8 +222,6 @@ def grid_scan(
                 f"independent-angle scan of {n} qubits needs {cells:,} cells, "
                 f"more than the {SPLIT_SCAN_MAX_CELLS:,} allowed"
             )
-    thetas = np.linspace(0.0, math.pi, theta_steps)
-    phis = np.arange(phi_steps) * (2.0 * math.pi / phi_steps)
     d_theta = math.pi / (theta_steps - 1)
     d_phi = 2.0 * math.pi / phi_steps
     point_weight = np.sin(thetas)[:, None] * d_theta * d_phi * np.ones_like(phis)[None, :]
@@ -455,11 +467,8 @@ def compare_closed_form(
 ) -> ClosedFormComparison:
     """Max |numeric - closed form| over the equal-angle grid; MATCH at 1e-12."""
     variant = ClosedFormVariant(variant)
-    if theta_steps < 2 or phi_steps < 2:
-        raise DimensionError("theta_steps and phi_steps must both be at least 2")
+    thetas, phis = sphere_grid(theta_steps, phi_steps)
     rho = accelerated_ghz(nu, _K_ACCELERATED[variant], r)
-    thetas = np.linspace(0.0, math.pi, theta_steps)
-    phis = np.arange(phi_steps) * (2.0 * math.pi / phi_steps)
     numeric = grid_values(rho, DistributionKind.WIGNER, thetas, phis)
     reference = _CLOSED_FORMS[variant](thetas[:, None], phis[None, :], nu, r)
     reference = np.broadcast_to(reference, numeric.shape)

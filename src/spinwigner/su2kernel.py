@@ -186,13 +186,16 @@ def kernel_grid(kind: DistributionKind, theta, phi) -> np.ndarray:
     """Kernel matrix elements over broadcastable angle arrays.
 
     Returns a complex array of shape (2, 2) + broadcast(theta, phi).shape;
-    the scalar case yields a plain 2x2 matrix.
+    the scalar case yields a plain 2x2 matrix.  ``kind`` must be a
+    DistributionKind value and every angle finite (ValueError).
     """
+    g = SQRT3 ** int(DistributionKind(kind))
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
+    if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
+        raise ValueError("theta and phi must be finite")
     shape = np.broadcast_shapes(theta.shape, phi.shape)
     pad = (1,) * len(shape)
-    g = SQRT3 ** int(kind)
     out = np.zeros((2, 2) + shape, dtype=complex)
     out += _ito_frozen(0, 0).reshape(2, 2, *pad) * _ylm(0, 0, theta, phi)
     for n in (-1, 0, 1):

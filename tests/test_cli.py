@@ -5,8 +5,10 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from spinwigner import sphere_grid
 from spinwigner.cli import CSV_HEADER, main
 
 SQRT3 = math.sqrt(3.0)
@@ -209,6 +211,47 @@ class TestScanCommands:
         assert rows[-1][6] == pytest.approx((1 - 3 * SQRT3) / 8, abs=1e-12)
 
 
+GRID_THETAS, GRID_PHIS = sphere_grid(5, 7)
+# argv of each table command, with the theta and phi columns it must write
+TABLE_COMMANDS = {
+    "grid": (
+        ["grid", "--nu", "0.3", "--r", "0.6", "--accelerated", "0,2", "--s", "p",
+         "--theta-steps", "5", "--phi-steps", "7"],
+        np.repeat(GRID_THETAS, 7).tolist(),
+        np.tile(GRID_PHIS, 5).tolist(),
+    ),
+    "scan-r": (
+        ["scan-r", "--nu", "0.4", "--accelerated", "2", "--s", "q", "--r-steps", "6",
+         "--theta", "0.3", "--phi", "1.2"],
+        [0.3] * 6,
+        [1.2] * 6,
+    ),
+    "scan-nu": (
+        ["scan-nu", "--nu", "0", "--r", "0.5", "--accelerated", "3", "--nu-steps", "5"],
+        [math.pi / 2] * 5,
+        [math.pi] * 5,
+    ),
+}
+
+
+class TestTableFormat:
+    @pytest.mark.parametrize("command", sorted(TABLE_COMMANDS))
+    def test_csv_is_the_json_table_at_12_digits(self, capsys, command):
+        argv, thetas, phis = TABLE_COMMANDS[command]
+        code_csv, csv_text, _ = run_cli(capsys, *argv)
+        code_json, json_text, _ = run_cli(capsys, *argv, "--format", "json")
+        assert code_csv == code_json == 0
+        samples = json.loads(json_text)["samples"]
+        lines = csv_text.strip("\n").split("\n")
+        assert lines[0] == CSV_HEADER
+        assert len(lines) == 1 + len(samples)
+        for line, sample in zip(lines[1:], samples):
+            assert [type(v) for v in sample] == [float] * 4 + [int, int, float]
+            assert line.split(",") == [format(v, ".12g") for v in sample]
+        assert [row[0] for row in samples] == thetas
+        assert [row[1] for row in samples] == phis
+
+
 class TestVerify:
     def test_report_schema_and_statuses(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--theta-steps", "12", "--phi-steps", "12")
@@ -236,6 +279,13 @@ class TestVerify:
         assert all(e["status"] == "DISCREPANT" for e in by_variant["B"])
         for entry in by_variant["B"]:
             assert entry["printed_trace"] == pytest.approx(1.0 - entry["nu"] / 2.0)
+
+    def test_degenerate_grid_exits_2_without_file(self, capsys, tmp_path):
+        target = tmp_path / "verify.json"
+        code, out, err = run_cli(capsys, "verify", "--theta-steps", "1", "-o", str(target))
+        assert code == 2
+        assert out == "" and "at least 2" in err
+        assert not target.exists()
 
     def test_json_keys_sorted(self, capsys):
         _, out, _ = run_cli(capsys, "verify", "--theta-steps", "8", "--phi-steps", "8")

@@ -24,6 +24,7 @@ from spinwigner import (
     normalization_check,
     quasiprob,
     scan_min_vs_r,
+    sphere_grid,
     validate_density,
 )
 
@@ -112,6 +113,47 @@ class TestGridValues:
                     pt = SphericalPoint(float(thetas[i]), float(phis[j]))
                     single = evaluate(rho, kind, (pt,) * 3).value
                     assert grid[i, j] == pytest.approx(single, abs=1e-13)
+
+    def test_rejects_unknown_kind(self):
+        rho = ghz_werner(GhzWernerParams(nu=1.0))
+        with pytest.raises(ValueError):
+            grid_values(rho, 7, [0.1], [0.0])
+
+    def test_rejects_nan_theta(self):
+        rho = ghz_werner(GhzWernerParams(nu=1.0))
+        with pytest.raises(ValueError, match="theta and phi must be finite"):
+            grid_values(rho, DistributionKind.WIGNER, [0.1, math.nan], [0.0, 1.0])
+
+    @pytest.mark.parametrize("thetas, phis", [([], [0.0, 1.0]), ([0.1, 0.2], [])])
+    def test_rejects_empty_axis(self, thetas, phis):
+        rho = ghz_werner(GhzWernerParams(nu=1.0))
+        with pytest.raises(DimensionError, match="non-empty 1-D"):
+            grid_values(rho, DistributionKind.WIGNER, thetas, phis)
+
+    @pytest.mark.parametrize("thetas, phis", [([[0.1, 0.2]], [0.0]), ([0.1], [[0.0, 1.0]]), (0.1, [0.0])])
+    def test_rejects_axes_that_are_not_1d(self, thetas, phis):
+        rho = ghz_werner(GhzWernerParams(nu=1.0))
+        with pytest.raises(DimensionError, match="non-empty 1-D"):
+            grid_values(rho, DistributionKind.WIGNER, thetas, phis)
+
+
+class TestSphereGrid:
+    def test_axes(self):
+        thetas, phis = sphere_grid(91, 181)
+        assert np.array_equal(thetas, np.linspace(0.0, math.pi, 91))
+        assert np.array_equal(phis, np.arange(181) * (2.0 * math.pi / 181))
+
+    @pytest.mark.parametrize("theta_steps, phi_steps", [(1, 10), (10, 1), (0, 0)])
+    def test_rejects_fewer_than_two_steps(self, theta_steps, phi_steps):
+        with pytest.raises(DimensionError, match="theta_steps and phi_steps must both be at least 2"):
+            sphere_grid(theta_steps, phi_steps)
+
+    def test_grid_scan_and_compare_closed_form_share_it(self):
+        thetas, phis = sphere_grid(7, 9)
+        report = grid_scan(ghz_werner(GhzWernerParams(nu=0.5)), DistributionKind.WIGNER, 7, 9)
+        assert np.array_equal(report.thetas, thetas) and np.array_equal(report.phis, phis)
+        with pytest.raises(DimensionError, match="at least 2"):
+            compare_closed_form(ClosedFormVariant.GHZ, 0.5, 0.0, 1, 9)
 
 
 class TestGridScan:

@@ -294,6 +294,19 @@ class TestKernel:
                 single = kernel(DistributionKind.WIGNER, SphericalPoint(theta, phi)).matrix
                 assert np.array_equal(grid[:, :, i, j], single)
 
+    @pytest.mark.parametrize("kind", [7, 2, -2])
+    def test_grid_rejects_unknown_kind(self, kind):
+        # s = 7 would otherwise read as a dipole gain of sqrt(3)^7
+        with pytest.raises(ValueError):
+            kernel_grid(kind, [0.1], [0.0])
+
+    @pytest.mark.parametrize(
+        "theta, phi", [([0.1, math.nan], 0.0), (0.1, [0.0, math.inf]), (-math.inf, 0.0)]
+    )
+    def test_grid_rejects_non_finite_angles(self, theta, phi):
+        with pytest.raises(ValueError, match="theta and phi must be finite"):
+            kernel_grid(DistributionKind.WIGNER, theta, phi)
+
 
 class TestKernelN:
     def test_shape(self):

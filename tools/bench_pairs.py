@@ -5,8 +5,9 @@ Run from the repository root:
     python3 tools/bench_pairs.py --parent HEAD~1 --pairs 10 --seed 17 \\
         --seconds 40 --out BENCH_4.json
 
-The parent revision is checked out into a temporary ``git worktree``
-(removed again at the end).  For each workload of ``BENCHMARK.json``,
+The parent revision's committed files are extracted with ``git archive``
+into a temporary directory (removed again at the end; nothing is
+registered in the repository, so a killed run leaves no trace in it).  For each workload of ``BENCHMARK.json``,
 ``bench/run.py`` runs as a subprocess in both checkouts, ``--pairs``
 times, with the same seed and seconds on both sides; the side that runs
 first alternates from one pair to the next.  One ``--trace 1`` run per
@@ -130,8 +131,9 @@ def main(argv=None) -> int:
     record = {
         "harness": (f"{' '.join(benchmark['command'])} --workload W --seed {args.seed} "
                     f"--seconds {args.seconds:g} --trace 0|1"),
-        "method": ("parent revision in a temporary git worktree, change in this checkout, identical "
-                   "bench/ invocation; the side that runs first alternates from pair to pair"),
+        "method": ("parent revision extracted by git archive into a temporary directory, change in "
+                   "this checkout, identical bench/ invocation; the side that runs first alternates "
+                   "from pair to pair"),
         "parent": {"revision": args.parent, "commit": git("rev-parse", args.parent)},
         "change": {"commit": git("rev-parse", "HEAD"), "uncommitted": bool(git("status", "--porcelain"))},
         "python": platform.python_version(),
@@ -139,31 +141,31 @@ def main(argv=None) -> int:
     }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         parent_dir = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(parent_dir), record["parent"]["commit"])
-        try:
-            checkouts = {"parent": parent_dir, "change": ROOT}
-            for workload in (w["name"] for w in benchmark["workloads"]):
-                pairs = []
-                for i in range(args.pairs):
-                    order = SIDES if i % 2 == 0 else SIDES[::-1]
-                    pair = {"first": order[0]}
-                    for side in order:
-                        pair[side] = run_bench(checkouts[side], workload, args.seed, args.seconds, 0)
-                        print(f"{workload} pair {i + 1}/{args.pairs} {side}: wall_s "
-                              f"{pair[side]['metrics']['wall_s']['value']:.4g}", file=sys.stderr)
-                    pairs.append(pair)
-                entry = {
-                    "failed_ops": {side: [f"{p[side]['failed']} of {p[side]['attempted']}" for p in pairs]
-                                   for side in SIDES},
-                    "end_to_end": summarize(pairs, benchmark["end_to_end"]),
-                    "runs": pairs,
-                    "traced": {side: run_bench(checkouts[side], workload, args.seed, args.seconds, 1)
+        parent_dir.mkdir()
+        archive = subprocess.run(["git", "archive", record["parent"]["commit"]], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent_dir)], input=archive, check=True)
+        checkouts = {"parent": parent_dir, "change": ROOT}
+        for workload in (w["name"] for w in benchmark["workloads"]):
+            pairs = []
+            for i in range(args.pairs):
+                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                pair = {"first": order[0]}
+                for side in order:
+                    pair[side] = run_bench(checkouts[side], workload, args.seed, args.seconds, 0)
+                    print(f"{workload} pair {i + 1}/{args.pairs} {side}: wall_s "
+                          f"{pair[side]['metrics']['wall_s']['value']:.4g}", file=sys.stderr)
+                pairs.append(pair)
+            entry = {
+                "failed_ops": {side: [f"{p[side]['failed']} of {p[side]['attempted']}" for p in pairs]
                                for side in SIDES},
-                }
-                record["workloads"][workload] = entry
-                args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        finally:
-            git("worktree", "remove", "--force", str(parent_dir))
+                "end_to_end": summarize(pairs, benchmark["end_to_end"]),
+                "runs": pairs,
+                "traced": {side: run_bench(checkouts[side], workload, args.seed, args.seconds, 1)
+                           for side in SIDES},
+            }
+            record["workloads"][workload] = entry
+            args.out.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     return 0
 
 
