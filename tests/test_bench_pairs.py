@@ -2,11 +2,13 @@
 
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+sys.path.insert(0, str(_PATH.parent))  # for bench_pairs' own import of tools/paired.py
 _spec = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)

@@ -1,35 +1,47 @@
-"""tools/layer_times.py: every layer timed once and written as JSON."""
+"""tools/layer_times.py: every layer timed on both sides and written as JSON."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "layer_times.py"
+sys.path.insert(0, str(TOOL.parent))  # for layer_times' own import of tools/paired.py
+_spec = importlib.util.spec_from_file_location("layer_times", TOOL)
+layer_times = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(layer_times)
 LAYERS = {
     f"validate_density.{state}.n{n}" for state in ("ghz_werner", "accelerated", "dense") for n in range(1, 8)
 } | {"kernel_grid.91x181", "cli._csv_text.91x181"}
-
 
 def run_tool(*args):
     return subprocess.run([sys.executable, str(TOOL), *args], capture_output=True, text=True, timeout=300)
 
 
-def test_one_repeat_writes_every_layer(tmp_path):
+def test_one_repeat_writes_every_layer_of_both_sides(tmp_path):
     out = tmp_path / "LAYERS.json"
-    proc = run_tool("--repeats", "1", "--rounds", "1", "--out", str(out))
+    proc = run_tool("--parent", "HEAD", "--repeats", "1", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     record = json.loads(out.read_text(encoding="utf-8"))
     assert set(record) == {"method", "numpy", "platform", "python", "sides"}
-    assert set(record["sides"]) == {"change"}
-    change = record["sides"]["change"]
-    assert set(change) == {"commit", "uncommitted", "median_s", "samples"}
-    assert set(change["median_s"]) == LAYERS
-    assert all(isinstance(t, float) and t > 0.0 for t in change["median_s"].values())
-    assert change["samples"] == dict.fromkeys(LAYERS, 1)
+    assert set(record["sides"]) == {"parent", "change"}
+    assert set(record["sides"]["parent"]) == {"revision", "commit", "median_s", "samples"}
+    assert set(record["sides"]["change"]) == {"commit", "uncommitted", "median_s", "samples"}
+    for side in record["sides"].values():
+        assert set(side["median_s"]) == LAYERS
+        assert all(isinstance(t, float) and t > 0.0 for t in side["median_s"].values())
+        assert side["samples"] == dict.fromkeys(LAYERS, layer_times.ROUNDS)
 
 
 def test_rejects_zero_repeats(tmp_path):
-    proc = run_tool("--repeats", "0", "--out", str(tmp_path / "LAYERS.json"))
+    proc = run_tool("--parent", "HEAD", "--repeats", "0", "--out", str(tmp_path / "LAYERS.json"))
     assert proc.returncode == 2
+    assert not (tmp_path / "LAYERS.json").exists()
+
+
+def test_requires_a_parent(tmp_path):
+    proc = run_tool("--out", str(tmp_path / "LAYERS.json"))
+    assert proc.returncode == 2
+    assert "--parent and --out are required" in proc.stderr
     assert not (tmp_path / "LAYERS.json").exists()

@@ -5,13 +5,11 @@ Run from the repository root:
     python3 tools/bench_pairs.py --parent HEAD~1 --pairs 10 --seed 17 \\
         --seconds 40 --out BENCH_4.json
 
-The parent revision's committed files are extracted with ``git archive``
-into a temporary directory (removed again at the end; nothing is
-registered in the repository, so a killed run leaves no trace in it).  For each workload of ``BENCHMARK.json``,
-``bench/run.py`` runs as a subprocess in both checkouts, ``--pairs``
-times, with the same seed and seconds on both sides; the side that runs
-first alternates from one pair to the next.  One ``--trace 1`` run per
-side follows the pairs.  This script only starts ``bench/run.py``; it
+The parent revision is extracted and the sides alternate as ``paired.py``
+describes.  For each workload of ``BENCHMARK.json``, ``bench/run.py``
+runs as a subprocess in both checkouts, ``--pairs`` times, with the same
+seed and seconds on both sides.  One ``--trace 1`` run per side follows
+the pairs.  This script only starts ``bench/run.py``; it
 imports nothing from ``bench/``.
 
 A run that exits nonzero, reports ``correct`` false or counts a failed
@@ -33,11 +31,9 @@ import platform
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
-SIDES = ("parent", "change")
+from paired import ROOT, SIDES, checkouts, side_order, side_records
 
 
 def spread(values: list[float]) -> dict:
@@ -111,10 +107,6 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float, trace: i
     return result
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
-
-
 def parse_args(argv):
     parser = argparse.ArgumentParser(description="alternating parent/change benchmark pairs")
     parser.add_argument("--parent", required=True, help="git revision to compare against, e.g. HEAD~1")
@@ -134,25 +126,18 @@ def main(argv=None) -> int:
         "method": ("parent revision extracted by git archive into a temporary directory, change in "
                    "this checkout, identical bench/ invocation; the side that runs first alternates "
                    "from pair to pair"),
-        "parent": {"revision": args.parent, "commit": git("rev-parse", args.parent)},
-        "change": {"commit": git("rev-parse", "HEAD"), "uncommitted": bool(git("status", "--porcelain"))},
+        **side_records(args.parent),
         "python": platform.python_version(),
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        parent_dir = Path(tmp) / "parent"
-        parent_dir.mkdir()
-        archive = subprocess.run(["git", "archive", record["parent"]["commit"]], cwd=ROOT, check=True,
-                                 capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(parent_dir)], input=archive, check=True)
-        checkouts = {"parent": parent_dir, "change": ROOT}
+    with checkouts(record["parent"]["commit"]) as dirs:
         for workload in (w["name"] for w in benchmark["workloads"]):
             pairs = []
             for i in range(args.pairs):
-                order = SIDES if i % 2 == 0 else SIDES[::-1]
+                order = side_order(i)
                 pair = {"first": order[0]}
                 for side in order:
-                    pair[side] = run_bench(checkouts[side], workload, args.seed, args.seconds, 0)
+                    pair[side] = run_bench(dirs[side], workload, args.seed, args.seconds, 0)
                     print(f"{workload} pair {i + 1}/{args.pairs} {side}: wall_s "
                           f"{pair[side]['metrics']['wall_s']['value']:.4g}", file=sys.stderr)
                 pairs.append(pair)
@@ -161,7 +146,7 @@ def main(argv=None) -> int:
                                for side in SIDES},
                 "end_to_end": summarize(pairs, benchmark["end_to_end"]),
                 "runs": pairs,
-                "traced": {side: run_bench(checkouts[side], workload, args.seed, args.seconds, 1)
+                "traced": {side: run_bench(dirs[side], workload, args.seed, args.seconds, 1)
                            for side in SIDES},
             }
             record["workloads"][workload] = entry

@@ -14,13 +14,11 @@ samples, each sample the mean of a batch of calls lasting at least
 - ``kernel_grid`` of the Wigner kernel on the 91 x 181 equal-angle grid;
 - ``cli._csv_text`` of one 91 x 181 Wigner surface.
 
-Every side runs in its own subprocess, pinned to one CPU with BLAS on
-one thread, and imports ``spinwigner`` from that side's ``src/``.  The
-working tree is the ``change`` side.  With ``--parent REV`` the parent
-revision's committed files are extracted with ``git archive`` into a
-temporary directory and timed as the ``parent`` side; the two sides
-alternate over ``--rounds`` rounds and each layer's samples are pooled
-over the rounds.  This script imports nothing from ``bench/``.
+The ``--parent`` revision is extracted and the sides alternate as
+``paired.py`` describes, over ``ROUNDS`` rounds; each layer's samples are
+pooled over the rounds.  Every side and round runs in its own subprocess,
+pinned to one CPU with BLAS on one thread, that imports ``spinwigner``
+from that side's ``src/``.  This script imports nothing from ``bench/``.
 """
 
 from __future__ import annotations
@@ -33,12 +31,13 @@ import platform
 import statistics
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from paired import SIDES, checkouts, side_order, side_records
+
 BATCH_S = 0.005
+ROUNDS = 3
 REGISTER_SIZES = range(1, 8)
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -121,23 +120,18 @@ def worker(src: Path, repeats: int) -> int:
     return 0
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
-
-
 def parse_args(argv):
-    parser = argparse.ArgumentParser(description="per-layer timings of spinwigner")
-    parser.add_argument("--parent", help="git revision to time as well, e.g. HEAD")
-    parser.add_argument("--repeats", type=int, default=15, help="samples per layer and round")
-    parser.add_argument("--rounds", type=int, default=3, help="alternating rounds per side")
+    parser = argparse.ArgumentParser(description="per-layer timings of spinwigner, parent against change")
+    parser.add_argument("--parent", help="git revision to time against the working tree, e.g. HEAD")
+    parser.add_argument("--repeats", type=int, default=15, help="samples per layer, side and round")
     parser.add_argument("--out", type=Path, help="output JSON, e.g. LAYERS_6.json")
     parser.add_argument("--worker", type=Path, metavar="SRC",
                         help="time the package under SRC in this process and print the samples")
     args = parser.parse_args(argv)
-    if args.repeats < 1 or args.rounds < 1:
-        parser.error("--repeats and --rounds must be at least 1")
-    if args.worker is None and args.out is None:
-        parser.error("--out is required")
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    if args.worker is None and (args.parent is None or args.out is None):
+        parser.error("--parent and --out are required")
     return args
 
 
@@ -147,32 +141,19 @@ def main(argv=None) -> int:
         return worker(args.worker, args.repeats)
     import numpy as np
 
-    try:
-        sides = {"change": {"commit": git("rev-parse", "HEAD"), "uncommitted": bool(git("status", "--porcelain"))}}
-    except (OSError, subprocess.CalledProcessError):  # not a git checkout: nothing to name
-        sides = {"change": {"commit": None, "uncommitted": None}}
-    if args.parent:
-        sides["parent"] = {"revision": args.parent, "commit": git("rev-parse", args.parent)}
-    with tempfile.TemporaryDirectory(prefix="layer-times-") as tmp:
-        checkouts = {"change": ROOT}
-        if args.parent:
-            checkouts["parent"] = Path(tmp) / "parent"
-            checkouts["parent"].mkdir()
-            archive = subprocess.run(["git", "archive", sides["parent"]["commit"]], cwd=ROOT, check=True,
-                                     capture_output=True).stdout
-            subprocess.run(["tar", "-x", "-C", str(checkouts["parent"])], input=archive, check=True)
-        pooled: dict[str, dict[str, list[float]]] = {side: {} for side in checkouts}
-        for i in range(args.rounds):
-            order = sorted(checkouts, reverse=i % 2 == 0)  # "parent" first in even rounds
-            for side in order:
-                for name, values in run_worker(checkouts[side], args.repeats).items():
+    sides = side_records(args.parent)
+    pooled: dict[str, dict[str, list[float]]] = {side: {} for side in SIDES}
+    with checkouts(sides["parent"]["commit"]) as dirs:
+        for i in range(ROUNDS):
+            for side in side_order(i):
+                for name, values in run_worker(dirs[side], args.repeats).items():
                     pooled[side].setdefault(name, []).extend(values)
-                print(f"round {i + 1}/{args.rounds} {side} done", file=sys.stderr)
+                print(f"round {i + 1}/{ROUNDS} {side} done", file=sys.stderr)
     for side, layers in pooled.items():
         sides[side]["median_s"] = {name: statistics.median(v) for name, v in sorted(layers.items())}
         sides[side]["samples"] = {name: len(v) for name, v in sorted(layers.items())}
     record = {
-        "method": (f"seconds per call, median over {args.repeats} samples x {args.rounds} rounds per side, "
+        "method": (f"seconds per call, median over {args.repeats} samples x {ROUNDS} rounds per side, "
                    f"each sample a batch of calls lasting at least {BATCH_S:g} s; one subprocess per side "
                    "and round, pinned to one CPU with BLAS on one thread, sides alternating"),
         "python": platform.python_version(),
