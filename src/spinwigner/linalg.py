@@ -1,9 +1,6 @@
-"""Dense complex linear algebra for small multi-qubit registers.
+"""Density-matrix validation for small multi-qubit registers.
 
-Kronecker products, partial traces over arbitrary subsystem subsets, and
-density-matrix validation.  Matrices are plain complex128 numpy arrays;
-in any composite, the first tensor factor carries the most significant
-block index (``kron(a, b)`` places ``a`` on the coarse grid).
+Matrices are plain complex128 numpy arrays of dimension 2^n.
 """
 
 from __future__ import annotations
@@ -11,12 +8,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import (
-    DimensionError,
     HermiticityViolation,
     NegativityViolation,
     NotPowerOfTwoError,
@@ -47,63 +42,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product: entry ((i*rb + k), (j*cb + l)) equals a[i,j]*b[k,l]."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
-
-
-def kron_all(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Left-to-right Kronecker product of one or more matrices."""
-    if not factors:
-        raise DimensionError("kron_all needs at least one factor")
-    out = np.asarray(factors[0], dtype=complex)
-    for f in factors[1:]:
-        out = np.kron(out, np.asarray(f, dtype=complex))
-    return out
-
-
-def _partial_trace_raw(m: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Partial trace on a raw square array; ``keep`` must be sorted and unique."""
-    n = len(dims)
-    t = m.reshape(tuple(dims) + tuple(dims))
-    # Row axis i and column axis i share an einsum label iff subsystem i is
-    # traced out; kept axes survive into the output in subsystem order.
-    row_labels = list(range(n))
-    col_labels = [i + n if i in keep else i for i in range(n)]
-    out_labels = [i for i in keep] + [i + n for i in keep]
-    reduced = np.einsum(t, row_labels + col_labels, out_labels)
-    d = math.prod(dims[i] for i in keep)
-    return reduced.reshape(d, d)
-
-
-def partial_trace(
-    rho: DensityMatrix | np.ndarray, dims: Sequence[int], keep: Iterable[int]
-) -> DensityMatrix:
-    """Trace out every subsystem not in ``keep``; kept order is preserved.
-
-    ``dims`` lists the subsystem dimensions in tensor-factor order and must
-    multiply out to the matrix dimension.  Accepts either a validated
-    :class:`DensityMatrix` or a raw array.
-    """
-    mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    dims = [int(d) for d in dims]
-    if any(d < 1 for d in dims):
-        raise DimensionError("subsystem dimensions must be positive")
-    if math.prod(dims) != mat.shape[0]:
-        raise DimensionError(
-            f"dims {dims} do not factor the matrix dimension {mat.shape[0]}"
-        )
-    keep_sorted = sorted(set(int(i) for i in keep))
-    if not keep_sorted:
-        raise DimensionError("keep must name at least one subsystem")
-    if keep_sorted[0] < 0 or keep_sorted[-1] >= len(dims):
-        raise DimensionError(f"keep indices {keep_sorted} outside 0..{len(dims) - 1}")
-    reduced = _partial_trace_raw(mat, dims, keep_sorted)
-    d = reduced.shape[0]
-    n_out = d.bit_length() - 1
-    return validate_density(reduced, n_out)
 
 
 @functools.cache

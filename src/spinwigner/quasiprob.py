@@ -29,9 +29,11 @@ from .linalg import DensityMatrix
 from .rindler import MATCH_TOL, AccelerationConfig, accelerate
 from .states import GhzWernerParams, ghz_werner
 from .su2kernel import (
+    _PAULIS,
     SQRT3,
     DistributionKind,
     SphericalPoint,
+    _pauli_coefficients,
     kernel_grid,
 )
 
@@ -42,16 +44,9 @@ BISECTION_TOL = 1e-9
 # of numpy allocations (tracemalloc): the complex contraction and its real
 # copy, side by side.
 SPLIT_SCAN_MAX_CELLS = 4_000_000
-
-# I, X, Y, Z stacked on the last axis: _PAULIS[:, :, m] is sigma_m.
-_PAULIS = np.stack(
-    [np.eye(2), [[0.0, 1.0], [1.0, 0.0]], [[0.0, -1j], [1j, 0.0]], np.diag([1.0, -1.0])],
-    axis=-1,
-).astype(complex)
-_PAULIS.setflags(write=False)
-# Row m maps a flattened 2x2 matrix K to Tr[K sigma_m] / 2.
-_HALF_TRACES = 0.5 * _PAULIS.transpose(2, 1, 0).reshape(4, 4)
-_HALF_TRACES.setflags(write=False)
+# Gauss-Legendre nodes in cos(theta) of normalization_check; twice as many
+# trapezoid points in phi.
+QUAD_ORDER = 32
 
 
 @dataclass(frozen=True)
@@ -134,15 +129,15 @@ def sphere_grid(theta_steps: int, phi_steps: int) -> tuple[np.ndarray, np.ndarra
 def grid_values(rho: DensityMatrix, kind: DistributionKind, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """Equal-angle values W(theta_i, phi_j) as a (len(thetas), len(phis)) array.
 
-    Same kernel as :func:`evaluate`, written in the Pauli basis:
+    Same kernel as :func:`evaluate`, taken in its real Pauli coefficients:
     K = sum_m v_m sigma_m with v_m = Tr[K sigma_m] / 2.  With the
     correlation tensor T_mu = Tr[rho sigma_mu_0 x ... x sigma_mu_{n-1}],
     W = sum_mu T_mu prod_q v_{mu_q}, and the product only depends on the
     weight class of mu, so T is summed per class first.
 
-    The realness check (IMAG_TOL) is made on T and on the v surfaces, not
-    on W: W's imaginary residue is sum_mu Im(T_mu) prod_q v_{mu_q}, up to
-    2^n times T's for the P kernel, and is never formed.
+    The realness check (IMAG_TOL) is made on T, not on W: the v surfaces
+    are real, so W's imaginary residue is sum_mu Im(T_mu) prod_q v_{mu_q},
+    up to 2^n times T's for the P kernel, and is never formed.
 
     ``thetas`` and ``phis`` must be non-empty 1-D axes (DimensionError).
     """
@@ -156,10 +151,7 @@ def grid_values(rho: DensityMatrix, kind: DistributionKind, thetas: np.ndarray, 
     corr = _real(_contract(rho, [_PAULIS] * n), "grid values")
     classes, index = _weight_classes(n)
     sums = np.bincount(index, weights=corr.reshape(-1), minlength=len(classes))
-    e = kernel_grid(kind, thetas[:, None], phis[None, :])
-    v = np.empty((4,) + e.shape[2:])
-    for m, row in enumerate(_HALF_TRACES):  # one complex row at a time beside the kernel
-        v[m] = _real(row @ e.reshape(4, -1), "grid values").reshape(e.shape[2:])
+    v = _pauli_coefficients(kind, thetas[:, None], phis[None, :])
     acc = np.zeros(v.shape[1:])
     term = np.empty_like(acc)
     for counts, s in zip(classes, sums):
@@ -267,25 +259,23 @@ def grid_scan(
     )
 
 
-def normalization_check(rho: DensityMatrix, kind: DistributionKind, quad_order: int = 32) -> float:
+def normalization_check(rho: DensityMatrix, kind: DistributionKind) -> float:
     """Quadrature of (2*pi)^-n * Int W dOmega_1 ... dOmega_n; should be 1.
 
-    Gauss-Legendre nodes in cos(theta) (``quad_order`` of them) and a
-    uniform trapezoid with 2*quad_order points in phi, per qubit.  The
-    integrand is multilinear in the per-qubit kernels and the grid is a
-    tensor product, so the full n-fold quadrature sum factorizes exactly
-    into one 2x2 quadrature per qubit, contracted with the state.
+    Gauss-Legendre nodes in cos(theta) (QUAD_ORDER of them) and a uniform
+    trapezoid with 2*QUAD_ORDER points in phi, per qubit.  The integrand
+    is multilinear in the per-qubit kernels and the grid is a tensor
+    product, so the full n-fold quadrature sum factorizes exactly into one
+    quadrature of the four Pauli coefficients per qubit; their 2x2
+    operator is contracted with the state.
     """
-    if quad_order < 16:
-        raise ValueError(f"quad_order={quad_order} must be at least 16")
-    nodes, weights = np.polynomial.legendre.leggauss(quad_order)
-    thetas = np.arccos(nodes)
-    n_phi = 2 * quad_order
+    nodes, weights = np.polynomial.legendre.leggauss(QUAD_ORDER)
+    n_phi = 2 * QUAD_ORDER
     phis = np.arange(n_phi) * (2.0 * math.pi / n_phi)
-    e = kernel_grid(kind, thetas[:, None], phis[None, :])
-    per_qubit = (e * weights[:, None]).sum(axis=(2, 3)) * (2.0 * math.pi / n_phi)
-    factor = per_qubit / (2.0 * math.pi)
-    return float(_real(_contract(rho, [factor] * rho.n_qubits), "normalization_check"))
+    v = _pauli_coefficients(kind, np.arccos(nodes)[:, None], phis[None, :])
+    # the phi step 2*pi/n_phi times the (2*pi)^-1 of the functional
+    mean = (v * weights[:, None]).sum(axis=(1, 2)) / n_phi
+    return float(_real(_contract(rho, [_PAULIS @ mean] * rho.n_qubits), "normalization_check"))
 
 
 class ClosedFormVariant(Enum):

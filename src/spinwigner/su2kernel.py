@@ -3,9 +3,10 @@
 The s-parametrized kernel family (s = -1, 0, +1 selecting the Husimi Q,
 Wigner, and Glauber P distributions) is assembled from Clebsch-Gordan
 coefficients, irreducible tensor operators, and the L <= 1 spherical
-harmonics.  Expectation of the n-fold kernel product against a state
-gives the value of the corresponding distribution at one point of each
-qubit's sphere.
+harmonics.  Every kernel is real in the Pauli basis, K = sum_m v_m sigma_m,
+so that chain is regrouped once per kind into a real 4x4 table from the
+angular basis (1, cos theta, sin theta cos phi, sin theta sin phi) to the
+coefficients (v_I, v_X, v_Y, v_Z), and every kernel is built from them.
 """
 
 from __future__ import annotations
@@ -15,18 +16,33 @@ from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionError, InvalidQuantumNumbers, UnsupportedOrder
-from .linalg import kron
+from .errors import InvalidQuantumNumbers, NonRealResult, UnsupportedOrder
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 SQRT3 = math.sqrt(3.0)
 _Y00 = 0.5 / math.sqrt(math.pi)
 _N10 = math.sqrt(3.0 / (4.0 * math.pi))
 _N11 = math.sqrt(3.0 / (8.0 * math.pi))
+# Y_LK on the real angular basis (1, cos theta, sin theta cos phi,
+# sin theta sin phi): _ylm with exp(+-i phi) = cos phi +- i sin phi.
+_YLM_ON_BASIS = {
+    (0, 0): (_Y00, 0.0, 0.0, 0.0),
+    (1, 0): (0.0, _N10, 0.0, 0.0),
+    (1, 1): (0.0, 0.0, -_N11, -1j * _N11),
+    (1, -1): (0.0, 0.0, _N11, -1j * _N11),
+}
+# Largest imaginary part of a Pauli table entry taken as round-off.
+_TABLE_IMAG_TOL = 1e-15
+
+# I, X, Y, Z stacked on the last axis: _PAULIS[:, :, m] is sigma_m.
+_PAULIS = np.stack(
+    [np.eye(2), [[0.0, 1.0], [1.0, 0.0]], [[0.0, -1j], [1j, 0.0]], np.diag([1.0, -1.0])],
+    axis=-1,
+).astype(complex)
+_PAULIS.setflags(write=False)
 
 
 class DistributionKind(IntEnum):
@@ -182,26 +198,63 @@ def ito(L: int, M: int) -> np.ndarray:
     return _ito_frozen(L, M).copy()
 
 
-def kernel_grid(kind: DistributionKind, theta, phi) -> np.ndarray:
-    """Kernel matrix elements over broadcastable angle arrays.
+@lru_cache(maxsize=None)
+def _pauli_table(kind: DistributionKind) -> np.ndarray:
+    """Real 4x4 table: row m maps the angular basis to v_m = Tr[K sigma_m] / 2.
 
-    Returns a complex array of shape (2, 2) + broadcast(theta, phi).shape;
-    the scalar case yields a plain 2x2 matrix.  ``kind`` must be a
-    DistributionKind value and every angle finite (ValueError).
+    Regroups K = sqrt(2 pi) [T_00 Y_00 + 3^(s/2) sum_M T_1M Y_1M] (tensor
+    operators from :func:`_ito_frozen`) onto the basis of _YLM_ON_BASIS.
+    An imaginary part above _TABLE_IMAG_TOL raises NonRealResult.
+    Read-only, since the cache shares it.
     """
-    g = SQRT3 ** int(DistributionKind(kind))
+    gain = SQRT3 ** int(kind)
+    table = np.zeros((4, 4), dtype=complex)
+    for (L, M), on_basis in _YLM_ON_BASIS.items():
+        half_traces = 0.5 * np.einsum("ij,jim->m", _ito_frozen(L, M), _PAULIS)
+        table += gain ** L * np.outer(half_traces, on_basis)
+    table *= SQRT_2PI
+    residue = float(np.abs(table.imag).max())
+    if residue > _TABLE_IMAG_TOL:
+        raise NonRealResult(f"Pauli table of s={int(kind)}: imaginary residue {residue:.3e}")
+    table = table.real.copy()
+    table.setflags(write=False)
+    return table
+
+
+def _pauli_coefficients(kind: DistributionKind, theta, phi) -> np.ndarray:
+    """Real Pauli coefficients of the kernel, K = sum_m v_m sigma_m.
+
+    Returns the stack (v_I, v_X, v_Y, v_Z) of shape (4,) +
+    broadcast(theta, phi).shape.  The one input gate of every kernel:
+    ``kind`` must be a DistributionKind value and every angle finite
+    (ValueError).
+    """
+    table = _pauli_table(DistributionKind(kind))
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
         raise ValueError("theta and phi must be finite")
-    shape = np.broadcast_shapes(theta.shape, phi.shape)
-    pad = (1,) * len(shape)
-    out = np.zeros((2, 2) + shape, dtype=complex)
-    out += _ito_frozen(0, 0).reshape(2, 2, *pad) * _ylm(0, 0, theta, phi)
-    for n in (-1, 0, 1):
-        out += g * _ito_frozen(1, n).reshape(2, 2, *pad) * _ylm(1, n, theta, phi)
-    out *= SQRT_2PI
-    return out
+    basis = np.empty((4,) + np.broadcast_shapes(theta.shape, phi.shape))
+    sin_theta = np.sin(theta)
+    basis[0] = 1.0
+    basis[1] = np.cos(theta)
+    basis[2] = sin_theta * np.cos(phi)
+    basis[3] = sin_theta * np.sin(phi)
+    # matmul on the flattened grid: tensordot's set-up dominates a
+    # point evaluation's few angles
+    return (table @ basis.reshape(4, -1)).reshape(basis.shape)
+
+
+def kernel_grid(kind: DistributionKind, theta, phi) -> np.ndarray:
+    """Kernel matrix elements over broadcastable angle arrays.
+
+    Returns sum_m v_m sigma_m over :func:`_pauli_coefficients`, a complex
+    array of shape (2, 2) + broadcast(theta, phi).shape; the scalar case
+    yields a plain 2x2 matrix.  ``kind`` must be a DistributionKind value
+    and every angle finite (ValueError).
+    """
+    v = _pauli_coefficients(kind, theta, phi)
+    return (_PAULIS.reshape(4, 4) @ v.reshape(4, -1)).reshape((2, 2) + v.shape[1:])
 
 
 def kernel(kind: DistributionKind, point: SphericalPoint) -> KernelOperator:
@@ -209,18 +262,3 @@ def kernel(kind: DistributionKind, point: SphericalPoint) -> KernelOperator:
     m = kernel_grid(kind, point.theta, point.phi)
     m.setflags(write=False)
     return KernelOperator(kind=DistributionKind(kind), point=point, matrix=m)
-
-
-def kernel_n(kind: DistributionKind, points: Sequence[SphericalPoint], n: int) -> np.ndarray:
-    """n-qubit kernel: Kronecker product of per-qubit phase-point operators.
-
-    ``points[i]`` belongs to qubit i; qubit 0 is the least-significant
-    basis bit and therefore the last Kronecker factor.
-    """
-    pts = list(points)
-    if len(pts) != n:
-        raise DimensionError(f"expected {n} points, got {len(pts)}")
-    out = kernel(kind, pts[-1]).matrix
-    for p in reversed(pts[:-1]):
-        out = kron(out, kernel(kind, p).matrix)
-    return out

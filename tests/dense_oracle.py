@@ -1,29 +1,69 @@
 """Dense references for the distribution evaluators.
 
-Each walks the state's matrix entries one by one, or builds the full
-Kronecker product of the per-qubit kernels, the way the evaluators did
-before they shared one per-qubit contraction.  Qubit i reads basis bit i
-of the state indices; values are Tr[rho K_0 x ... x K_{n-1}] with the
-kernel of qubit 0 as the last Kronecker factor.
+They share no code with the library's kernel construction: each qubit's
+kernel is the closed form (I + lam n.sigma)/2 of :func:`closed_form_kernel`,
+and n-qubit kernels are plain ``np.kron`` products.  The references walk
+the state's matrix entries one by one, or build the full Kronecker product
+of the per-qubit kernels.  Qubit i reads basis bit i of the state indices;
+values are Tr[rho K_0 x ... x K_{n-1}] with the kernel of qubit 0 as the
+last Kronecker factor.
 """
 
 import math
 
 import numpy as np
 
-from spinwigner import kernel_grid, kernel_n
+
+def closed_form_kernel(kind, theta, phi):
+    """Kernel of distribution ``kind`` (s) over broadcastable angles, shape
+    (2, 2) + broadcast shape: (I + lam n.sigma)/2 with lam = 3^((1+s)/2).
+
+    The basis lists m = -1/2 first, so the matrix is that of the usual
+    m = +1/2-first form with both indices flipped: n_z -> -n_z, n_y -> -n_y.
+    """
+    lam = math.sqrt(3.0) ** (int(kind) + 1)
+    theta, phi = np.broadcast_arrays(np.asarray(theta, dtype=float), np.asarray(phi, dtype=float))
+    off = lam / 2 * np.sin(theta) * np.exp(1j * phi)
+    return np.array(
+        [
+            [(1 - lam * np.cos(theta)) / 2, off],
+            [off.conj(), (1 + lam * np.cos(theta)) / 2],
+        ]
+    )
+
+
+def kernel_n(kind, points):
+    """2^n x 2^n kernel of n qubits, ``points[i]`` on qubit i (the last factor for i = 0)."""
+    out = np.ones((1, 1), dtype=complex)
+    for p in reversed(list(points)):
+        out = np.kron(out, closed_form_kernel(kind, p.theta, p.phi))
+    return out
+
+
+def partial_trace(m, dims, keep):
+    """Trace out every subsystem not in ``keep`` (sorted, unique) of a square array.
+
+    ``dims`` lists the subsystem dimensions in Kronecker-factor order, the
+    first factor most significant.
+    """
+    n = len(dims)
+    t = np.asarray(m).reshape(tuple(dims) * 2)
+    # row and column axis i share a label iff subsystem i is traced out
+    col_labels = [i + n if i in keep else i for i in range(n)]
+    reduced = np.einsum(t, list(range(n)) + col_labels, list(keep) + [i + n for i in keep])
+    d = math.prod(dims[i] for i in keep)
+    return reduced.reshape(d, d)
 
 
 def point_value(m, kind, points):
     """Tr[rho K(p_0) x ... x K(p_{n-1})] through the 2^n x 2^n kernel."""
-    n = len(points)
-    return complex(np.einsum("ij,ji->", m, kernel_n(kind, points, n)))
+    return complex(np.einsum("ij,ji->", m, kernel_n(kind, points)))
 
 
 def equal_angle_surface(m, kind, thetas, phis):
     """Every qubit at the same (theta, phi): a loop over the 4^n entries."""
     n = m.shape[0].bit_length() - 1
-    e = kernel_grid(kind, np.asarray(thetas)[:, None], np.asarray(phis)[None, :])
+    e = closed_form_kernel(kind, np.asarray(thetas)[:, None], np.asarray(phis)[None, :])
     acc = np.zeros(e.shape[2:], dtype=complex)
     for x in range(2 ** n):
         for y in range(2 ** n):
@@ -40,7 +80,7 @@ def equal_angle_surface(m, kind, thetas, phis):
 def split_surface(m, kind, thetas, phis):
     """Each qubit on its own copy of the grid: shape (theta, phi) * n, qubit 0 first."""
     n = m.shape[0].bit_length() - 1
-    e = kernel_grid(kind, np.asarray(thetas)[:, None], np.asarray(phis)[None, :])
+    e = closed_form_kernel(kind, np.asarray(thetas)[:, None], np.asarray(phis)[None, :])
     acc = np.zeros((len(thetas), len(phis)) * n, dtype=complex)
     for x in range(2 ** n):
         for y in range(2 ** n):
@@ -54,14 +94,16 @@ def split_surface(m, kind, thetas, phis):
     return acc
 
 
-def normalization(m, kind, quad_order=32):
-    """Gauss-Legendre x trapezoid quadrature per qubit, combined by Kronecker products."""
+def normalization(m, kind):
+    """Gauss-Legendre (32 nodes in cos theta) x trapezoid (64 in phi)
+    quadrature per qubit, combined by Kronecker products."""
     n = m.shape[0].bit_length() - 1
-    nodes, weights = np.polynomial.legendre.leggauss(quad_order)
+    order = 32
+    nodes, weights = np.polynomial.legendre.leggauss(order)
     thetas = np.arccos(nodes)
-    n_phi = 2 * quad_order
+    n_phi = 2 * order
     phis = np.arange(n_phi) * (2.0 * math.pi / n_phi)
-    e = kernel_grid(kind, thetas[:, None], phis[None, :])
+    e = closed_form_kernel(kind, thetas[:, None], phis[None, :])
     factor = (e * weights[:, None]).sum(axis=(2, 3)) / n_phi
     total = factor
     for _ in range(n - 1):

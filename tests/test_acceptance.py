@@ -113,7 +113,7 @@ def test_criterion_05_documented_discrepancies():
 def test_criterion_06_normalization():
     for nu, k, r in TEN_STATES:
         rho = accelerated_ghz(nu, k, r)
-        value = normalization_check(rho, DistributionKind.WIGNER, quad_order=32)
+        value = normalization_check(rho, DistributionKind.WIGNER)
         assert abs(value - 1.0) <= 1e-8, (nu, k, r, value)
 
 

@@ -21,7 +21,8 @@ from spinwigner import (
     grid_values,
     normalization_check,
 )
-from spinwigner.quasiprob import _PAULIS, _contract, _weight_classes
+from spinwigner.quasiprob import _contract, _weight_classes
+from spinwigner.su2kernel import _PAULIS
 
 import dense_oracle
 from conftest import random_density

@@ -1,4 +1,4 @@
-"""Density-matrix plumbing: Kronecker products, partial traces, validation."""
+"""Density-matrix validation."""
 
 import math
 import warnings
@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from spinwigner import (
     R_MAX,
     DensityMatrix,
-    DimensionError,
     GhzWernerParams,
     HermiticityViolation,
     NegativityViolation,
@@ -22,89 +21,10 @@ from spinwigner import (
     ValidationError,
     accelerated_ghz,
     ghz_werner,
-    kron,
-    kron_all,
-    partial_trace,
     validate_density,
 )
 
 from conftest import random_density
-
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Z = np.diag([1.0, -1.0]).astype(complex)
-
-
-class TestKron:
-    def test_two_by_two_example(self):
-        a = np.array([[1, 2], [3, 4]], dtype=complex)
-        b = np.array([[0, 5], [6, 7]], dtype=complex)
-        expected = np.block([[0 * a + b, 2 * b], [3 * b, 4 * b]])
-        expected[0:2, 0:2] = 1 * b
-        assert np.array_equal(kron(a, b), expected)
-
-    def test_identity_factor(self, rng):
-        a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        assert np.allclose(kron(np.eye(1), a), a)
-
-    def test_associative_on_dyadic_entries(self, rng):
-        # entries that are exact dyadic rationals multiply without rounding,
-        # so associativity holds bit-for-bit
-        def dyadic(shape):
-            return rng.integers(-8, 9, size=shape).astype(complex) / 4.0
-
-        a, b, c = dyadic((2, 2)), dyadic((2, 2)), dyadic((2, 2))
-        assert np.array_equal(kron(kron(a, b), c), kron(a, kron(b, c)))
-
-    def test_trace_multiplicative(self, rng):
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        assert np.trace(kron(a, b)) == pytest.approx(np.trace(a) * np.trace(b))
-
-    def test_kron_all_order(self):
-        got = kron_all([PAULI_Z, PAULI_X])
-        assert np.array_equal(got, kron(PAULI_Z, PAULI_X))
-
-    def test_kron_all_single_factor(self):
-        assert np.array_equal(kron_all([PAULI_X]), PAULI_X)
-
-
-class TestPartialTrace:
-    def test_bell_state_reduces_to_maximally_mixed(self):
-        v = np.zeros(4, dtype=complex)
-        v[0] = v[3] = 1.0 / np.sqrt(2.0)
-        rho = np.outer(v, v.conj())
-        for keep in ([0], [1]):
-            reduced = partial_trace(rho, [2, 2], keep)
-            assert isinstance(reduced, DensityMatrix)
-            assert np.allclose(reduced.matrix, np.eye(2) / 2.0)
-
-    def test_product_state_factor_recovery(self, rng):
-        a = random_density(1, rng).matrix
-        b = random_density(1, rng).matrix
-        joint = kron(a, b)
-        assert np.allclose(partial_trace(joint, [2, 2], [0]).matrix, a, atol=1e-14)
-        assert np.allclose(partial_trace(joint, [2, 2], [1]).matrix, b, atol=1e-14)
-
-    def test_three_party_keep_two(self, rng):
-        parts = [random_density(1, rng).matrix for _ in range(3)]
-        joint = kron_all(parts)
-        reduced = partial_trace(joint, [2, 2, 2], [0, 2])
-        assert np.allclose(reduced.matrix, kron(parts[0], parts[2]), atol=1e-14)
-
-    def test_full_keep_is_identity_map(self, rng):
-        rho = random_density(2, rng).matrix
-        assert np.allclose(partial_trace(rho, [2, 2], [0, 1]).matrix, rho)
-
-    def test_bad_keep_index_rejected(self):
-        rho = np.eye(4, dtype=complex) / 4.0
-        with pytest.raises(DimensionError):
-            partial_trace(rho, [2, 2], [2])
-
-    def test_dims_mismatch_rejected(self):
-        rho = np.eye(4, dtype=complex) / 4.0
-        with pytest.raises(DimensionError):
-            partial_trace(rho, [2, 4], [0])
-
 
 class TestValidateDensity:
     def test_accepts_maximally_mixed(self):

@@ -22,6 +22,7 @@ from spinwigner import (
 )
 
 from conftest import random_density
+from dense_oracle import partial_trace
 
 R_VALUES = [0.0, 0.3, 0.6, math.pi / 4]
 NU_VALUES = [0.0, 0.2, 0.5, 1.0]
@@ -125,12 +126,10 @@ class TestAccelerate:
         assert np.allclose(a.matrix, b.matrix, atol=1e-15)
 
     def test_untouched_qubit_marginal_preserved(self, rng):
-        from spinwigner import partial_trace
-
         rho = random_density(3, rng)
         out = accelerate(rho, AccelerationConfig(r=0.6, accelerated=(0,)))
-        before = partial_trace(rho, [2, 2, 2], [0, 1]).matrix
-        after = partial_trace(out, [2, 2, 2], [0, 1]).matrix
+        before = partial_trace(rho.matrix, [2, 2, 2], [0, 1])
+        after = partial_trace(out.matrix, [2, 2, 2], [0, 1])
         # tensor slots 0,1 are qubits 2,1; qubit 0 sits in the last slot
         assert np.allclose(before, after, atol=1e-14)
 

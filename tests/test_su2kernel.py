@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinwigner import (
-    DimensionError,
     DistributionKind,
     InvalidQuantumNumbers,
+    NonRealResult,
     SphericalPoint,
     UnsupportedOrder,
     clebsch_gordan,
@@ -20,10 +20,13 @@ from spinwigner import (
     ito,
     kernel,
     kernel_grid,
-    kernel_n,
     spherical_harmonic,
+    su2kernel,
     validate_density,
 )
+from spinwigner.su2kernel import _PAULIS, _pauli_coefficients, _pauli_table
+
+from dense_oracle import closed_form_kernel
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -216,16 +219,6 @@ class TestIto:
         assert np.allclose(ito(1, 0), np.diag([-1.0, 1.0]) / SQRT2)
 
 
-def closed_form_kernel(kind, theta, phi):
-    lam = SQRT3 ** (int(kind) + 1)
-    return np.array(
-        [
-            [(1 - lam * math.cos(theta)) / 2, lam / 2 * math.sin(theta) * np.exp(1j * phi)],
-            [lam / 2 * math.sin(theta) * np.exp(-1j * phi), (1 + lam * math.cos(theta)) / 2],
-        ]
-    )
-
-
 class TestKernel:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_matches_closed_form(self, kind, rng):
@@ -294,35 +287,6 @@ class TestKernel:
                 single = kernel(DistributionKind.WIGNER, SphericalPoint(theta, phi)).matrix
                 assert np.array_equal(grid[:, :, i, j], single)
 
-    @pytest.mark.parametrize("kind", [7, 2, -2])
-    def test_grid_rejects_unknown_kind(self, kind):
-        # s = 7 would otherwise read as a dipole gain of sqrt(3)^7
-        with pytest.raises(ValueError):
-            kernel_grid(kind, [0.1], [0.0])
-
-    @pytest.mark.parametrize(
-        "theta, phi", [([0.1, math.nan], 0.0), (0.1, [0.0, math.inf]), (-math.inf, 0.0)]
-    )
-    def test_grid_rejects_non_finite_angles(self, theta, phi):
-        with pytest.raises(ValueError, match="theta and phi must be finite"):
-            kernel_grid(DistributionKind.WIGNER, theta, phi)
-
-
-class TestKernelN:
-    def test_shape(self):
-        pts = [SphericalPoint(0.1 * i, 0.2 * i) for i in range(3)]
-        assert kernel_n(DistributionKind.WIGNER, pts, 3).shape == (8, 8)
-
-    def test_point_count_mismatch(self):
-        with pytest.raises(DimensionError):
-            kernel_n(DistributionKind.WIGNER, [SphericalPoint(0, 0)], 2)
-
-    def test_single_qubit_reduces_to_kernel(self):
-        p = SphericalPoint(0.4, 1.1)
-        assert np.array_equal(
-            kernel_n(DistributionKind.P, [p], 1), kernel(DistributionKind.P, p).matrix
-        )
-
     def test_qubit_point_pairing(self):
         # |001> means qubit 0 excited: the theta=0 kernel diagonal picks out
         # (1+sqrt3)/2 on that qubit only when pairing is index-faithful
@@ -337,11 +301,64 @@ class TestKernelN:
         flipped = evaluate(state, DistributionKind.WIGNER, (equator, equator, pole)).value
         assert flipped == pytest.approx((1 - SQRT3) / 8, abs=1e-14)
 
-    def test_trace_is_one_for_any_kind(self, rng):
-        pts = [
-            SphericalPoint(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            for _ in range(3)
-        ]
-        for kind in ALL_KINDS:
-            big = kernel_n(kind, pts, 3)
-            assert np.trace(big).real == pytest.approx(1.0, abs=1e-13)
+    @pytest.mark.parametrize("kind", [7, 2, -2])
+    def test_grid_rejects_unknown_kind(self, kind):
+        # s = 7 would otherwise read as a dipole gain of sqrt(3)^7
+        with pytest.raises(ValueError):
+            kernel_grid(kind, [0.1], [0.0])
+
+    @pytest.mark.parametrize(
+        "theta, phi", [([0.1, math.nan], 0.0), (0.1, [0.0, math.inf]), (-math.inf, 0.0)]
+    )
+    def test_grid_rejects_non_finite_angles(self, theta, phi):
+        with pytest.raises(ValueError, match="theta and phi must be finite"):
+            kernel_grid(DistributionKind.WIGNER, theta, phi)
+
+
+class TestPauliCoefficients:
+    """The real table under every kernel, pinned to the CG -> ITO -> Y_lm chain."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_matches_reproduced_chain(self, kind, rng):
+        thetas = rng.uniform(0.0, math.pi, 8)
+        phis = rng.uniform(0.0, 2 * math.pi, 9)
+        v = _pauli_coefficients(kind, thetas[:, None], phis[None, :])
+        gain = SQRT3 ** int(kind)
+        for i, theta in enumerate(thetas):
+            for j, phi in enumerate(phis):
+                p = SphericalPoint(theta, phi)
+                chain = ito(0, 0) * spherical_harmonic(0, 0, p)
+                chain = chain + gain * sum(ito(1, m) * spherical_harmonic(1, m, p) for m in (-1, 0, 1))
+                chain *= math.sqrt(2 * math.pi)
+                got = np.tensordot(_PAULIS, v[:, i, j], axes=1)
+                assert np.abs(got - chain).max() <= 1e-15, (theta, phi)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_real_stack_with_identity_half(self, kind, rng):
+        thetas = rng.uniform(0.0, math.pi, 7)
+        phis = rng.uniform(0.0, 2 * math.pi, 5)
+        v = _pauli_coefficients(kind, thetas[:, None], phis[None, :])
+        assert v.shape == (4, 7, 5) and v.dtype == np.float64
+        assert np.all(v[0] == 0.5)
+        table = _pauli_table(kind)
+        assert table.shape == (4, 4) and table.dtype == np.float64
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1.0
+
+    def test_imaginary_table_refused(self, monkeypatch):
+        # a Y_11 with the wrong sign of its sin(phi) part leaves i*v_X terms
+        bad = dict(su2kernel._YLM_ON_BASIS)
+        bad[(1, 1)] = (0.0, 0.0, -su2kernel._N11, 1j * su2kernel._N11)
+        monkeypatch.setattr(su2kernel, "_YLM_ON_BASIS", bad)
+        with pytest.raises(NonRealResult, match="imaginary residue"):
+            _pauli_table.__wrapped__(DistributionKind.WIGNER)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_kernel_shapes_and_dtypes(self, kind):
+        single = kernel_grid(kind, 0.3, 1.2)
+        assert single.shape == (2, 2) and single.dtype == np.complex128
+        op = kernel(kind, SphericalPoint(0.3, 1.2))
+        assert np.array_equal(op.matrix, single) and not op.matrix.flags.writeable
+        grid = kernel_grid(kind, np.zeros((3, 1)), np.zeros((1, 4)))
+        assert grid.shape == (2, 2, 3, 4) and grid.dtype == np.complex128
