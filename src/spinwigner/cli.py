@@ -9,9 +9,11 @@ error, 3 I/O error, 1 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -43,7 +45,8 @@ EXIT_IO = 3
 CSV_HEADER = "theta,phi,nu,r,k,s,W"
 # k and s sit in the float table too: '%.12g' prints 3.0 as 3, as for an int
 _CELL = "%.12g"
-_ROW = ",".join([_CELL] * 7)
+# rows per piece of CSV text: a piece holds 7 Python strings per row
+_CHUNK_ROWS = 4096
 _KIND_BY_LETTER = {
     "q": DistributionKind.Q,
     "w": DistributionKind.WIGNER,
@@ -98,31 +101,48 @@ def _table(theta, phi, nu, r, k, kind, w) -> np.ndarray:
     return np.stack(np.broadcast_arrays(theta, phi, nu, r, k, kind, w), axis=-1).reshape(-1, 7)
 
 
+def _csv_chunks(table: np.ndarray) -> Iterator[str]:
+    """CSV text of a (rows, 7) table: the header, then ``_CHUNK_ROWS`` rows
+    per piece.
+
+    Each column is deduplicated on its float64 bit pattern (-0.0 and 0.0
+    print as -0 and 0), so every distinct cell is formatted once; a piece
+    then only gathers the formatted cells.  Only one piece's cells exist
+    as Python strings at a time.
+    """
+    yield CSV_HEADER + "\n"
+    columns = []
+    for j, col in enumerate(table.T):
+        bits, rows = np.unique(col.view(np.int64), return_inverse=True)
+        end = "\n" if j == table.shape[1] - 1 else ","
+        cells = [_CELL % v + end for v in bits.view(np.float64).tolist()]
+        columns.append((np.array(cells, dtype=object), rows))
+    for start in range(0, len(table), _CHUNK_ROWS):
+        piece = np.stack([cells[rows[start:start + _CHUNK_ROWS]] for cells, rows in columns], axis=1)
+        yield "".join(piece.ravel().tolist())
+
+
 def _csv_text(table: np.ndarray) -> str:
-    # one row at a time: a whole-table tolist() holds every cell as a
-    # Python float at once
-    lines = [CSV_HEADER]
-    lines.extend(_ROW % tuple(row.tolist()) for row in table)
-    return "\n".join(lines) + "\n"
+    return "".join(_csv_chunks(table))
 
 
-def _write_text(path: str | Path, text: str) -> None:
+def _write_chunks(path: str | Path, chunks: Iterable[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, chunks: Iterable[str]) -> None:
     if getattr(args, "output", None):
-        _write_text(args.output, text)
+        _write_chunks(args.output, chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _emit_rows(args, table: np.ndarray, meta: dict) -> None:
     """A table as CSV, or as JSON samples (k and s as integers) under
     ``meta`` plus the column names."""
     if args.format == "csv":
-        _emit(args, _csv_text(table))
+        _emit(args, _csv_chunks(table))
     else:
         samples = []
         for row in table:
@@ -130,7 +150,7 @@ def _emit_rows(args, table: np.ndarray, meta: dict) -> None:
             samples.append([theta, phi, nu, r, int(k), int(s), w])
         meta = {**meta, "columns": CSV_HEADER.split(",")}
         payload = {"meta": meta, "samples": samples}
-        _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        _emit(args, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
 
 
 def _grid_table(nu, r, accelerated, kind, thetas, phis) -> np.ndarray:
@@ -246,7 +266,7 @@ def _cmd_verify(args) -> int:
             }
         )
     payload = {"variants": variants, "coefficients": coefficients}
-    _emit(args, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _emit(args, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
     return EXIT_OK
 
 
@@ -256,6 +276,7 @@ def _figure_specs():
     nus = np.linspace(0.0, 1.0, MAP_STEPS)
     rs = np.linspace(0.0, R_MAX, MAP_STEPS)
     r_curve = np.linspace(0.0, R_MAX, R_CURVE_STEPS)
+    curve_nus = (0.2, 0.5, 0.7, 1.0)  # the nu of fig5d, c, b and a
     probe_theta, probe_phi = math.pi / 2.0, math.pi
     wigner = DistributionKind.WIGNER
 
@@ -276,9 +297,16 @@ def _figure_specs():
     def nu_r_map(k):
         return _probe_table(nus, rs, k, wigner, probe_theta, probe_phi)
 
+    @functools.cache
+    def r_sweeps():
+        # one sweep per k for all four curves: 2 states per (k, r)
+        point = SphericalPoint(probe_theta, probe_phi)
+        return {k: probe_sweep(curve_nus, r_curve, k, wigner, point) for k in (1, 2, 3)}
+
     def r_curves(nu):
+        i = curve_nus.index(nu)
         return np.concatenate(
-            [_probe_table([nu], r_curve, k, wigner, probe_theta, probe_phi) for k in (1, 2, 3)]
+            [_table(probe_theta, probe_phi, nu, r_curve, k, wigner, w[i]) for k, w in r_sweeps().items()]
         )
 
     specs = [
@@ -307,7 +335,7 @@ def _cmd_figures(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, build in _figure_specs():
         path = out_dir / name
-        _write_text(path, _csv_text(build()))
+        _write_chunks(path, _csv_chunks(build()))
         sys.stdout.write(f"wrote {path}\n")
     return EXIT_OK
 

@@ -269,13 +269,24 @@ def normalization_check(rho: DensityMatrix, kind: DistributionKind) -> float:
     quadrature of the four Pauli coefficients per qubit; their 2x2
     operator is contracted with the state.
     """
+    op = _quadrature_mean(DistributionKind(kind))
+    return float(_real(_contract(rho, [op] * rho.n_qubits), "normalization_check"))
+
+
+@lru_cache(maxsize=None)
+def _quadrature_mean(kind: DistributionKind) -> np.ndarray:
+    """The 2x2 kernel of ``kind`` averaged by normalization_check's
+    quadrature.  Built on first use, not at import; read-only, since the
+    cache shares it."""
     nodes, weights = np.polynomial.legendre.leggauss(QUAD_ORDER)
     n_phi = 2 * QUAD_ORDER
     phis = np.arange(n_phi) * (2.0 * math.pi / n_phi)
     v = _pauli_coefficients(kind, np.arccos(nodes)[:, None], phis[None, :])
     # the phi step 2*pi/n_phi times the (2*pi)^-1 of the functional
     mean = (v * weights[:, None]).sum(axis=(1, 2)) / n_phi
-    return float(_real(_contract(rho, [_PAULIS @ mean] * rho.n_qubits), "normalization_check"))
+    op = _PAULIS @ mean
+    op.setflags(write=False)
+    return op
 
 
 class ClosedFormVariant(Enum):
@@ -406,10 +417,13 @@ def probe_sweep(
     n_qubits)`` with every qubit at ``point``.
 
     W is affine in nu (so is the state; the channel and the trace are
-    linear).  Per r only the validated states at min(nus) and max(nus)
-    are built, one when they are equal, and the rest is interpolated.
-    Every nu and r, then the accelerated set, is checked before the first
-    state is built, also when an axis is empty.
+    linear), so only the validated states at min(nus) and max(nus) are
+    built, one when they are equal, and the rest is interpolated.  Those
+    states and the point kernel are built once per sweep; per r only the
+    channel runs on each of them, its output validated, and the results
+    are contracted with the kernel.  Every nu and r, then the accelerated
+    set, is checked before the first state is built, also when an axis is
+    empty.
     """
     nus = np.asarray(nus, dtype=float)
     rs = np.asarray(rs, dtype=float)
@@ -417,17 +431,20 @@ def probe_sweep(
         GhzWernerParams(nu=float(nu), n_qubits=n_qubits)
     for r in rs:
         AccelerationConfig(r=float(r))
-    config = AccelerationConfig(r=0.0, accelerated=_accelerated_indices(accelerated, n_qubits))
-    config.check_register(n_qubits)
+    indices = _accelerated_indices(accelerated, n_qubits)
+    AccelerationConfig(r=0.0, accelerated=indices).check_register(n_qubits)
     out = np.empty((len(nus), len(rs)))
     if out.size == 0:
         return out
     lo, hi = float(nus.min()), float(nus.max())
     t = (nus - lo) / (hi - lo) if hi > lo else np.zeros_like(nus)
-    ends = (lo, hi) if hi > lo else (lo,)
-    points = (point,) * n_qubits
+    ends = [ghz_werner(GhzWernerParams(nu=nu, n_qubits=n_qubits)) for nu in ((lo, hi) if hi > lo else (lo,))]
+    k = kernel_grid(kind, [point.theta] * n_qubits, [point.phi] * n_qubits)
+    ops = [k[..., q] for q in range(n_qubits)]
     for j, r in enumerate(rs):
-        w = [evaluate(accelerated_ghz(nu, accelerated, float(r), n_qubits), kind, points).value for nu in ends]
+        config = AccelerationConfig(r=float(r), accelerated=indices)
+        states = [accelerate(rho, config) for rho in ends] if indices else ends
+        w = _real(np.array([_contract(rho, ops) for rho in states]), "probe_sweep")
         out[:, j] = (1.0 - t) * w[0] + t * w[-1]
     return out
 

@@ -7,8 +7,10 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spinwigner import sphere_grid
+from spinwigner import cli, sphere_grid
 from spinwigner.cli import CSV_HEADER, main
 
 SQRT3 = math.sqrt(3.0)
@@ -250,6 +252,54 @@ class TestTableFormat:
             assert line.split(",") == [format(v, ".12g") for v in sample]
         assert [row[0] for row in samples] == thetas
         assert [row[1] for row in samples] == phis
+
+
+CHUNK_ROWS = cli._CHUNK_ROWS
+# cells whose bit patterns differ but values compare equal or unordered,
+# the extremes of the range, and a subnormal
+SPECIAL_CELLS = (-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300)
+
+
+def reference_csv(table):
+    """The table at '%.12g', one row at a time."""
+    lines = [CSV_HEADER] + [",".join("%.12g" % v for v in row) for row in table.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvWriter:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        pool=st.lists(st.one_of(st.sampled_from(SPECIAL_CELLS), st.floats()), min_size=1, max_size=6),
+        rows=st.sampled_from([0, 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 17]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_few_distinct_cells_match_the_per_row_reference(self, pool, rows, seed):
+        pool = [-0.0, 0.0] + pool  # equal values with different bit patterns in every column
+        table = np.array(pool)[np.random.default_rng(seed).integers(len(pool), size=(rows, 7))]
+        chunks = list(cli._csv_chunks(table))
+        assert len(chunks) == 1 + math.ceil(rows / CHUNK_ROWS)
+        assert cli._csv_text(table) == "".join(chunks) == reference_csv(table)
+
+    def test_signed_zeros_stay_apart(self):
+        table = np.array([[-0.0] * 7, [0.0] * 7, [-0.0] * 7])
+        assert cli._csv_text(table) == "\n".join([CSV_HEADER] + ["-0," * 6 + "-0", "0," * 6 + "0", "-0," * 6 + "-0"]) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the default 91 x 181 grid spans five CSV pieces
+            ["grid", "--nu", "0.3", "--r", "0.6", "--accelerated", "2"],
+            ["scan-r", "--nu", "0.4", "--accelerated", "1,2", "--r-steps", "40"],
+        ],
+        ids=["grid", "scan-r"],
+    )
+    def test_stdout_equals_output_file(self, capsys, tmp_path, argv, fmt):
+        target = tmp_path / "table.out"
+        code_out, out, _ = run_cli(capsys, *argv, "--format", fmt)
+        code_file, printed, _ = run_cli(capsys, *argv, "--format", fmt, "-o", str(target))
+        assert code_out == code_file == 0 and printed == ""
+        assert target.read_bytes() == out.encode("utf-8")
 
 
 class TestVerify:

@@ -66,6 +66,20 @@ def count_states(monkeypatch):
     return built
 
 
+@pytest.fixture
+def count_channels(monkeypatch):
+    """Record the r of every channel application made through the quasiprob layer."""
+    applied = []
+    original = quasiprob.accelerate
+
+    def counting(rho, config):
+        applied.append(config.r)
+        return original(rho, config)
+
+    monkeypatch.setattr(quasiprob, "accelerate", counting)
+    return applied
+
+
 class TestAgainstOracle:
     @pytest.mark.parametrize("kind", list(DistributionKind))
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -116,31 +130,41 @@ class TestAgainstOracle:
 
 
 class TestStateBudget:
-    def test_nu_r_map_builds_two_states_per_r(self, count_states):
+    def test_nu_r_map_builds_two_states(self, count_states, count_channels):
         nus = np.linspace(0.0, 1.0, 51)
         rs = np.linspace(0.0, R_MAX, 51)
         probe_sweep(nus, rs, 2, DistributionKind.WIGNER, PROBE)
-        assert len(count_states) <= 2 * len(rs)
-        assert set(count_states) == {0.0, 1.0}
+        assert sorted(count_states) == [0.0, 1.0]
+        assert len(count_channels) == 2 * len(rs)
 
-    def test_single_nu_builds_one_state_per_r(self, count_states):
+    def test_single_nu_builds_one_state_and_one_channel_per_r(self, count_states, count_channels):
         rs = np.linspace(0.0, R_MAX, 50)
         probe_sweep([0.7], rs, 1, DistributionKind.WIGNER, PROBE)
-        assert len(count_states) == len(rs)
+        assert count_states == [0.7]
+        assert count_channels == list(rs)
 
-    def test_scan_min_vs_r(self, count_states):
+    def test_no_accelerated_qubit_applies_no_channel(self, count_states, count_channels):
+        rs = np.linspace(0.0, R_MAX, 7)
+        got = probe_sweep([0.0, 0.4, 1.0], rs, 0, DistributionKind.P, PROBE)
+        assert sorted(count_states) == [0.0, 1.0]
+        assert count_channels == []
+        assert np.abs(got - oracle([0.0, 0.4, 1.0], rs, 0, DistributionKind.P, PROBE)).max() <= SWEEP_TOL
+
+    def test_scan_min_vs_r(self, count_states, count_channels):
         rs = np.linspace(0.0, R_MAX, 20)
         scan_min_vs_r(0.5, 3, rs)
-        assert len(count_states) == len(rs)
+        assert count_states == [0.5]
+        assert len(count_channels) == len(rs)
 
     def test_negativity_threshold_builds_two_states(self, count_states):
         result = negativity_threshold(1, 0.3)
         assert result.sign_change and result.iterations > 0
         assert len(count_states) == 2
 
-    def test_cli_scan_r(self, count_states, capsys):
+    def test_cli_scan_r(self, count_states, count_channels, capsys):
         assert main(["scan-r", "--nu", "0.4", "--accelerated", "2", "--r-steps", "30"]) == 0
-        assert len(count_states) == 30
+        assert count_states == [0.4]
+        assert len(count_channels) == 30
 
     def test_cli_scan_nu(self, count_states, capsys):
         assert main(["scan-nu", "--nu", "0", "--r", "0.5", "--accelerated", "0,2", "--nu-steps", "40"]) == 0
@@ -150,6 +174,22 @@ class TestStateBudget:
         rows = dict(cli._figure_specs())["fig1c.csv"]()
         assert len(rows) == cli.MAP_STEPS * cli.SURFACE_THETA_STEPS
         assert count_states == [0.0, 1.0]
+
+    def test_figures_fig5_shares_one_sweep_per_k(self, count_states, count_channels):
+        builders = dict(cli._figure_specs())
+        tables = [builders[f"fig5{letter}.csv"]() for letter in "abcd"]
+        # per k = 1, 2, 3: the nu = 0.2 and nu = 1 states, each through the channel at every r
+        assert sorted(count_states) == [0.2] * 3 + [1.0] * 3
+        assert len(count_channels) == 3 * 2 * cli.R_CURVE_STEPS
+        r_curve = np.linspace(0.0, R_MAX, cli.R_CURVE_STEPS)
+        for table, nu in zip(tables, (1.0, 0.7, 0.5, 0.2)):
+            assert len(table) == 3 * cli.R_CURVE_STEPS
+            np.testing.assert_array_equal(table[:, 2], nu)
+            for k in (1, 2, 3):
+                rows = table[table[:, 4] == k]
+                np.testing.assert_array_equal(rows[:, 3], r_curve)
+                want = oracle([nu], r_curve, k, DistributionKind.WIGNER, PROBE)[0]
+                assert np.abs(rows[:, 6] - want).max() <= SWEEP_TOL
 
 
 class TestRangeChecks:

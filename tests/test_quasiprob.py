@@ -239,6 +239,24 @@ class TestNormalization:
             got = normalization_check(rho, DistributionKind.WIGNER)
             assert got == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_cached_mean_equals_a_fresh_quadrature(self, rng, n):
+        rho = random_density(n, rng)
+        nodes, weights = np.polynomial.legendre.leggauss(quasiprob.QUAD_ORDER)
+        n_phi = 2 * quasiprob.QUAD_ORDER
+        phis = np.arange(n_phi) * (2.0 * math.pi / n_phi)
+        for kind in DistributionKind:
+            v = su2kernel._pauli_coefficients(kind, np.arccos(nodes)[:, None], phis[None, :])
+            op = su2kernel._PAULIS @ ((v * weights[:, None]).sum(axis=(1, 2)) / n_phi)
+            want = float(quasiprob._contract(rho, [op] * n).real)
+            for _ in range(2):  # the first call may fill the cache, the second reads it
+                assert normalization_check(rho, kind) == want
+            cached = quasiprob._quadrature_mean(kind)
+            np.testing.assert_array_equal(cached, op)
+            assert not cached.flags.writeable
+            with pytest.raises(ValueError):
+                cached[0, 0] = 0.0
+
 
 class TestClosedForms:
     def test_ghz_north_pole(self):

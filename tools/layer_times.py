@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 tools/layer_times.py --parent HEAD --repeats 15 --out LAYERS_6.json
+    python3 tools/layer_times.py --parent HEAD --repeats 15 --out LAYERS_8.json
 
 Each layer is timed in seconds per call: the median over ``--repeats``
 samples, each sample the mean of a batch of calls lasting at least
@@ -12,7 +12,9 @@ samples, each sample the mean of a batch of calls lasting at least
   the GHZ-Werner state at nu = 0.5, the same state with every qubit
   accelerated at r = 0.5, and a dense (Ginibre) state;
 - ``kernel_grid`` of the Wigner kernel on the 91 x 181 equal-angle grid;
-- ``cli._csv_text`` of one 91 x 181 Wigner surface.
+- ``cli._csv_text`` of one 91 x 181 Wigner surface;
+- ``probe_sweep`` of the 51 x 51 nu x r Wigner map at the probe point
+  with three accelerated qubits (the fig4c data).
 
 The ``--parent`` revision is extracted and the sides alternate as
 ``paired.py`` describes, over ``ROUNDS`` rounds; each layer's samples are
@@ -63,11 +65,14 @@ def layer_samples(repeats: int) -> dict[str, list[float]]:
     import numpy as np
 
     from spinwigner import (
+        R_MAX,
         DistributionKind,
         GhzWernerParams,
+        SphericalPoint,
         accelerated_ghz,
         ghz_werner,
         kernel_grid,
+        probe_sweep,
         sphere_grid,
         validate_density,
     )
@@ -92,6 +97,11 @@ def layer_samples(repeats: int) -> dict[str, list[float]]:
         lambda: kernel_grid(DistributionKind.WIGNER, thetas[:, None], phis), repeats)
     table = cli._grid_table(1.0, 0.0, 0, DistributionKind.WIGNER, thetas, phis)
     samples["cli._csv_text.91x181"] = time_per_call(lambda: cli._csv_text(table), repeats)
+    nus = np.linspace(0.0, 1.0, cli.MAP_STEPS)
+    rs = np.linspace(0.0, R_MAX, cli.MAP_STEPS)
+    probe = SphericalPoint(math.pi / 2.0, math.pi)
+    samples["probe_sweep.51x51.k3"] = time_per_call(
+        lambda: probe_sweep(nus, rs, 3, DistributionKind.WIGNER, probe), repeats)
     return samples
 
 
