@@ -59,6 +59,21 @@ def _x_blocks(dim: int) -> np.ndarray:
     return blocks
 
 
+def _x_entries(arr: np.ndarray) -> np.ndarray | None:
+    """The entries of :func:`_x_blocks` of a square matrix of even
+    dimension if its exact support lies on the diagonal and the
+    anti-diagonal (an X matrix), None otherwise.
+
+    The test is exact: the X entries must hold every nonzero real and
+    imaginary part of ``arr``.
+    """
+    flat = arr.ravel()
+    blocks = flat[_x_blocks(arr.shape[0])]
+    if np.count_nonzero(flat.view(float)) == np.count_nonzero(blocks.view(float)):
+        return blocks
+    return None
+
+
 def _hermiticity_and_min_eigenvalue(arr: np.ndarray) -> tuple[float, float]:
     """Largest entry of |arr - arr^H| and smallest eigenvalue of the
     Hermitian part (arr + arr^H)/2, for a square matrix of even dimension.
@@ -70,12 +85,11 @@ def _hermiticity_and_min_eigenvalue(arr: np.ndarray) -> tuple[float, float]:
     [[a, c], [c*, b]] on rows (i, dim-1-i).  Both numbers then come from
     the blocks alone, exactly and in O(dim): the smaller eigenvalue of a
     block is (a+b)/2 - hypot((a-b)/2, |c|).  Any other matrix goes
-    through the dense difference and ``eigvalsh``.
+    through the dense difference and ``eigvalsh``; :func:`_x_entries`
+    makes the choice.
     """
-    flat = arr.ravel()
-    blocks = flat[_x_blocks(arr.shape[0])]
-    # X support iff the X entries hold every nonzero real and imaginary part
-    if np.count_nonzero(flat.view(float)) == np.count_nonzero(blocks.view(float)):
+    blocks = _x_entries(arr)
+    if blocks is not None:
         adjoint = blocks[[0, 1, 3, 2]].conj()  # arr^H at the same positions
         herm_err = float(np.abs(blocks - adjoint).max())
         h = 0.5 * (blocks + adjoint)

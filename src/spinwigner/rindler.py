@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IndexOutOfRange, MixingOutOfRange, ROutOfRange
-from .linalg import DensityMatrix, validate_density
+from .linalg import DensityMatrix, _x_entries, validate_density
 from .states import GhzWernerParams, ghz_werner
 
 R_MAX = math.pi / 4.0
@@ -86,22 +86,54 @@ def _kraus_pair(r: float) -> np.ndarray:
 def accelerate(rho: DensityMatrix, config: AccelerationConfig) -> DensityMatrix:
     """Apply the acceleration channel to every qubit named in ``config``.
 
-    The Kraus pair of :func:`unruh_isometry` acts on the (row bit, column
-    bit) axes of each accelerated qubit in turn; the steps commute, so
-    they run in ascending index order for determinism.
+    The Kraus pair of :func:`unruh_isometry` gives one 4x4 transfer map
+    on the (row bit, column bit) pair of a qubit, laid out in one of two
+    ways depending on the exact support of the input:
+
+    - an X matrix (every nonzero on the diagonal or the anti-diagonal, as
+      for every GHZ-Werner state, accelerated or not) keeps its shape,
+      since the transfer maps populations (00, 11) only among themselves
+      and each coherence (01, 10) only onto itself.  The 2^n diagonal
+      entries take the transfer's 2x2 population block, broadcast over
+      the (2^(n-1-q), 2, 2^q) view of qubit q's bit; the 2^n
+      anti-diagonal entries, whose row bit b faces column bit 1 - b, are
+      scaled by the transfer's (b, 1-b) coherence entry.  Both are
+      scattered into a fresh zero matrix: O(k 2^n) work for k qubits;
+    - any other matrix gets the transfer on its dense (row bit, column
+      bit) axes of each accelerated qubit, O(k 4^n).
+
+    The support test is :func:`linalg._x_entries`, the one that also
+    picks the X certificate inside :func:`validate_density`.  The steps
+    commute, so they run in ascending index order for determinism, and
+    the output is validated as a state either way.
     """
     n = rho.n_qubits
     config.check_register(n)
     kraus = _kraus_pair(config.r)
     # rho'[a, c] = sum_j K_j[a, b] rho[b, d] conj(K_j[c, d]) as one 4x4 map on (b, d)
     transfer = np.einsum("jab,jcd->acbd", kraus, kraus.conj()).reshape(4, 4)
+    dim = 2 ** n
+    m = rho.matrix
+    if _x_entries(m) is not None:
+        # flat positions of (i, i) and of (i, dim-1-i), for rows i = 0..dim-1
+        on_diag, on_anti = slice(None, None, dim + 1), slice(dim - 1, dim * dim - 1, dim - 1)
+        diag, anti = m.ravel()[on_diag], m.ravel()[on_anti]
+        populations = transfer[::3, ::3]  # among (0, 0) and (1, 1)
+        coherences = transfer.diagonal()[1:3, None]  # (0, 1) and (1, 0), by row bit
+        for q in sorted(config.accelerated):
+            view = (2 ** (n - 1 - q), 2, 2 ** q)
+            diag = (populations @ diag.reshape(view)).ravel()
+            anti = (anti.reshape(view) * coherences).ravel()
+        out = np.zeros(dim * dim, dtype=complex)
+        out[on_diag], out[on_anti] = diag, anti
+        return validate_density(out.reshape(dim, dim), n)
     shape = (2,) * (2 * n)
-    t = rho.matrix.reshape(shape)
+    t = m.reshape(shape)
     for q in sorted(config.accelerated):
         axes = (n - 1 - q, 2 * n - 1 - q)  # row and column bit of qubit q; factors run msb-first
         front = np.moveaxis(t, axes, (0, 1)).reshape(4, -1)
         t = np.moveaxis((transfer @ front).reshape(shape), (0, 1), axes)
-    return validate_density(t.reshape(2 ** n, 2 ** n), n)
+    return validate_density(t.reshape(dim, dim), n)
 
 
 @dataclass(frozen=True)

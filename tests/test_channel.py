@@ -1,6 +1,6 @@
 """The acceleration channel against the dense isometry-plus-partial-trace
-construction, its Kraus pair, and complete positivity and trace
-preservation of the single-qubit map."""
+construction, on general and on X-shaped states, its Kraus pair, and
+complete positivity and trace preservation of the single-qubit map."""
 
 import math
 
@@ -28,6 +28,29 @@ def dense_channel(m, n, accelerated, r):
         big = (embed @ m @ embed.conj().T).reshape((2,) * (2 * n + 2))
         m = np.trace(big, axis1=pos + 1, axis2=n + 2 + pos).reshape(2 ** n, 2 ** n)
     return m
+
+
+def random_x_density(n, rng):
+    """Random X-shaped state: a random PSD 2x2 block on rows (i, 2^n-1-i)
+    for each i < 2^(n-1), about a quarter of them zero, everything else 0."""
+    dim = 2**n
+    m = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim // 2):
+        if i and rng.random() < 0.25:
+            continue
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        rows = [i, dim - 1 - i]
+        m[np.ix_(rows, rows)] = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def off_x(m):
+    """Boolean mask of the entries off the diagonal and the anti-diagonal."""
+    dim = m.shape[0]
+    i = np.arange(dim)
+    mask = np.ones((dim, dim), dtype=bool)
+    mask[i, i] = mask[i, dim - 1 - i] = False
+    return mask
 
 
 def one_qubit_choi(r):
@@ -60,6 +83,37 @@ def test_matches_dense_isometry_and_partial_trace(n, seed, r, data):
     got = accelerate(rho, AccelerationConfig(r=r, accelerated=accelerated)).matrix
     want = dense_channel(rho.matrix, n, accelerated, r)
     assert np.abs(got - want).max() <= CHANNEL_TOL
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    seed=st.integers(0, 2 ** 32 - 1),
+    r=st.floats(0.0, R_MAX),
+    data=st.data(),
+)
+def test_x_state_matches_dense_isometry_and_partial_trace(n, seed, r, data):
+    rho = validate_density(random_x_density(n, np.random.default_rng(seed)), n)
+    accelerated = tuple(data.draw(st.lists(st.integers(0, n - 1), unique=True), label="accelerated"))
+    got = accelerate(rho, AccelerationConfig(r=r, accelerated=accelerated)).matrix
+    want = dense_channel(rho.matrix, n, accelerated, r)
+    assert np.abs(got - want).max() <= CHANNEL_TOL
+    assert not got[off_x(got)].any()
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_one_entry_off_the_x_takes_the_dense_path(n):
+    rng = np.random.default_rng(n)
+    m = 0.5 * random_x_density(n, rng) + 0.5 * np.eye(2**n) / 2**n  # smallest eigenvalue >= 2^-(n+1)
+    i, j = (int(x) for x in np.argwhere(off_x(m))[rng.integers(off_x(m).sum())])
+    # a Hermitian pair of modulus 2^-(n+2) moves no eigenvalue by more than that
+    eps = 2.0 ** -(n + 2) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    m[i, j], m[j, i] = eps, np.conj(eps)
+    rho = validate_density(m, n)
+    accelerated = tuple(range(n))
+    got = accelerate(rho, AccelerationConfig(r=0.5, accelerated=accelerated)).matrix
+    assert np.abs(got - dense_channel(rho.matrix, n, accelerated, 0.5)).max() <= CHANNEL_TOL
+    assert got[off_x(got)].any()  # the X layout would have dropped the off-X entry
 
 
 @pytest.mark.parametrize("r", R_VALUES)

@@ -13,7 +13,8 @@ layer_times = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(layer_times)
 LAYERS = {
     f"validate_density.{state}.n{n}" for state in ("ghz_werner", "accelerated", "dense") for n in range(1, 8)
-} | {"kernel_grid.91x181", "cli._csv_text.91x181", "probe_sweep.51x51.k3"}
+} | {f"accelerate.{state}.n{n}" for state in ("ghz_werner", "dense") for n in range(1, 8)} | {
+    "kernel_grid.91x181", "cli._csv_text.91x181", "probe_sweep.51x51.k3"}
 
 def run_tool(*args):
     return subprocess.run([sys.executable, str(TOOL), *args], capture_output=True, text=True, timeout=300)

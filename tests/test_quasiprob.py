@@ -289,6 +289,37 @@ class TestClosedForms:
                 assert c.status == "MATCH", (nu, r)
                 assert c.max_abs_diff <= 1e-12
 
+    @staticmethod
+    def _grid_diff(variant, nu, r, theta_steps, phi_steps):
+        thetas, phis = sphere_grid(theta_steps, phi_steps)
+        k = {ClosedFormVariant.GHZ: 0, ClosedFormVariant.ACC1: 1, ClosedFormVariant.ACC2: 2}[variant]
+        numeric = grid_values(accelerated_ghz(nu, k, r), DistributionKind.WIGNER, thetas, phis)
+        reference = quasiprob._CLOSED_FORMS[variant](thetas[:, None], phis[None, :], nu, r)
+        return numeric, np.broadcast_to(reference, numeric.shape), thetas, phis
+
+    @pytest.mark.parametrize(
+        "variant, nu, r", [(ClosedFormVariant.GHZ, 0.3, 0.0), (ClosedFormVariant.ACC1, 0.7, 0.6)]
+    )
+    def test_match_reports_the_first_grid_point(self, variant, nu, r):
+        # round-off peaks anywhere on the sphere; a MATCH places nothing there
+        numeric, reference, _, _ = self._grid_diff(variant, nu, r, 12, 16)
+        c = compare_closed_form(variant, nu, r, 12, 16)
+        assert c.status == "MATCH"
+        assert c.argmax == SphericalPoint(0.0, 0.0)
+        assert (c.numeric_value, c.closed_form_value) == (numeric[0, 0], reference[0, 0])
+        assert c.max_abs_diff == np.abs(numeric - reference).max()
+
+    def test_discrepant_reports_the_largest_difference(self):
+        numeric, reference, thetas, phis = self._grid_diff(ClosedFormVariant.ACC2, 1.0, 0.6, 12, 16)
+        diff = np.abs(numeric - reference)
+        it, ip = np.unravel_index(diff.argmax(), diff.shape)
+        c = compare_closed_form(ClosedFormVariant.ACC2, 1.0, 0.6, 12, 16)
+        assert c.status == "DISCREPANT"
+        assert c.argmax == SphericalPoint(float(thetas[it]), float(phis[ip]))
+        assert c.argmax != SphericalPoint(0.0, 0.0)
+        assert (c.numeric_value, c.closed_form_value) == (numeric[it, ip], reference[it, ip])
+        assert c.max_abs_diff == diff.max()
+
     def test_two_accelerated_printed_value(self):
         # substituting theta=0, nu=1, r=0 into the printed expression gives
         # 110/128, not the 160/128 the r=0 limit requires

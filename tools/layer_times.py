@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 tools/layer_times.py --parent HEAD --repeats 15 --out LAYERS_8.json
+    python3 tools/layer_times.py --parent HEAD --repeats 15 --out LAYERS_9.json
 
 Each layer is timed in seconds per call: the median over ``--repeats``
 samples, each sample the mean of a batch of calls lasting at least
@@ -11,6 +11,9 @@ samples, each sample the mean of a batch of calls lasting at least
 - ``validate_density`` at n = 1..7 on three matrices built beforehand:
   the GHZ-Werner state at nu = 0.5, the same state with every qubit
   accelerated at r = 0.5, and a dense (Ginibre) state;
+- ``accelerate`` at n = 1..7 with every qubit accelerated at r = 0.5,
+  on the GHZ-Werner state (the X-shaped layout) and on the dense state
+  (the dense per-qubit transfer);
 - ``kernel_grid`` of the Wigner kernel on the 91 x 181 equal-angle grid;
 - ``cli._csv_text`` of one 91 x 181 Wigner surface;
 - ``probe_sweep`` of the 51 x 51 nu x r Wigner map at the probe point
@@ -66,9 +69,11 @@ def layer_samples(repeats: int) -> dict[str, list[float]]:
 
     from spinwigner import (
         R_MAX,
+        AccelerationConfig,
         DistributionKind,
         GhzWernerParams,
         SphericalPoint,
+        accelerate,
         accelerated_ghz,
         ghz_werner,
         kernel_grid,
@@ -92,6 +97,11 @@ def layer_samples(repeats: int) -> dict[str, list[float]]:
         for name, m in states.items():
             samples[f"validate_density.{name}.n{n}"] = time_per_call(
                 lambda m=m, n=n: validate_density(m, n), repeats)
+        config = AccelerationConfig(r=0.5, accelerated=tuple(range(n)))
+        for name in ("ghz_werner", "dense"):
+            rho = validate_density(states[name], n)
+            samples[f"accelerate.{name}.n{n}"] = time_per_call(
+                lambda rho=rho, config=config: accelerate(rho, config), repeats)
     thetas, phis = sphere_grid(cli.SURFACE_THETA_STEPS, cli.SURFACE_PHI_STEPS)
     samples["kernel_grid.91x181"] = time_per_call(
         lambda: kernel_grid(DistributionKind.WIGNER, thetas[:, None], phis), repeats)
