@@ -30,14 +30,22 @@ class DensityMatrix:
     """Validated quantum state: unit trace, Hermitian, positive semidefinite.
 
     Instances come out of :func:`validate_density`; the wrapped array is
-    frozen (non-writeable) so values can be shared freely.
-    ``min_eigenvalue`` is the smallest eigenvalue of the Hermitian part
-    that validation certified (NaN for an instance built directly).
+    frozen (non-writeable) so values can be shared freely.  Validation
+    leaves two facts on the state:
+
+    - ``min_eigenvalue``, the smallest eigenvalue of the Hermitian part
+      that it certified (NaN for an instance built directly);
+    - ``x_shaped``, True when the exact support of ``matrix`` lies on the
+      diagonal and the anti-diagonal (an X matrix, such as every
+      GHZ-Werner state, accelerated or not).  The channel and the
+      contraction then work on those 2 * 2^n entries alone.  An instance
+      built directly keeps the default False and takes the dense paths.
     """
 
     matrix: np.ndarray
     n_qubits: int
     min_eigenvalue: float = math.nan
+    x_shaped: bool = False
 
     @property
     def dim(self) -> int:
@@ -45,60 +53,60 @@ class DensityMatrix:
 
 
 @functools.cache
-def _x_blocks(dim: int) -> np.ndarray:
-    """Flat indices of the 2x2 blocks of a dim x dim X matrix, shape (4, dim/2).
-
-    Block i pairs rows i and j = dim-1-i; its rows hold the flat indices
-    of (i, i), (j, j), (i, j) and (j, i), which together cover the
-    diagonal and the anti-diagonal.  Read-only, since the cache shares it.
+def _x_diagonals(dim: int) -> np.ndarray:
+    """Flat indices of the diagonal and the anti-diagonal of a dim x dim
+    matrix by row, shape (2, dim): (x, x) and (x, dim-1-x) for x = 0..dim-1.
+    For even dim the two never meet.  Read-only, since the cache shares it.
     """
-    i = np.arange(dim // 2)
-    j = dim - 1 - i
-    blocks = np.stack([i * (dim + 1), j * (dim + 1), i * dim + j, j * dim + i])
-    blocks.setflags(write=False)
-    return blocks
+    x = np.arange(dim)
+    diagonals = np.stack([x * (dim + 1), (x + 1) * (dim - 1)])
+    diagonals.setflags(write=False)
+    return diagonals
 
 
 def _x_entries(arr: np.ndarray) -> np.ndarray | None:
-    """The entries of :func:`_x_blocks` of a square matrix of even
-    dimension if its exact support lies on the diagonal and the
-    anti-diagonal (an X matrix), None otherwise.
+    """The entries of :func:`_x_diagonals` of a square matrix of even
+    dimension, shape (2, dim), if its exact support lies on the diagonal
+    and the anti-diagonal (an X matrix), None otherwise.
 
     The test is exact: the X entries must hold every nonzero real and
     imaginary part of ``arr``.
     """
     flat = arr.ravel()
-    blocks = flat[_x_blocks(arr.shape[0])]
-    if np.count_nonzero(flat.view(float)) == np.count_nonzero(blocks.view(float)):
-        return blocks
+    entries = flat[_x_diagonals(arr.shape[0])]
+    if np.count_nonzero(flat.view(float)) == np.count_nonzero(entries.view(float)):
+        return entries
     return None
 
 
-def _hermiticity_and_min_eigenvalue(arr: np.ndarray) -> tuple[float, float]:
-    """Largest entry of |arr - arr^H| and smallest eigenvalue of the
-    Hermitian part (arr + arr^H)/2, for a square matrix of even dimension.
+def _hermiticity_and_min_eigenvalue(arr: np.ndarray) -> tuple[float, float, bool]:
+    """Largest entry of |arr - arr^H|, smallest eigenvalue of the
+    Hermitian part (arr + arr^H)/2, and whether ``arr`` is an X matrix,
+    for a square matrix of even dimension.
 
     When every entry of ``arr`` outside the diagonal and the anti-diagonal
     is exactly zero (an X matrix, such as every GHZ-Werner state,
     accelerated or not), the same holds for arr - arr^H and for the
     Hermitian part, whose spectrum is then the union of its 2x2 blocks
-    [[a, c], [c*, b]] on rows (i, dim-1-i).  Both numbers then come from
-    the blocks alone, exactly and in O(dim): the smaller eigenvalue of a
-    block is (a+b)/2 - hypot((a-b)/2, |c|).  Any other matrix goes
-    through the dense difference and ``eigvalsh``; :func:`_x_entries`
-    makes the choice.
+    [[a, c], [c*, b]] on rows (x, dim-1-x).  Both numbers then come from
+    the two diagonals alone, exactly and in O(dim): the smaller eigenvalue
+    of a block is (a+b)/2 - hypot((a-b)/2, |c|), taken here once from
+    each of its two rows.  Any other matrix goes through the dense
+    difference and ``eigvalsh``; :func:`_x_entries` makes the choice.
     """
-    blocks = _x_entries(arr)
-    if blocks is not None:
-        adjoint = blocks[[0, 1, 3, 2]].conj()  # arr^H at the same positions
-        herm_err = float(np.abs(blocks - adjoint).max())
-        h = 0.5 * (blocks + adjoint)
-        a = h[0].real
-        b = h[1].real
-        return herm_err, float((0.5 * (a + b) - np.hypot(0.5 * (a - b), np.abs(h[2]))).min())
+    entries = _x_entries(arr)
+    if entries is not None:
+        diag, anti = entries
+        facing = anti[::-1].conj()  # arr^H on the anti-diagonal: conj(arr[dim-1-x, x])
+        # on the diagonal |arr - arr^H| is 2 |Im arr[x, x]|
+        herm_err = float(max(2.0 * np.abs(diag.imag).max(), np.abs(anti - facing).max()))
+        a = diag.real  # the Hermitian part's diagonal
+        b = a[::-1]
+        c = np.abs(0.5 * (anti + facing))
+        return herm_err, float((0.5 * (a + b) - np.hypot(0.5 * (a - b), c)).min()), True
     adjoint = arr.conj().T
     herm_err = float(np.abs(arr - adjoint).max())
-    return herm_err, float(np.linalg.eigvalsh(0.5 * (arr + adjoint))[0])
+    return herm_err, float(np.linalg.eigvalsh(0.5 * (arr + adjoint))[0]), False
 
 
 def validate_density(m: np.ndarray, n_qubits: int) -> DensityMatrix:
@@ -110,9 +118,18 @@ def validate_density(m: np.ndarray, n_qubits: int) -> DensityMatrix:
     first failure, each with its measured magnitude.  Hermiticity and
     positivity are measured by :func:`_hermiticity_and_min_eigenvalue`;
     the returned state keeps the certified minimum eigenvalue as
-    ``min_eigenvalue``.
+    ``min_eigenvalue`` and the outcome of its X-support test as
+    ``x_shaped``.  The state holds a copy of ``m``: the caller's array
+    stays writeable and later edits to it do not reach the state.
     """
-    arr = np.array(m, dtype=complex)
+    return _validate_owned(np.array(m, dtype=complex), n_qubits)
+
+
+def _validate_owned(arr: np.ndarray, n_qubits: int) -> DensityMatrix:
+    """:func:`validate_density` of a complex array that nothing else
+    holds, such as one the library has just built: every check runs, and
+    on success ``arr`` itself is frozen into the state, without a copy.
+    """
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotSquareError(f"expected a square matrix, got shape {arr.shape}")
     dim = arr.shape[0]
@@ -127,7 +144,7 @@ def validate_density(m: np.ndarray, n_qubits: int) -> DensityMatrix:
     trace_err = abs(complex(arr.trace()) - 1.0)
     if trace_err > TRACE_TOL:
         problems.append((TraceViolation, f"trace deviates from 1 by {trace_err:.3e}", trace_err))
-    herm_err, min_eig = _hermiticity_and_min_eigenvalue(arr)
+    herm_err, min_eig, x_shaped = _hermiticity_and_min_eigenvalue(arr)
     if herm_err > HERMITICITY_TOL:
         problems.append(
             (HermiticityViolation, f"non-Hermitian by {herm_err:.3e}", herm_err)
@@ -143,4 +160,4 @@ def validate_density(m: np.ndarray, n_qubits: int) -> DensityMatrix:
         raise cls(msg, magnitude)
 
     arr.setflags(write=False)
-    return DensityMatrix(matrix=arr, n_qubits=n_qubits, min_eigenvalue=min_eig)
+    return DensityMatrix(matrix=arr, n_qubits=n_qubits, min_eigenvalue=min_eig, x_shaped=x_shaped)

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionError, NonRealResult
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, _x_diagonals
 from .rindler import MATCH_TOL, AccelerationConfig, accelerate
 from .states import GhzWernerParams, ghz_werner
 from .su2kernel import (
@@ -47,6 +47,9 @@ SPLIT_SCAN_MAX_CELLS = 4_000_000
 # Gauss-Legendre nodes in cos(theta) of normalization_check; twice as many
 # trapezoid points in phi.
 QUAD_ORDER = 32
+# Flat (y, x) positions of op[b, b] and op[1 - b, b] in a 2x2 operator, by
+# column bit b: what a diagonal and an anti-diagonal entry of an X state meet.
+_X_PAIRS = np.array([[0, 3], [2, 1]])
 
 
 @dataclass(frozen=True)
@@ -76,18 +79,41 @@ def _contract(rho: DensityMatrix, ops: Sequence[np.ndarray]) -> np.ndarray:
     """Tr[rho ops[0] x ... x ops[n-1]], complex, of shape g_0 + ... + g_{n-1}.
 
     ``ops[q]`` has shape (2, 2) + g_q and belongs to qubit q, the basis
-    bit of weight 2^q.  The state is viewed as a (2,)*2n tensor whose row
-    and column factors run msb-first; each step contracts the lowest
-    remaining qubit's row and column axes with its operator and appends
-    g_q to the trailing axes.
+    bit of weight 2^q.  The qubits are contracted one at a time, lowest
+    first, each appending g_q to the trailing axes, in one of two layouts:
+
+    - a state validated as X-shaped (``rho.x_shaped``) is read as the
+      (2, 2^n) stack of its diagonal entries rho[x, x] and anti-diagonal
+      entries rho[x, x~], x~ = 2^n - 1 - x, by row x.  A diagonal entry
+      with row bit b meets op[b, b] and an anti-diagonal one op[1 - b, b],
+      so each qubit is one matmul batched over the two rows of the stack,
+      which are summed at the last qubit: O(2^n) work for point kernels;
+    - any other state is viewed as a (2,)*2n tensor whose row and column
+      factors run msb-first, and each qubit is one tensordot of its row
+      and column axes with its operator.
     """
     n = rho.n_qubits
-    t = rho.matrix.reshape((2,) * (2 * n))
+    if not rho.x_shaped:
+        t = rho.matrix.reshape((2,) * (2 * n))
+        for q, op in enumerate(ops):
+            m = n - q  # qubits left; the lowest one's axes end each half
+            # sum_{x, y} rho[.., x, .., y, ..] op[y, x, g]
+            t = np.tensordot(t, op, axes=([m - 1, 2 * m - 1], [1, 0]))
+        return t
+    t = rho.matrix.ravel()[_x_diagonals(2 ** n)]  # t[row of the stack, x]
+    size, shape = 1, ()  # of the g axes so far
     for q, op in enumerate(ops):
-        m = n - q  # qubits left; the lowest one's axes end each half
-        # sum_{x, y} rho[.., x, .., y, ..] op[y, x, g]
-        t = np.tensordot(t, op, axes=([m - 1, 2 * m - 1], [1, 0]))
-    return t
+        pair = op.reshape(4, -1)[_X_PAIRS]  # pair[row of the stack, b, g]
+        t = t.reshape(2, -1, 2)  # (stack, g so far x higher bits, bit q)
+        if q < n - 1:
+            # move g_q ahead of the higher bits, so that bit q + 1 comes last
+            t = (t @ pair).reshape(2, size, 2 ** (n - 1 - q), -1).swapaxes(2, 3)
+        else:
+            # the stack's two rows are summed in this last product
+            t = t.transpose(1, 0, 2).reshape(size, 4) @ pair.reshape(4, -1)
+        size *= pair.shape[2]
+        shape += op.shape[2:]
+    return t.reshape(shape)
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IndexOutOfRange, MixingOutOfRange, ROutOfRange
-from .linalg import DensityMatrix, _x_entries, validate_density
+from .linalg import DensityMatrix, _validate_owned, _x_diagonals, validate_density
 from .states import GhzWernerParams, ghz_werner
 
 R_MAX = math.pi / 4.0
@@ -88,7 +88,8 @@ def accelerate(rho: DensityMatrix, config: AccelerationConfig) -> DensityMatrix:
 
     The Kraus pair of :func:`unruh_isometry` gives one 4x4 transfer map
     on the (row bit, column bit) pair of a qubit, laid out in one of two
-    ways depending on the exact support of the input:
+    ways depending on ``rho.x_shaped``, the support test that validation
+    made on the input:
 
     - an X matrix (every nonzero on the diagonal or the anti-diagonal, as
       for every GHZ-Werner state, accelerated or not) keeps its shape,
@@ -98,14 +99,14 @@ def accelerate(rho: DensityMatrix, config: AccelerationConfig) -> DensityMatrix:
       the (2^(n-1-q), 2, 2^q) view of qubit q's bit; the 2^n
       anti-diagonal entries, whose row bit b faces column bit 1 - b, are
       scaled by the transfer's (b, 1-b) coherence entry.  Both are
-      scattered into a fresh zero matrix: O(k 2^n) work for k qubits;
-    - any other matrix gets the transfer on its dense (row bit, column
-      bit) axes of each accelerated qubit, O(k 4^n).
+      scattered into a fresh zero matrix, which is validated without a
+      copy: O(k 2^n) work for k qubits, and the output is X-shaped again;
+    - any other matrix, and any instance built without validation, gets
+      the transfer on its dense (row bit, column bit) axes of each
+      accelerated qubit, O(k 4^n).
 
-    The support test is :func:`linalg._x_entries`, the one that also
-    picks the X certificate inside :func:`validate_density`.  The steps
-    commute, so they run in ascending index order for determinism, and
-    the output is validated as a state either way.
+    The steps commute, so they run in ascending index order for
+    determinism, and the output is validated as a state either way.
     """
     n = rho.n_qubits
     config.check_register(n)
@@ -114,10 +115,9 @@ def accelerate(rho: DensityMatrix, config: AccelerationConfig) -> DensityMatrix:
     transfer = np.einsum("jab,jcd->acbd", kraus, kraus.conj()).reshape(4, 4)
     dim = 2 ** n
     m = rho.matrix
-    if _x_entries(m) is not None:
-        # flat positions of (i, i) and of (i, dim-1-i), for rows i = 0..dim-1
-        on_diag, on_anti = slice(None, None, dim + 1), slice(dim - 1, dim * dim - 1, dim - 1)
-        diag, anti = m.ravel()[on_diag], m.ravel()[on_anti]
+    if rho.x_shaped:
+        diagonals = _x_diagonals(dim)
+        diag, anti = m.ravel()[diagonals]
         populations = transfer[::3, ::3]  # among (0, 0) and (1, 1)
         coherences = transfer.diagonal()[1:3, None]  # (0, 1) and (1, 0), by row bit
         for q in sorted(config.accelerated):
@@ -125,8 +125,8 @@ def accelerate(rho: DensityMatrix, config: AccelerationConfig) -> DensityMatrix:
             diag = (populations @ diag.reshape(view)).ravel()
             anti = (anti.reshape(view) * coherences).ravel()
         out = np.zeros(dim * dim, dtype=complex)
-        out[on_diag], out[on_anti] = diag, anti
-        return validate_density(out.reshape(dim, dim), n)
+        out[diagonals] = diag, anti
+        return _validate_owned(out.reshape(dim, dim), n)
     shape = (2,) * (2 * n)
     t = m.reshape(shape)
     for q in sorted(config.accelerated):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MixingOutOfRange
-from .linalg import DensityMatrix, validate_density
+from .linalg import DensityMatrix, _validate_owned
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,20 @@ def ghz_pure(n_qubits: int) -> np.ndarray:
 
 
 def ghz_werner(params: GhzWernerParams) -> DensityMatrix:
-    """nu * |GHZ><GHZ| + (1 - nu) * I / 2**n, validated."""
-    v = ghz_pure(params.n_qubits)
-    dim = v.size
-    m = params.nu * np.outer(v, v.conj()) + (1.0 - params.nu) / dim * np.eye(dim)
-    return validate_density(m, params.n_qubits)
+    """nu * |GHZ><GHZ| + (1 - nu) * I / 2**n, validated.
+
+    The state is an X matrix: the noise on the diagonal, and nu * amp^2
+    (amp = 1/sqrt 2, the amplitudes of :func:`ghz_pure`) on the four
+    corners.  Those entries are written into one zeroed array with the
+    same float operations as the dense sum above, so the matrix is
+    bitwise that sum, and the array goes to validation without a copy.
+    """
+    dim = 2 ** params.n_qubits
+    amp = 1.0 / math.sqrt(2.0)
+    coherence = params.nu * (amp * amp)
+    noise = (1.0 - params.nu) / dim
+    m = np.zeros((dim, dim), dtype=complex)
+    np.fill_diagonal(m, noise)
+    m[0, 0] = m[-1, -1] = coherence + noise
+    m[0, -1] = m[-1, 0] = coherence
+    return _validate_owned(m, params.n_qubits)

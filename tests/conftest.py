@@ -55,6 +55,29 @@ def random_density(n_qubits, rng):
     return validate_density(m / np.trace(m).real, n_qubits)
 
 
+def random_x_density(n, rng):
+    """Random X-shaped state: a random PSD 2x2 block on rows (i, 2^n-1-i)
+    for each i < 2^(n-1), about a quarter of them zero, everything else 0."""
+    dim = 2**n
+    m = np.zeros((dim, dim), dtype=complex)
+    for i in range(dim // 2):
+        if i and rng.random() < 0.25:
+            continue
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        rows = [i, dim - 1 - i]
+        m[np.ix_(rows, rows)] = g @ g.conj().T
+    return m / np.trace(m).real
+
+
+def off_x(m):
+    """Boolean mask of the entries off the diagonal and the anti-diagonal."""
+    dim = m.shape[0]
+    i = np.arange(dim)
+    mask = np.ones((dim, dim), dtype=bool)
+    mask[i, i] = mask[i, dim - 1 - i] = False
+    return mask
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

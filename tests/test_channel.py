@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinwigner import R_MAX, AccelerationConfig, accelerate, unruh_isometry, validate_density
+from spinwigner import R_MAX, AccelerationConfig, DensityMatrix, accelerate, unruh_isometry, validate_density
 from spinwigner.rindler import _kraus_pair
 
-from conftest import random_density
+from conftest import off_x, random_density, random_x_density
 
 CHANNEL_TOL = 1e-14
 R_VALUES = [0.0, 0.3, 0.6, R_MAX]
@@ -28,29 +28,6 @@ def dense_channel(m, n, accelerated, r):
         big = (embed @ m @ embed.conj().T).reshape((2,) * (2 * n + 2))
         m = np.trace(big, axis1=pos + 1, axis2=n + 2 + pos).reshape(2 ** n, 2 ** n)
     return m
-
-
-def random_x_density(n, rng):
-    """Random X-shaped state: a random PSD 2x2 block on rows (i, 2^n-1-i)
-    for each i < 2^(n-1), about a quarter of them zero, everything else 0."""
-    dim = 2**n
-    m = np.zeros((dim, dim), dtype=complex)
-    for i in range(dim // 2):
-        if i and rng.random() < 0.25:
-            continue
-        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        rows = [i, dim - 1 - i]
-        m[np.ix_(rows, rows)] = g @ g.conj().T
-    return m / np.trace(m).real
-
-
-def off_x(m):
-    """Boolean mask of the entries off the diagonal and the anti-diagonal."""
-    dim = m.shape[0]
-    i = np.arange(dim)
-    mask = np.ones((dim, dim), dtype=bool)
-    mask[i, i] = mask[i, dim - 1 - i] = False
-    return mask
 
 
 def one_qubit_choi(r):
@@ -114,6 +91,17 @@ def test_one_entry_off_the_x_takes_the_dense_path(n):
     got = accelerate(rho, AccelerationConfig(r=0.5, accelerated=accelerated)).matrix
     assert np.abs(got - dense_channel(rho.matrix, n, accelerated, 0.5)).max() <= CHANNEL_TOL
     assert got[off_x(got)].any()  # the X layout would have dropped the off-X entry
+
+
+def test_the_flag_selects_the_layout(rng):
+    # flagged by hand, a dense matrix is damped on its two diagonals only
+    m = random_density(4, rng).matrix
+    rho = DensityMatrix(matrix=m, n_qubits=4, x_shaped=True)
+    config = AccelerationConfig(r=0.5, accelerated=(0, 3))
+    got = accelerate(rho, config)
+    assert got.x_shaped
+    want = dense_channel(np.where(off_x(m), 0.0, m), 4, config.accelerated, config.r)
+    assert np.abs(got.matrix - want).max() <= CHANNEL_TOL
 
 
 @pytest.mark.parametrize("r", R_VALUES)

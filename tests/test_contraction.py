@@ -1,5 +1,6 @@
-"""The per-qubit contraction under every evaluator, against the dense
-references in ``dense_oracle``, and the realness check on its results."""
+"""The per-qubit contraction under every evaluator, in its dense and its
+X-shaped layout, against the dense references in ``dense_oracle``, and the
+realness check on its results."""
 
 import math
 
@@ -20,12 +21,13 @@ from spinwigner import (
     grid_scan,
     grid_values,
     normalization_check,
+    validate_density,
 )
 from spinwigner.quasiprob import _contract, _weight_classes
 from spinwigner.su2kernel import _PAULIS
 
 import dense_oracle
-from conftest import random_density
+from conftest import off_x, random_density, random_x_density
 
 ORACLE_TOL = 1e-12
 # the figure surfaces' grid
@@ -51,6 +53,83 @@ def test_evaluate_matches_kronecker_kernel(n, seed, kind, data):
     points = [SphericalPoint(t, p) for t, p in data.draw(st.lists(angles, min_size=n, max_size=n), label="points")]
     want = dense_oracle.point_value(rho.matrix, kind, points)
     assert evaluate(rho, kind, points).value == pytest.approx(want.real, abs=ORACLE_TOL)
+
+
+def assert_every_evaluator_matches(rho, points, thetas, phis, split_steps=None):
+    """evaluate, grid_values, normalization_check and (with ``split_steps``)
+    the split grid_scan of every kind, against the dense oracle."""
+    m = rho.matrix
+    for kind in DistributionKind:
+        want = dense_oracle.point_value(m, kind, points[kind])
+        assert evaluate(rho, kind, points[kind]).value == pytest.approx(want.real, abs=ORACLE_TOL), kind
+        surface = grid_values(rho, kind, thetas, phis)
+        assert np.abs(surface - dense_oracle.equal_angle_surface(m, kind, thetas, phis)).max() <= ORACLE_TOL, kind
+        want = dense_oracle.normalization(m, kind)
+        assert normalization_check(rho, kind) == pytest.approx(want.real, abs=ORACLE_TOL), kind
+        if split_steps is not None:
+            report = grid_scan(rho, kind, *split_steps, equal_angles=False)
+            want = dense_oracle.split_surface(m, kind, report.thetas, report.phis)
+            assert np.abs(report.values - want).max() <= ORACLE_TOL, kind
+
+
+class TestXLayout:
+    """States validated as X-shaped take the (diagonal, anti-diagonal) layout."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 7), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
+    def test_random_x_states_match_the_oracle(self, n, seed, data):
+        rng = np.random.default_rng(seed)
+        rho = validate_density(random_x_density(n, rng), n)
+        assert rho.x_shaped
+        points = {
+            kind: [SphericalPoint(t, p) for t, p in data.draw(st.lists(angles, min_size=n, max_size=n), label=kind.name)]
+            for kind in DistributionKind
+        }
+        thetas, phis = np.sort(rng.uniform(0.0, math.pi, 7)), rng.uniform(0.0, 2.0 * math.pi, 9)
+        assert_every_evaluator_matches(rho, points, thetas, phis, split_steps=(3, 4) if n <= 3 else None)
+
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    def test_one_off_x_pair_takes_the_dense_layout(self, n):
+        rng = np.random.default_rng(n)
+        m = 0.5 * random_x_density(n, rng) + 0.5 * np.eye(2**n) / 2**n  # smallest eigenvalue >= 2^-(n+1)
+        # (0, 1) is off the X for 2^n >= 4; a Hermitian pair of modulus 2^-(n+2)
+        # moves no eigenvalue by more than that
+        m[0, 1] = 2.0 ** -(n + 2) * (0.6 + 0.8j)
+        m[1, 0] = np.conj(m[0, 1])
+        rho = validate_density(m, n)
+        assert not rho.x_shaped
+        points = {kind: [SphericalPoint(0.4 + 0.3 * q, 1.1 * q) for q in range(n)] for kind in DistributionKind}
+        assert_every_evaluator_matches(rho, points, THETAS[::15], PHIS[::20], split_steps=(3, 4) if n <= 3 else None)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_direct_instance_takes_the_dense_layout(self, rng, n):
+        # a dense matrix wrapped without validation: the X layout would drop
+        # every entry off the two diagonals
+        rho = DensityMatrix(matrix=np.array(random_density(n, rng).matrix), n_qubits=n)
+        assert not rho.x_shaped
+        points = {kind: [SphericalPoint(2.5 - 0.3 * q, 0.7 * q) for q in range(n)] for kind in DistributionKind}
+        assert_every_evaluator_matches(rho, points, THETAS[::15], PHIS[::20], split_steps=(3, 4) if n <= 3 else None)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_the_flag_selects_the_layout(self, rng, n):
+        # flagged by hand, a dense matrix is read on its two diagonals only
+        m = random_density(n, rng).matrix
+        x_part = np.where(off_x(m), 0.0, m)
+        rho = DensityMatrix(matrix=m, n_qubits=n, x_shaped=True)
+        points = [SphericalPoint(1.0 + 0.2 * q, 0.5 * q) for q in range(n)]
+        for kind in DistributionKind:
+            want = dense_oracle.point_value(x_part, kind, points)
+            assert evaluate(rho, kind, points).value == pytest.approx(want.real, abs=ORACLE_TOL)
+            want = dense_oracle.normalization(x_part, kind)
+            assert normalization_check(rho, kind) == pytest.approx(want.real, abs=ORACLE_TOL)
+
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_both_layouts_agree_on_ghz_werner(self, n):
+        rho = accelerated_ghz(0.7, n // 2, 0.6, n_qubits=n)
+        dense = DensityMatrix(matrix=rho.matrix, n_qubits=n)
+        assert rho.x_shaped and not dense.x_shaped
+        for ops in ([_PAULIS] * n, [np.arange(4.0).reshape(2, 2) + 1j] * n):
+            np.testing.assert_allclose(_contract(rho, ops), _contract(dense, ops), rtol=1e-14, atol=1e-14)
 
 
 class TestEqualAngleSurface:
@@ -147,6 +226,20 @@ class TestRealnessCheck:
     def test_normalization_check(self, skewed, kind):
         with pytest.raises(NonRealResult, match="normalization_check: imaginary residue"):
             normalization_check(skewed, kind)
+
+    @pytest.mark.parametrize("evaluator", ["evaluate", "grid_values", "grid_scan", "split_scan", "normalization_check"])
+    def test_flagged_x_instance_is_checked_too(self, skewed, evaluator):
+        # the same diagonal residue, on the X layout
+        rho = DensityMatrix(matrix=skewed.matrix, n_qubits=2, x_shaped=True)
+        run = {
+            "evaluate": lambda: evaluate(rho, DistributionKind.WIGNER, self.POINTS),
+            "grid_values": lambda: grid_values(rho, DistributionKind.WIGNER, THETAS[::10], PHIS[::10]),
+            "grid_scan": lambda: grid_scan(rho, DistributionKind.WIGNER, 5, 6),
+            "split_scan": lambda: grid_scan(rho, DistributionKind.WIGNER, 5, 6, equal_angles=False),
+            "normalization_check": lambda: normalization_check(rho, DistributionKind.WIGNER),
+        }[evaluator]
+        with pytest.raises(NonRealResult, match="imaginary residue"):
+            run()
 
     def test_residue_below_tolerance_passes(self):
         m = np.eye(4, dtype=complex) / 4.0

@@ -14,7 +14,10 @@ _spec.loader.exec_module(layer_times)
 LAYERS = {
     f"validate_density.{state}.n{n}" for state in ("ghz_werner", "accelerated", "dense") for n in range(1, 8)
 } | {f"accelerate.{state}.n{n}" for state in ("ghz_werner", "dense") for n in range(1, 8)} | {
+    f"evaluate.{state}.n{n}" for state in ("ghz_werner", "accelerated", "dense") for n in range(1, 8)
+} | {f"ghz_werner.n{n}" for n in range(1, 8)} | {
     "kernel_grid.91x181", "cli._csv_text.91x181", "probe_sweep.51x51.k3"}
+
 
 def run_tool(*args):
     return subprocess.run([sys.executable, str(TOOL), *args], capture_output=True, text=True, timeout=300)
@@ -27,11 +30,14 @@ def test_one_repeat_writes_every_layer_of_both_sides(tmp_path):
     record = json.loads(out.read_text(encoding="utf-8"))
     assert set(record) == {"method", "numpy", "platform", "python", "sides"}
     assert set(record["sides"]) == {"parent", "change"}
-    assert set(record["sides"]["parent"]) == {"revision", "commit", "median_s", "samples"}
-    assert set(record["sides"]["change"]) == {"commit", "uncommitted", "median_s", "samples"}
+    timings = {"median_s", "quartiles_s", "samples"}
+    assert set(record["sides"]["parent"]) == {"revision", "commit"} | timings
+    assert set(record["sides"]["change"]) == {"commit", "uncommitted"} | timings
     for side in record["sides"].values():
-        assert set(side["median_s"]) == LAYERS
+        assert set(side["median_s"]) == set(side["quartiles_s"]) == LAYERS
         assert all(isinstance(t, float) and t > 0.0 for t in side["median_s"].values())
+        for name, (q1, q3) in side["quartiles_s"].items():
+            assert 0.0 < q1 <= side["median_s"][name] <= q3
         assert side["samples"] == dict.fromkeys(LAYERS, layer_times.ROUNDS)
 
 

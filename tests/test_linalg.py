@@ -1,6 +1,7 @@
 """Density-matrix validation."""
 
 import math
+import sys
 import warnings
 from unittest import mock
 
@@ -11,20 +12,27 @@ from hypothesis import strategies as st
 
 from spinwigner import (
     R_MAX,
+    AccelerationConfig,
     DensityMatrix,
+    DistributionKind,
     GhzWernerParams,
     HermiticityViolation,
     NegativityViolation,
     NotPowerOfTwoError,
     NotSquareError,
     TraceViolation,
+    SphericalPoint,
     ValidationError,
+    accelerate,
     accelerated_ghz,
+    evaluate,
     ghz_werner,
     validate_density,
 )
+from spinwigner import linalg, quasiprob, rindler, states
+from spinwigner.linalg import _validate_owned
 
-from conftest import random_density
+from conftest import random_density, random_x_density
 
 class TestValidateDensity:
     def test_accepts_maximally_mixed(self):
@@ -189,3 +197,102 @@ class TestPositivityCertificate:
     def test_direct_construction_has_no_margin(self):
         rho = DensityMatrix(matrix=np.eye(2) / 2.0, n_qubits=1)
         assert math.isnan(rho.min_eigenvalue)
+
+
+class TestXFlag:
+    """``x_shaped`` records the one X-support test that validation makes."""
+
+    def test_validated_states(self, rng):
+        assert validate_density(random_x_density(4, rng), 4).x_shaped
+        assert ghz_werner(GhzWernerParams(nu=0.0, n_qubits=2)).x_shaped  # diagonal only
+        assert accelerated_ghz(0.6, 2, 0.4).x_shaped
+        assert not random_density(3, rng).x_shaped
+        m = np.array(accelerated_ghz(0.6, 2, 0.4).matrix)
+        m[1, 2] = m[2, 1] = 1e-3
+        assert not validate_density(m, 3).x_shaped
+
+    def test_direct_construction_is_not_flagged(self):
+        assert not DensityMatrix(matrix=np.eye(2) / 2.0, n_qubits=1).x_shaped
+
+    def test_dense_channel_output(self, rng):
+        rho = accelerate(random_density(3, rng), AccelerationConfig(r=0.5, accelerated=(0, 2)))
+        assert not rho.x_shaped
+
+    @pytest.mark.parametrize("n, k", [(3, 1), (3, 3), (5, 2), (7, 4), (7, 7)])
+    def test_one_support_test_per_validated_state(self, monkeypatch, n, k):
+        # a channel_sweep op: build, accelerate, evaluate; only the two
+        # validations test the support, the channel and the contraction read the flag
+        callers = []
+        real = linalg._x_entries
+
+        def spy(arr):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(arr)
+
+        for module in (linalg, states, rindler, quasiprob):
+            if hasattr(module, "_x_entries"):
+                monkeypatch.setattr(module, "_x_entries", spy)
+        rho = ghz_werner(GhzWernerParams(nu=0.4, n_qubits=n))
+        assert len(callers) == 1
+        rho = accelerate(rho, AccelerationConfig(r=0.5, accelerated=tuple(range(k))))
+        assert len(callers) == 2
+        evaluate(rho, DistributionKind.WIGNER, (SphericalPoint(math.pi / 2.0, math.pi),) * n)
+        assert callers == ["_hermiticity_and_min_eigenvalue"] * 2
+        assert rho.x_shaped
+
+
+BAD_MATRICES = {
+    "non_square": (np.ones((2, 4), dtype=complex), 1),
+    "wrong_power": (np.eye(4, dtype=complex) / 4.0, 1),
+    "non_finite": (np.diag([0.5, np.nan]).astype(complex), 1),
+    "trace": (np.eye(2, dtype=complex), 1),
+    "non_hermitian": (np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex), 1),
+    "negative": (np.diag([1.2, -0.2]).astype(complex), 1),
+    "negative_dense": (np.array([[0.5, 0.6, 0.0, 0.0], [0.6, 0.5, 0.0, 0.0],
+                                 [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]], dtype=complex), 2),
+    "trace_and_hermiticity": (np.array([[1.0, 0.3], [0.0, 0.5]], dtype=complex), 1),
+}
+
+
+class TestValidationOwnership:
+    def test_public_validation_copies(self):
+        m = np.eye(4, dtype=complex) / 4.0
+        rho = validate_density(m, 2)
+        assert m.flags.writeable
+        assert not np.shares_memory(m, rho.matrix)
+        m[0, 0], m[1, 1] = 0.5, 0.0
+        assert rho.matrix[0, 0] == 0.25 and rho.matrix[1, 1] == 0.25
+        assert not rho.matrix.flags.writeable
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ghz_werner(GhzWernerParams(nu=0.3, n_qubits=4)),
+            lambda: accelerated_ghz(0.3, 2, 0.5, n_qubits=4),
+            lambda: accelerated_ghz(0.3, (), 0.5, n_qubits=4),
+            lambda: accelerate(ghz_werner(GhzWernerParams(nu=0.3)), AccelerationConfig(r=0.5)),
+            lambda: accelerate(random_density(3, np.random.default_rng(3)), AccelerationConfig(r=0.5, accelerated=(1,))),
+        ],
+        ids=["ghz_werner", "accelerated", "no_qubit_named", "x_channel_on_no_qubit", "dense_channel"],
+    )
+    def test_library_built_states_are_read_only(self, build):
+        rho = build()
+        assert not rho.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            rho.matrix[0, 0] = 1.0
+
+    @pytest.mark.parametrize("name", list(BAD_MATRICES))
+    def test_owned_validation_runs_every_check(self, name):
+        m, n = BAD_MATRICES[name]
+        with pytest.raises(ValidationError) as public:
+            validate_density(m, n)
+        with pytest.raises(ValidationError) as owned:
+            _validate_owned(np.array(m), n)
+        assert type(owned.value) is type(public.value)
+        assert str(owned.value) == str(public.value)
+        assert owned.value.magnitude == public.value.magnitude
+
+    def test_owned_validation_freezes_without_a_copy(self):
+        m = np.eye(4, dtype=complex) / 4.0
+        rho = _validate_owned(m, 2)
+        assert rho.matrix is m and not m.flags.writeable

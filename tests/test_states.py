@@ -63,6 +63,17 @@ class TestGhzWerner:
         with pytest.raises(ValueError):
             GhzWernerParams(nu=0.5, n_qubits=0)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    @pytest.mark.parametrize("nu", [0.0, 0.3, 3.0 ** -1.5, 1.0])
+    def test_bitwise_the_dense_mixture(self, n, nu):
+        v = ghz_pure(n)
+        dim = 2**n
+        want = nu * np.outer(v, v.conj()) + (1.0 - nu) / dim * np.eye(dim)
+        rho = ghz_werner(GhzWernerParams(nu=nu, n_qubits=n))
+        assert rho.matrix.dtype == want.dtype and rho.matrix.shape == want.shape
+        assert rho.matrix.tobytes() == want.tobytes()
+        assert rho.x_shaped
+
     def test_single_qubit_distribution(self):
         # one-qubit family has the closed form 1/2 + (sqrt3/2) nu sin(theta) cos(phi)
         for nu in (0.0, 0.4, 1.0):

@@ -2,18 +2,21 @@
 
 Run from the repository root:
 
-    python3 tools/layer_times.py --parent HEAD --repeats 15 --out LAYERS_9.json
+    python3 tools/layer_times.py --parent HEAD --repeats 15 --out LAYERS_10.json
 
-Each layer is timed in seconds per call: the median over ``--repeats``
-samples, each sample the mean of a batch of calls lasting at least
-``BATCH_S``.  The layers are
+Each layer is timed in seconds per call: the median and the inclusive
+quartiles over ``--repeats`` samples, each sample the mean of a batch of
+calls lasting at least ``BATCH_S``.  The layers are
 
+- ``ghz_werner`` at n = 1..7 and nu = 0.5, its validation included;
 - ``validate_density`` at n = 1..7 on three matrices built beforehand:
   the GHZ-Werner state at nu = 0.5, the same state with every qubit
   accelerated at r = 0.5, and a dense (Ginibre) state;
 - ``accelerate`` at n = 1..7 with every qubit accelerated at r = 0.5,
   on the GHZ-Werner state (the X-shaped layout) and on the dense state
   (the dense per-qubit transfer);
+- ``evaluate`` of the Wigner kernel at n = 1..7 with every qubit at the
+  probe point (pi/2, pi), on the same three states, validated;
 - ``kernel_grid`` of the Wigner kernel on the 91 x 181 equal-angle grid;
 - ``cli._csv_text`` of one 91 x 181 Wigner surface;
 - ``probe_sweep`` of the 51 x 51 nu x r Wigner map at the probe point
@@ -75,6 +78,7 @@ def layer_samples(repeats: int) -> dict[str, list[float]]:
         SphericalPoint,
         accelerate,
         accelerated_ghz,
+        evaluate,
         ghz_werner,
         kernel_grid,
         probe_sweep,
@@ -84,6 +88,7 @@ def layer_samples(repeats: int) -> dict[str, list[float]]:
     from spinwigner import cli
 
     rng = np.random.default_rng(6)
+    probe = SphericalPoint(math.pi / 2.0, math.pi)
     samples = {}
     for n in REGISTER_SIZES:
         dim = 2**n
@@ -97,11 +102,16 @@ def layer_samples(repeats: int) -> dict[str, list[float]]:
         for name, m in states.items():
             samples[f"validate_density.{name}.n{n}"] = time_per_call(
                 lambda m=m, n=n: validate_density(m, n), repeats)
+        validated = {name: validate_density(m, n) for name, m in states.items()}
         config = AccelerationConfig(r=0.5, accelerated=tuple(range(n)))
         for name in ("ghz_werner", "dense"):
-            rho = validate_density(states[name], n)
             samples[f"accelerate.{name}.n{n}"] = time_per_call(
-                lambda rho=rho, config=config: accelerate(rho, config), repeats)
+                lambda rho=validated[name], config=config: accelerate(rho, config), repeats)
+        samples[f"ghz_werner.n{n}"] = time_per_call(
+            lambda n=n: ghz_werner(GhzWernerParams(nu=0.5, n_qubits=n)), repeats)
+        for name, rho in validated.items():
+            samples[f"evaluate.{name}.n{n}"] = time_per_call(
+                lambda rho=rho, points=(probe,) * n: evaluate(rho, DistributionKind.WIGNER, points), repeats)
     thetas, phis = sphere_grid(cli.SURFACE_THETA_STEPS, cli.SURFACE_PHI_STEPS)
     samples["kernel_grid.91x181"] = time_per_call(
         lambda: kernel_grid(DistributionKind.WIGNER, thetas[:, None], phis), repeats)
@@ -109,7 +119,6 @@ def layer_samples(repeats: int) -> dict[str, list[float]]:
     samples["cli._csv_text.91x181"] = time_per_call(lambda: cli._csv_text(table), repeats)
     nus = np.linspace(0.0, 1.0, cli.MAP_STEPS)
     rs = np.linspace(0.0, R_MAX, cli.MAP_STEPS)
-    probe = SphericalPoint(math.pi / 2.0, math.pi)
     samples["probe_sweep.51x51.k3"] = time_per_call(
         lambda: probe_sweep(nus, rs, 3, DistributionKind.WIGNER, probe), repeats)
     return samples
@@ -171,9 +180,12 @@ def main(argv=None) -> int:
                 print(f"round {i + 1}/{ROUNDS} {side} done", file=sys.stderr)
     for side, layers in pooled.items():
         sides[side]["median_s"] = {name: statistics.median(v) for name, v in sorted(layers.items())}
+        sides[side]["quartiles_s"] = {
+            name: statistics.quantiles(v, n=4, method="inclusive")[::2] for name, v in sorted(layers.items())}
         sides[side]["samples"] = {name: len(v) for name, v in sorted(layers.items())}
     record = {
-        "method": (f"seconds per call, median over {args.repeats} samples x {ROUNDS} rounds per side, "
+        "method": (f"seconds per call, median and inclusive quartiles [q1, q3] over {args.repeats} samples "
+                   f"x {ROUNDS} rounds per side, "
                    f"each sample a batch of calls lasting at least {BATCH_S:g} s; one subprocess per side "
                    "and round, pinned to one CPU with BLAS on one thread, sides alternating"),
         "python": platform.python_version(),
