@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,14 +38,15 @@ class DensityMatrix:
     - ``x_shaped``, True when the exact support of ``matrix`` lies on the
       diagonal and the anti-diagonal (an X matrix, such as every
       GHZ-Werner state, accelerated or not).  The channel and the
-      contraction then work on those 2 * 2^n entries alone.  An instance
-      built directly keeps the default False and takes the dense paths.
+      contraction then work on those 2 * 2^n entries alone.  It is not a
+      constructor argument: only validation sets it, so an instance built
+      directly keeps False and takes the dense paths.
     """
 
     matrix: np.ndarray
     n_qubits: int
     min_eigenvalue: float = math.nan
-    x_shaped: bool = False
+    x_shaped: bool = field(default=False, init=False)
 
     @property
     def dim(self) -> int:
@@ -64,21 +65,6 @@ def _x_diagonals(dim: int) -> np.ndarray:
     return diagonals
 
 
-def _x_entries(arr: np.ndarray) -> np.ndarray | None:
-    """The entries of :func:`_x_diagonals` of a square matrix of even
-    dimension, shape (2, dim), if its exact support lies on the diagonal
-    and the anti-diagonal (an X matrix), None otherwise.
-
-    The test is exact: the X entries must hold every nonzero real and
-    imaginary part of ``arr``.
-    """
-    flat = arr.ravel()
-    entries = flat[_x_diagonals(arr.shape[0])]
-    if np.count_nonzero(flat.view(float)) == np.count_nonzero(entries.view(float)):
-        return entries
-    return None
-
-
 def _hermiticity_and_min_eigenvalue(arr: np.ndarray) -> tuple[float, float, bool]:
     """Largest entry of |arr - arr^H|, smallest eigenvalue of the
     Hermitian part (arr + arr^H)/2, and whether ``arr`` is an X matrix,
@@ -92,10 +78,13 @@ def _hermiticity_and_min_eigenvalue(arr: np.ndarray) -> tuple[float, float, bool
     the two diagonals alone, exactly and in O(dim): the smaller eigenvalue
     of a block is (a+b)/2 - hypot((a-b)/2, |c|), taken here once from
     each of its two rows.  Any other matrix goes through the dense
-    difference and ``eigvalsh``; :func:`_x_entries` makes the choice.
+    difference and ``eigvalsh``.  The support test is exact: the entries
+    of :func:`_x_diagonals` must hold every nonzero real and imaginary
+    part of ``arr``.
     """
-    entries = _x_entries(arr)
-    if entries is not None:
+    flat = arr.ravel()
+    entries = flat[_x_diagonals(arr.shape[0])]
+    if np.count_nonzero(flat.view(float)) == np.count_nonzero(entries.view(float)):
         diag, anti = entries
         facing = anti[::-1].conj()  # arr^H on the anti-diagonal: conj(arr[dim-1-x, x])
         # on the diagonal |arr - arr^H| is 2 |Im arr[x, x]|
@@ -160,4 +149,12 @@ def _validate_owned(arr: np.ndarray, n_qubits: int) -> DensityMatrix:
         raise cls(msg, magnitude)
 
     arr.setflags(write=False)
-    return DensityMatrix(matrix=arr, n_qubits=n_qubits, min_eigenvalue=min_eig, x_shaped=x_shaped)
+    return _certified(arr, n_qubits, min_eig, x_shaped)
+
+
+def _certified(arr: np.ndarray, n_qubits: int, min_eigenvalue: float, x_shaped: bool) -> DensityMatrix:
+    """The state that validation of ``arr`` certified, with both of its
+    facts; the one place that sets ``DensityMatrix.x_shaped``."""
+    rho = DensityMatrix(matrix=arr, n_qubits=n_qubits, min_eigenvalue=min_eigenvalue)
+    object.__setattr__(rho, "x_shaped", x_shaped)
+    return rho

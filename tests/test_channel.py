@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinwigner import R_MAX, AccelerationConfig, DensityMatrix, accelerate, unruh_isometry, validate_density
+from spinwigner import R_MAX, AccelerationConfig, accelerate, unruh_isometry, validate_density
 from spinwigner.rindler import _kraus_pair
 
 from conftest import off_x, random_density, random_x_density
@@ -91,17 +91,6 @@ def test_one_entry_off_the_x_takes_the_dense_path(n):
     got = accelerate(rho, AccelerationConfig(r=0.5, accelerated=accelerated)).matrix
     assert np.abs(got - dense_channel(rho.matrix, n, accelerated, 0.5)).max() <= CHANNEL_TOL
     assert got[off_x(got)].any()  # the X layout would have dropped the off-X entry
-
-
-def test_the_flag_selects_the_layout(rng):
-    # flagged by hand, a dense matrix is damped on its two diagonals only
-    m = random_density(4, rng).matrix
-    rho = DensityMatrix(matrix=m, n_qubits=4, x_shaped=True)
-    config = AccelerationConfig(r=0.5, accelerated=(0, 3))
-    got = accelerate(rho, config)
-    assert got.x_shaped
-    want = dense_channel(np.where(off_x(m), 0.0, m), 4, config.accelerated, config.r)
-    assert np.abs(got.matrix - want).max() <= CHANNEL_TOL
 
 
 @pytest.mark.parametrize("r", R_VALUES)

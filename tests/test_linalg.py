@@ -214,6 +214,10 @@ class TestXFlag:
     def test_direct_construction_is_not_flagged(self):
         assert not DensityMatrix(matrix=np.eye(2) / 2.0, n_qubits=1).x_shaped
 
+    def test_the_flag_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            DensityMatrix(matrix=np.eye(2) / 2.0, n_qubits=1, x_shaped=True)
+
     def test_dense_channel_output(self, rng):
         rho = accelerate(random_density(3, rng), AccelerationConfig(r=0.5, accelerated=(0, 2)))
         assert not rho.x_shaped
@@ -223,22 +227,35 @@ class TestXFlag:
         # a channel_sweep op: build, accelerate, evaluate; only the two
         # validations test the support, the channel and the contraction read the flag
         callers = []
-        real = linalg._x_entries
+        real = linalg._hermiticity_and_min_eigenvalue
 
         def spy(arr):
             callers.append(sys._getframe(1).f_code.co_name)
             return real(arr)
 
-        for module in (linalg, states, rindler, quasiprob):
-            if hasattr(module, "_x_entries"):
-                monkeypatch.setattr(module, "_x_entries", spy)
+        monkeypatch.setattr(linalg, "_hermiticity_and_min_eigenvalue", spy)
         rho = ghz_werner(GhzWernerParams(nu=0.4, n_qubits=n))
         assert len(callers) == 1
         rho = accelerate(rho, AccelerationConfig(r=0.5, accelerated=tuple(range(k))))
         assert len(callers) == 2
         evaluate(rho, DistributionKind.WIGNER, (SphericalPoint(math.pi / 2.0, math.pi),) * n)
-        assert callers == ["_hermiticity_and_min_eigenvalue"] * 2
+        assert callers == ["_validate_owned"] * 2
         assert rho.x_shaped
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (3, 2), (7, 7)])
+    def test_flagged_states_are_read_on_the_two_diagonals_only(self, n, k):
+        # NaN on every entry off the X of a certified state: a second support
+        # test would see them (and send the state to a dense path), a dense
+        # read would carry them into the value
+        clean = accelerated_ghz(0.6, 1, 0.3, n_qubits=n)
+        m = np.full((2**n, 2**n), np.nan, dtype=complex)
+        m.ravel()[linalg._x_diagonals(2**n)] = clean.matrix.ravel()[linalg._x_diagonals(2**n)]
+        poisoned = linalg._certified(m, n, clean.min_eigenvalue, True)
+        config = AccelerationConfig(r=0.5, accelerated=tuple(range(k)))
+        assert np.array_equal(accelerate(poisoned, config).matrix, accelerate(clean, config).matrix)
+        points = tuple(SphericalPoint(1.0 + 0.2 * q, 0.5 * q) for q in range(n))
+        for kind in DistributionKind:
+            assert evaluate(poisoned, kind, points).value == evaluate(clean, kind, points).value
 
 
 BAD_MATRICES = {
