@@ -27,6 +27,7 @@ from .errors import (
 )
 from .quasiprob import (
     ClosedFormVariant,
+    _accelerated_indices,
     accelerated_ghz,
     compare_closed_form,
     evaluate,
@@ -53,6 +54,8 @@ _KIND_BY_LETTER = {
     "p": DistributionKind.P,
 }
 _BOUNDARY_SLACK = 1e-6
+# every command works on the library's default three-qubit register
+_N_QUBITS = 3
 
 SURFACE_THETA_STEPS = 91
 SURFACE_PHI_STEPS = 181
@@ -88,11 +91,6 @@ def _parse_accelerated(text: str) -> int | tuple[int, ...]:
         return int(text)
     except ValueError as exc:
         raise UsageError(f"cannot parse --accelerated {text!r}") from exc
-
-
-def _indices(accelerated: int | tuple[int, ...]) -> tuple[int, ...]:
-    """Qubit indices of a parsed --accelerated value the library has accepted."""
-    return tuple(range(accelerated)) if isinstance(accelerated, int) else accelerated
 
 
 def _table(theta, phi, nu, r, k, kind, w) -> np.ndarray:
@@ -156,7 +154,8 @@ def _emit_rows(args, table: np.ndarray, meta: dict) -> None:
 def _grid_table(nu, r, accelerated, kind, thetas, phis) -> np.ndarray:
     """Equal-angle surface over thetas x phis (theta-major)."""
     values = grid_values(accelerated_ghz(nu, accelerated, r), kind, thetas, phis)
-    return _table(thetas[:, None], phis, nu, r, len(_indices(accelerated)), kind, values)
+    k = len(_accelerated_indices(accelerated, _N_QUBITS))
+    return _table(thetas[:, None], phis, nu, r, k, kind, values)
 
 
 def _cmd_eval(args) -> int:
@@ -172,7 +171,7 @@ def _cmd_grid(args) -> int:
     accelerated = _parse_accelerated(args.accelerated)
     thetas, phis = sphere_grid(args.theta_steps, args.phi_steps)
     table = _grid_table(args.nu, args.r, accelerated, args.kind, thetas, phis)
-    indices = _indices(accelerated)
+    indices = _accelerated_indices(accelerated, _N_QUBITS)
     meta = {
         "command": "grid",
         "nu": args.nu,
@@ -191,7 +190,8 @@ def _probe_table(nus, rs, accelerated, kind, theta, phi) -> np.ndarray:
     """Point values over nus x rs (nu-major), every qubit at (theta, phi)."""
     values = probe_sweep(nus, rs, accelerated, kind, SphericalPoint(theta, phi))
     nu_col = np.asarray(nus, dtype=float)[:, None]
-    return _table(theta, phi, nu_col, rs, len(_indices(accelerated)), kind, values)
+    k = len(_accelerated_indices(accelerated, _N_QUBITS))
+    return _table(theta, phi, nu_col, rs, k, kind, values)
 
 
 def _cmd_scan(args) -> int:

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionError, NonRealResult
-from .linalg import DensityMatrix, _x_diagonals
+from .linalg import DensityMatrix
 from .rindler import MATCH_TOL, AccelerationConfig, accelerate
 from .states import GhzWernerParams, ghz_werner
 from .su2kernel import (
@@ -38,7 +38,6 @@ from .su2kernel import (
 )
 
 IMAG_TOL = 1e-10
-BISECTION_TOL = 1e-9
 # Most cells, (theta_steps * phi_steps) ** n, of one independent-angle scan.
 # A two-qubit scan of 3,992,004 cells (37 x 54 per qubit) peaks at 0.096 GB
 # of numpy allocations (tracemalloc): the complex contraction and its real
@@ -82,8 +81,8 @@ def _contract(rho: DensityMatrix, ops: Sequence[np.ndarray]) -> np.ndarray:
     bit of weight 2^q.  The qubits are contracted one at a time, lowest
     first, each appending g_q to the trailing axes, in one of two layouts:
 
-    - a state validated as X-shaped (``rho.x_shaped``) is read as the
-      (2, 2^n) stack of its diagonal entries rho[x, x] and anti-diagonal
+    - a state that validation certified as an X matrix is read as its
+      (2, 2^n) stack of diagonal entries rho[x, x] and anti-diagonal
       entries rho[x, x~], x~ = 2^n - 1 - x, by row x.  A diagonal entry
       with row bit b meets op[b, b] and an anti-diagonal one op[1 - b, b],
       so each qubit is one matmul batched over the two rows of the stack,
@@ -100,7 +99,7 @@ def _contract(rho: DensityMatrix, ops: Sequence[np.ndarray]) -> np.ndarray:
             # sum_{x, y} rho[.., x, .., y, ..] op[y, x, g]
             t = np.tensordot(t, op, axes=([m - 1, 2 * m - 1], [1, 0]))
         return t
-    t = rho.matrix.ravel()[_x_diagonals(2 ** n)]  # t[row of the stack, x]
+    t = rho._x_stack  # t[row of the stack, x]
     size, shape = 1, ()  # of the g axes so far
     for q, op in enumerate(ops):
         pair = op.reshape(4, -1)[_X_PAIRS]  # pair[row of the stack, b, g]
@@ -539,9 +538,9 @@ def scan_min_vs_r(
 ) -> list[tuple[float, float]]:
     """Point value of the Wigner distribution along an r sweep.
 
-    Returns (r, W) pairs at the fixed probe point (default: the deepest
-    negativity point theta = pi/2, phi = pi) with the first
-    ``k_accelerated`` qubits accelerated.
+    Returns (r, W) pairs at the fixed probe point (default theta = pi/2,
+    phi = pi, the sphere minimum of the distribution only at r = 0) with
+    the first ``k_accelerated`` qubits accelerated.
     """
     if k_accelerated not in (1, 2, 3):
         raise ValueError(f"k_accelerated={k_accelerated} must be 1, 2, or 3")
@@ -560,7 +559,6 @@ class ThresholdResult:
 
     nu_star: float
     sign_change: bool
-    iterations: int
 
 
 def negativity_threshold(
@@ -569,32 +567,20 @@ def negativity_threshold(
     theta: float = math.pi / 2.0,
     phi: float = math.pi,
 ) -> ThresholdResult:
-    """Bisect nu in [0, 1] for the sign change of the point Wigner value.
+    """The nu in [0, 1] where the point Wigner value changes sign.
 
-    The value is affine in nu, so the two endpoint values from
-    :func:`probe_sweep` determine it at every bisection point.
+    The value is affine in nu, W(nu) = (1 - nu) w0 + nu w1, so its root
+    is nu* = w0 / (w0 - w1), from the two endpoint values of
+    :func:`probe_sweep`.
     """
     if not (0 <= k_accelerated <= 3):
         raise ValueError(f"k_accelerated={k_accelerated} outside 0..3")
     ends = probe_sweep((0.0, 1.0), (r,), k_accelerated, DistributionKind.WIGNER, SphericalPoint(theta, phi))
     w_0, w_1 = float(ends[0, 0]), float(ends[1, 0])
-    lo, hi = 0.0, 1.0
-    w_lo, w_hi = w_0, w_1
-    if w_lo == 0.0:
-        return ThresholdResult(nu_star=lo, sign_change=True, iterations=0)
-    if w_hi == 0.0:
-        return ThresholdResult(nu_star=hi, sign_change=True, iterations=0)
-    if (w_lo > 0.0) == (w_hi > 0.0):
-        return ThresholdResult(nu_star=math.nan, sign_change=False, iterations=0)
-    iterations = 0
-    while hi - lo > BISECTION_TOL:
-        mid = 0.5 * (lo + hi)
-        w_mid = (1.0 - mid) * w_0 + mid * w_1
-        iterations += 1
-        if w_mid == 0.0:
-            return ThresholdResult(nu_star=mid, sign_change=True, iterations=iterations)
-        if (w_mid > 0.0) == (w_lo > 0.0):
-            lo, w_lo = mid, w_mid
-        else:
-            hi = mid
-    return ThresholdResult(nu_star=0.5 * (lo + hi), sign_change=True, iterations=iterations)
+    if w_0 == 0.0:
+        return ThresholdResult(nu_star=0.0, sign_change=True)
+    if w_1 == 0.0:
+        return ThresholdResult(nu_star=1.0, sign_change=True)
+    if (w_0 > 0.0) == (w_1 > 0.0):
+        return ThresholdResult(nu_star=math.nan, sign_change=False)
+    return ThresholdResult(nu_star=w_0 / (w_0 - w_1), sign_change=True)

