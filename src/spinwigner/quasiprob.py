@@ -25,8 +25,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionError, NonRealResult
-from .linalg import DensityMatrix
-from .rindler import MATCH_TOL, AccelerationConfig, accelerate
+from .linalg import DensityMatrix, _certify_x
+from .rindler import MATCH_TOL, AccelerationConfig, _x_channel, accelerate
 from .states import GhzWernerParams, ghz_werner
 from .su2kernel import (
     _PAULIS,
@@ -81,38 +81,52 @@ def _contract(rho: DensityMatrix, ops: Sequence[np.ndarray]) -> np.ndarray:
     bit of weight 2^q.  The qubits are contracted one at a time, lowest
     first, each appending g_q to the trailing axes, in one of two layouts:
 
-    - a state that validation certified as an X matrix is read as its
-      (2, 2^n) stack of diagonal entries rho[x, x] and anti-diagonal
-      entries rho[x, x~], x~ = 2^n - 1 - x, by row x.  A diagonal entry
-      with row bit b meets op[b, b] and an anti-diagonal one op[1 - b, b],
-      so each qubit is one matmul batched over the two rows of the stack,
-      which are summed at the last qubit: O(2^n) work for point kernels;
+    - a state that validation certified as an X matrix is contracted from
+      its (2, 2^n) stack by :func:`_contract_x`, as a batch of one;
     - any other state is viewed as a (2,)*2n tensor whose row and column
       factors run msb-first, and each qubit is one tensordot of its row
       and column axes with its operator.
     """
+    if rho.x_shaped:
+        return _contract_x(rho._x_stack, ops)
     n = rho.n_qubits
-    if not rho.x_shaped:
-        t = rho.matrix.reshape((2,) * (2 * n))
-        for q, op in enumerate(ops):
-            m = n - q  # qubits left; the lowest one's axes end each half
-            # sum_{x, y} rho[.., x, .., y, ..] op[y, x, g]
-            t = np.tensordot(t, op, axes=([m - 1, 2 * m - 1], [1, 0]))
-        return t
-    t = rho._x_stack  # t[row of the stack, x]
+    t = rho.matrix.reshape((2,) * (2 * n))
+    for q, op in enumerate(ops):
+        m = n - q  # qubits left; the lowest one's axes end each half
+        # sum_{x, y} rho[.., x, .., y, ..] op[y, x, g]
+        t = np.tensordot(t, op, axes=([m - 1, 2 * m - 1], [1, 0]))
+    return t
+
+
+def _contract_x(stack: np.ndarray, ops: Sequence[np.ndarray]) -> np.ndarray:
+    """:func:`_contract` of every X state in ``stack``, of shape
+    (..., 2, 2^n): per state its diagonal entries rho[x, x] and
+    anti-diagonal entries rho[x, x~], x~ = 2^n - 1 - x, by row x.  The
+    result has shape stack.shape[:-2] + g_0 + ... + g_{n-1}.
+
+    A diagonal entry with row bit b meets op[b, b] and an anti-diagonal
+    one op[1 - b, b], so each qubit is one matmul batched over the states
+    and the two rows of each stack, which are summed at the last qubit:
+    O(2^n) work per state for point kernels.  Every state goes through
+    the same matrix products as it would alone.
+    """
+    batch = stack.shape[:-2]
+    states = math.prod(batch)
+    n = len(ops)
+    t = stack  # t[state, row of the stack, x]
     size, shape = 1, ()  # of the g axes so far
     for q, op in enumerate(ops):
         pair = op.reshape(4, -1)[_X_PAIRS]  # pair[row of the stack, b, g]
-        t = t.reshape(2, -1, 2)  # (stack, g so far x higher bits, bit q)
+        t = t.reshape(states, 2, -1, 2)  # (state, stack, g so far x higher bits, bit q)
         if q < n - 1:
             # move g_q ahead of the higher bits, so that bit q + 1 comes last
-            t = (t @ pair).reshape(2, size, 2 ** (n - 1 - q), -1).swapaxes(2, 3)
+            t = (t @ pair).reshape(states, 2, size, 2 ** (n - 1 - q), -1).swapaxes(3, 4)
         else:
             # the stack's two rows are summed in this last product
-            t = t.transpose(1, 0, 2).reshape(size, 4) @ pair.reshape(4, -1)
+            t = t.transpose(0, 2, 1, 3).reshape(states, size, 4) @ pair.reshape(4, -1)
         size *= pair.shape[2]
         shape += op.shape[2:]
-    return t.reshape(shape)
+    return t.reshape(batch + shape)
 
 
 @lru_cache(maxsize=None)
@@ -443,12 +457,16 @@ def probe_sweep(
 
     W is affine in nu (so is the state; the channel and the trace are
     linear), so only the validated states at min(nus) and max(nus) are
-    built, one when they are equal, and the rest is interpolated.  Those
-    states and the point kernel are built once per sweep; per r only the
-    channel runs on each of them, its output validated, and the results
-    are contracted with the kernel.  Every nu and r, then the accelerated
-    set, is checked before the first state is built, also when an axis is
-    empty.
+    built, one when they are equal, and the rest is interpolated.  Their
+    X stacks go through the channel at every r at once
+    (:func:`~spinwigner.rindler._x_channel`), the (R, endpoints, 2, 2^n)
+    output is certified state by state in one call of
+    :func:`~spinwigner.linalg._certify_x`, which raises for the first
+    failing (r, endpoint) state, and one :func:`_contract_x` takes every
+    point value: each state goes through the same arithmetic as
+    ``accelerate`` then ``evaluate`` would give it alone.  Every nu and r,
+    then the accelerated set, is checked before the first state is built,
+    also when an axis is empty.
     """
     nus = np.asarray(nus, dtype=float)
     rs = np.asarray(rs, dtype=float)
@@ -458,20 +476,19 @@ def probe_sweep(
         AccelerationConfig(r=float(r))
     indices = _accelerated_indices(accelerated, n_qubits)
     AccelerationConfig(r=0.0, accelerated=indices).check_register(n_qubits)
-    out = np.empty((len(nus), len(rs)))
-    if out.size == 0:
-        return out
+    if nus.size == 0 or rs.size == 0:
+        return np.empty((nus.size, rs.size))
     lo, hi = float(nus.min()), float(nus.max())
-    t = (nus - lo) / (hi - lo) if hi > lo else np.zeros_like(nus)
+    t = ((nus - lo) / (hi - lo) if hi > lo else np.zeros_like(nus))[:, None]
     ends = [ghz_werner(GhzWernerParams(nu=nu, n_qubits=n_qubits)) for nu in ((lo, hi) if hi > lo else (lo,))]
+    stack = np.stack([rho._x_stack for rho in ends])  # (endpoint, 2, 2^n)
+    if indices:
+        stack = _x_channel(stack, rs, indices)  # (r, endpoint, 2, 2^n)
+        _certify_x(stack)
     k = kernel_grid(kind, [point.theta] * n_qubits, [point.phi] * n_qubits)
-    ops = [k[..., q] for q in range(n_qubits)]
-    for j, r in enumerate(rs):
-        config = AccelerationConfig(r=float(r), accelerated=indices)
-        states = [accelerate(rho, config) for rho in ends] if indices else ends
-        w = _real(np.array([_contract(rho, ops) for rho in states]), "probe_sweep")
-        out[:, j] = (1.0 - t) * w[0] + t * w[-1]
-    return out
+    w = _real(_contract_x(stack, [k[..., q] for q in range(n_qubits)]), "probe_sweep")
+    w = np.broadcast_to(w, (rs.size, len(ends)))
+    return (1.0 - t) * w[:, 0] + t * w[:, -1]
 
 
 @dataclass(frozen=True)

@@ -83,52 +83,78 @@ def _kraus_pair(r: float) -> np.ndarray:
     return unruh_isometry(r).reshape(2, 2, 2).transpose(1, 0, 2)
 
 
+def _transfer(rs) -> np.ndarray:
+    """The channel on one qubit at each r of ``rs``, shape (R, 4, 4): the
+    map of the Kraus pair of :func:`_kraus_pair` on the qubit's (row bit,
+    column bit) pair, (a, c) by (b, d) with the row bit first."""
+    kraus = np.array([_kraus_pair(float(r)) for r in rs])
+    # rho'[a, c] = sum_j K_j[a, b] rho[b, d] conj(K_j[c, d])
+    return np.einsum("rjab,rjcd->racbd", kraus, kraus.conj()).reshape(-1, 4, 4)
+
+
+def _x_channel(stack: np.ndarray, rs, qubits: tuple[int, ...]) -> np.ndarray:
+    """The channel at each r of ``rs`` on the (non-empty) ``qubits`` of
+    the X states in ``stack``, of shape (..., 2, 2^n): per state its
+    diagonal and anti-diagonal by row.  Returns the uncertified output
+    stacks, of shape (R,) + stack.shape, in O(k 2^n) per state and r.
+
+    The transfer maps populations (00, 11) only among themselves and each
+    coherence (01, 10) only onto itself, so the output is an X state
+    again.  For qubit q the 2^n diagonal entries take the transfer's 2x2
+    population block, broadcast over the (2^(n-1-q), 2, 2^q) view of
+    qubit q's bit; the 2^n anti-diagonal entries, whose row bit b faces
+    column bit 1 - b, are scaled by the transfer's (b, 1-b) coherence
+    entry.  The qubits run in ascending order; the steps commute.
+    """
+    transfer = _transfer(rs)[(slice(None),) + (None,) * (stack.ndim - 1)]  # r ahead of the batch and high bits
+    populations = transfer[..., ::3, ::3]  # among (0, 0) and (1, 1)
+    coherences = transfer.diagonal(axis1=-2, axis2=-1)[..., 1:3, None]  # (0, 1) and (1, 0), by row bit
+    n = stack.shape[-1].bit_length() - 1
+    lead = stack.shape[:-2]  # then (R,) + that
+    diag, anti = stack[..., 0, :], stack[..., 1, :]
+    for q in sorted(qubits):
+        view = lead + (2 ** (n - 1 - q), 2, 2 ** q)
+        diag = populations @ diag.reshape(view)
+        anti = anti.reshape(view) * coherences
+        lead = diag.shape[:-3]
+    return np.stack([diag.reshape(lead + (-1,)), anti.reshape(lead + (-1,))], axis=-2)
+
+
 def accelerate(rho: DensityMatrix, config: AccelerationConfig) -> DensityMatrix:
     """Apply the acceleration channel to every qubit named in ``config``.
 
     The Kraus pair of :func:`unruh_isometry` gives one 4x4 transfer map
-    on the (row bit, column bit) pair of a qubit, laid out in one of two
-    ways:
+    on the (row bit, column bit) pair of a qubit, applied in one of two
+    layouts:
 
     - a state that validation certified as an X matrix (every nonzero on
       the diagonal or the anti-diagonal, as for every GHZ-Werner state,
-      accelerated or not) keeps its shape, since the transfer maps
-      populations (00, 11) only among themselves and each coherence
-      (01, 10) only onto itself.  On the state's (2, 2^n) stack, the 2^n
-      diagonal entries take the transfer's 2x2 population block,
-      broadcast over the (2^(n-1-q), 2, 2^q) view of qubit q's bit; the
-      2^n anti-diagonal entries, whose row bit b faces column bit 1 - b,
-      are scaled by the transfer's (b, 1-b) coherence entry.  The output
-      is certified from the new stack: O(k 2^n) work for k qubits;
+      accelerated or not) keeps its shape.  Its (2, 2^n) stack goes
+      through :func:`_x_channel` as a batch of one state at one r, the
+      code that runs a whole r sweep of ``probe_sweep`` at once, and the
+      output is certified from its stack: O(k 2^n) work for k qubits,
+      and no dense matrix;
     - any other matrix, and any instance built without validation, gets
       the transfer on its dense (row bit, column bit) axes of each
-      accelerated qubit, O(k 4^n).
+      accelerated qubit, O(k 4^n), and its output is validated.
 
     The steps commute, so they run in ascending index order for
-    determinism, and the output is validated as a state either way.
+    determinism.  With no qubit named, an X-certified state is returned
+    as it is, and any other is validated.
     """
     n = rho.n_qubits
     config.check_register(n)
-    kraus = _kraus_pair(config.r)
-    # rho'[a, c] = sum_j K_j[a, b] rho[b, d] conj(K_j[c, d]) as one 4x4 map on (b, d)
-    transfer = np.einsum("jab,jcd->acbd", kraus, kraus.conj()).reshape(4, 4)
+    if not config.accelerated:
+        return rho if rho.x_shaped else validate_density(rho.matrix, n)
     if rho.x_shaped:
-        diag, anti = rho._x_stack
-        populations = transfer[::3, ::3]  # among (0, 0) and (1, 1)
-        coherences = transfer.diagonal()[1:3, None]  # (0, 1) and (1, 0), by row bit
-        for q in sorted(config.accelerated):
-            view = (2 ** (n - 1 - q), 2, 2 ** q)
-            diag = (populations @ diag.reshape(view)).ravel()
-            anti = (anti.reshape(view) * coherences).ravel()
-        return _x_state(np.stack([diag, anti]), n)
+        return _x_state(_x_channel(rho._x_stack, (config.r,), config.accelerated)[0], n)
+    transfer = _transfer((config.r,))[0]
     shape = (2,) * (2 * n)
     t = rho.matrix.reshape(shape)
     for q in sorted(config.accelerated):
         axes = (n - 1 - q, 2 * n - 1 - q)  # row and column bit of qubit q; factors run msb-first
         front = np.moveaxis(t, axes, (0, 1)).reshape(4, -1)
         t = np.moveaxis((transfer @ front).reshape(shape), (0, 1), axes)
-    if not config.accelerated:
-        return validate_density(rho.matrix, n)  # t still views the input's array
     return _validate_owned(t.reshape(2 ** n, 2 ** n), n)
 
 
@@ -245,13 +271,12 @@ def coefficient_report(variant: str, nu: float, r: float) -> CoefficientComparis
         ghz_werner(GhzWernerParams(nu=nu)),
         AccelerationConfig(r=r, accelerated=tuple(range(k))),
     )
-    m = rho.matrix
     numeric: dict[str, float] = {}
     for key in _DIAG_KEYS:
         i = int(key[0]) - 1
-        numeric[key] = float(m[i, i].real)
-    numeric["18"] = float(m[0, 7].real)
-    numeric["81"] = float(m[7, 0].real)
+        numeric[key] = rho.entry(i, i).real
+    numeric["18"] = rho.entry(0, 7).real
+    numeric["81"] = rho.entry(7, 0).real
     diff = {key: abs(table.entries[key] - numeric[key]) for key in table.entries}
     max_diff = max(diff.values())
     return CoefficientComparison(

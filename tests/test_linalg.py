@@ -2,6 +2,7 @@
 
 import math
 import sys
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -14,6 +15,7 @@ from spinwigner import (
     R_MAX,
     AccelerationConfig,
     DensityMatrix,
+    DimensionError,
     DistributionKind,
     GhzWernerParams,
     HermiticityViolation,
@@ -230,9 +232,9 @@ class TestXFlag:
         certified, dense, scanned = [], [], []
         real_certify, real_isfinite = linalg._certify_x, np.isfinite
 
-        def certify(arr, stack, n_qubits):
+        def certify(stack):
             certified.append(sys._getframe(1).f_code.co_name)
-            return real_certify(arr, stack, n_qubits)
+            return real_certify(stack)
 
         def isfinite(x, *args, **kwargs):
             scanned.append(np.size(x))
@@ -277,6 +279,26 @@ def scatter(stack):
     return m
 
 
+DEFECTS = ["nan", "inf", "trace", "anti_pair", "negative_block"]
+
+
+def break_stack(stack, defect, rng):
+    """Make the X stack of a valid state fail its certificate, in place."""
+    dim = stack.shape[1]
+    x = int(rng.integers(dim))
+    if defect in ("nan", "inf"):  # up to three entries: the first in row-major order is named
+        where = rng.integers(2, size=3), rng.integers(dim, size=3)
+        stack[where] = complex(np.nan, rng.standard_normal()) if defect == "nan" else complex(0.1, -np.inf)
+    elif defect == "trace":
+        stack[0] *= 1.0 + 10.0 ** rng.uniform(-11.0, -1.0)
+    elif defect == "anti_pair":  # anti[x] no longer faces conj(anti[dim-1-x])
+        stack[1, x] += 10.0 ** rng.uniform(-11.0, -1.0) * np.exp(2j * np.pi * rng.random())
+    else:  # |c| beyond sqrt(a b) in the block on rows (x, dim-1-x)
+        a, b = stack[0, x].real, stack[0, dim - 1 - x].real
+        stack[1, x] = (math.sqrt(a * b) + 10.0 ** rng.uniform(-4.0, -1.0)) * np.exp(2j * np.pi * rng.random())
+        stack[1, dim - 1 - x] = np.conj(stack[1, x])
+
+
 class TestXState:
     """``linalg._x_state`` of a stack agrees with ``validate_density`` of the
     matrix it scatters into: the same state, or the same refusal."""
@@ -298,24 +320,12 @@ class TestXState:
     @given(
         n=st.integers(1, 7),
         seed=st.integers(0, 2**32 - 1),
-        defect=st.sampled_from(["nan", "inf", "trace", "anti_pair", "negative_block"]),
+        defect=st.sampled_from(DEFECTS),
     )
     def test_invalid_stacks(self, n, seed, defect):
         rng = np.random.default_rng(seed)
         stack = x_stack(random_x_density(n, rng))
-        dim = 2**n
-        x = int(rng.integers(dim))
-        if defect in ("nan", "inf"):  # up to three entries: the first in row-major order is named
-            where = rng.integers(2, size=3), rng.integers(dim, size=3)
-            stack[where] = complex(np.nan, rng.standard_normal()) if defect == "nan" else complex(0.1, -np.inf)
-        elif defect == "trace":
-            stack[0] *= 1.0 + 10.0 ** rng.uniform(-11.0, -1.0)
-        elif defect == "anti_pair":  # anti[x] no longer faces conj(anti[dim-1-x])
-            stack[1, x] += 10.0 ** rng.uniform(-11.0, -1.0) * np.exp(2j * np.pi * rng.random())
-        else:  # |c| beyond sqrt(a b) in the block on rows (x, dim-1-x)
-            a, b = stack[0, x].real, stack[0, dim - 1 - x].real
-            stack[1, x] = (math.sqrt(a * b) + 10.0 ** rng.uniform(-4.0, -1.0)) * np.exp(2j * np.pi * rng.random())
-            stack[1, dim - 1 - x] = np.conj(stack[1, x])
+        break_stack(stack, defect, rng)
         with pytest.raises(ValidationError) as want:
             validate_density(scatter(stack), n)
         with pytest.raises(ValidationError) as got:
@@ -323,6 +333,84 @@ class TestXState:
         assert type(got.value) is type(want.value)
         assert abs(got.value.magnitude - want.value.magnitude) <= 1e-15
         assert str(got.value) == str(want.value)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.sampled_from([(1,), (5,), (4, 2), (2, 3, 1)]),
+        defects=st.lists(st.sampled_from(DEFECTS), max_size=3),
+    )
+    def test_batches_certify_state_by_state(self, n, seed, batch, defects):
+        # the batched certificate against a loop of one-state certificates
+        # in row-major order: the same minimum eigenvalues, or the first
+        # failing state's error
+        rng = np.random.default_rng(seed)
+        states = [x_stack(random_x_density(n, rng)) for _ in range(math.prod(batch))]
+        for i, defect in zip(rng.permutation(len(states)), defects):
+            break_stack(states[i], defect, rng)
+        want, error = [], None
+        for stack in states:
+            try:
+                want.append(linalg._x_state(stack.copy(), n).min_eigenvalue)
+            except ValidationError as exc:
+                error = exc
+                break
+        stacks = np.stack(states).reshape(batch + (2, 2**n))
+        if error is None:
+            got = linalg._certify_x(stacks)
+            assert got.shape == batch and got.ravel().tolist() == want
+            assert not stacks.flags.writeable
+            return
+        with pytest.raises(ValidationError) as got:
+            linalg._certify_x(stacks)
+        assert type(got.value) is type(error)
+        assert got.value.magnitude == error.magnitude
+        assert str(got.value) == str(error)
+
+
+class TestLazyMatrix:
+    """A certified X state built from its stack has no dense matrix until
+    ``.matrix`` is read, and never one above ``DENSE_MAX_QUBITS``."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_matrix_is_the_scatter_of_the_stack(self, n):
+        states = [ghz_werner(GhzWernerParams(nu=0.3, n_qubits=n))]
+        states += [accelerated_ghz(0.3, k, 0.5, n_qubits=n) for k in range(1, n + 1)]
+        for rho in states:
+            m = rho.matrix
+            want = scatter(rho._x_stack)
+            assert m.dtype == want.dtype and m.shape == want.shape and m.tobytes() == want.tobytes()
+            assert rho.matrix is m and not m.flags.writeable
+            assert rho.dim == 2**n
+
+    def test_entry_reads_the_stack(self, rng):
+        for rho in (accelerated_ghz(0.6, 2, 0.4), random_density(3, rng)):
+            got = np.array([[rho.entry(i, j) for j in range(8)] for i in range(8)])
+            assert got.tobytes() == rho.matrix.tobytes()
+
+    def test_matrix_refused_above_the_limit(self):
+        n = linalg.DENSE_MAX_QUBITS + 1
+        rho = ghz_werner(GhzWernerParams(nu=0.5, n_qubits=n))
+        with pytest.raises(DimensionError, match=f"4\\*\\*{n} entries"):
+            rho.matrix
+        assert rho.entry(0, 2**n - 1) == pytest.approx(0.25) and rho.entry(0, 1) == 0.0
+
+    def test_build_accelerate_evaluate_never_allocates_the_dense_matrix(self):
+        # at n = 16 the dense matrix alone would be 4^16 x 16 B = 64 GiB;
+        # the stack is 2 x 2^16 x 16 B = 2 MiB
+        n = 16
+        stack_bytes = 2 * 2**n * 16
+        tracemalloc.start()
+        try:
+            rho = ghz_werner(GhzWernerParams(nu=0.4, n_qubits=n))
+            rho = accelerate(rho, AccelerationConfig(r=0.5, accelerated=tuple(range(n))))
+            value = evaluate(rho, DistributionKind.WIGNER, (SphericalPoint(math.pi / 2.0, math.pi),) * n).value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * stack_bytes
+        assert math.isfinite(value)
 
 
 BAD_MATRICES = {

@@ -2,6 +2,7 @@
 range checks of the sweep callers."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from spinwigner import (
     MixingOutOfRange,
     ROutOfRange,
     SphericalPoint,
+    ValidationError,
     accelerate,
     accelerated_ghz,
     closed_form,
@@ -26,7 +28,7 @@ from spinwigner import (
     quasiprob,
     scan_min_vs_r,
 )
-from spinwigner import cli
+from spinwigner import cli, linalg, rindler
 from spinwigner.cli import main
 
 SWEEP_TOL = 1e-12
@@ -68,16 +70,32 @@ def count_states(monkeypatch):
 
 @pytest.fixture
 def count_channels(monkeypatch):
-    """Record the r of every channel application made through the quasiprob layer."""
+    """Record the rs of every batched channel call made through the quasiprob layer."""
     applied = []
-    original = quasiprob.accelerate
+    original = quasiprob._x_channel
 
-    def counting(rho, config):
-        applied.append(config.r)
-        return original(rho, config)
+    def counting(stack, rs, qubits):
+        applied.append(list(rs))
+        return original(stack, rs, qubits)
 
-    monkeypatch.setattr(quasiprob, "accelerate", counting)
+    monkeypatch.setattr(quasiprob, "_x_channel", counting)
     return applied
+
+
+@pytest.fixture
+def count_certificates(monkeypatch):
+    """Record the batch shape of every X certificate, made in linalg or
+    through the quasiprob layer: () for one state, (R, E) for a sweep."""
+    shapes = []
+    original = linalg._certify_x
+
+    def counting(stack):
+        shapes.append(stack.shape[:-2])
+        return original(stack)
+
+    monkeypatch.setattr(linalg, "_certify_x", counting)
+    monkeypatch.setattr(quasiprob, "_certify_x", counting)
+    return shapes
 
 
 class TestAgainstOracle:
@@ -130,18 +148,22 @@ class TestAgainstOracle:
 
 
 class TestStateBudget:
-    def test_nu_r_map_builds_two_states(self, count_states, count_channels):
+    def test_nu_r_map_builds_two_states(self, count_states, count_channels, count_certificates):
         nus = np.linspace(0.0, 1.0, 51)
         rs = np.linspace(0.0, R_MAX, 51)
         probe_sweep(nus, rs, 2, DistributionKind.WIGNER, PROBE)
         assert sorted(count_states) == [0.0, 1.0]
-        assert len(count_channels) == 2 * len(rs)
+        # one channel call over every r; each (r, endpoint) state certified once
+        assert count_channels == [list(rs)]
+        assert count_certificates == [(), (), (len(rs), 2)]
 
-    def test_single_nu_builds_one_state_and_one_channel_per_r(self, count_states, count_channels):
+    def test_single_nu_builds_one_state_and_one_batched_channel(self, count_states, count_channels,
+                                                               count_certificates):
         rs = np.linspace(0.0, R_MAX, 50)
         probe_sweep([0.7], rs, 1, DistributionKind.WIGNER, PROBE)
         assert count_states == [0.7]
-        assert count_channels == list(rs)
+        assert count_channels == [list(rs)]
+        assert count_certificates == [(), (len(rs), 1)]
 
     def test_no_accelerated_qubit_applies_no_channel(self, count_states, count_channels):
         rs = np.linspace(0.0, R_MAX, 7)
@@ -150,21 +172,23 @@ class TestStateBudget:
         assert count_channels == []
         assert np.abs(got - oracle([0.0, 0.4, 1.0], rs, 0, DistributionKind.P, PROBE)).max() <= SWEEP_TOL
 
-    def test_scan_min_vs_r(self, count_states, count_channels):
+    def test_scan_min_vs_r(self, count_states, count_channels, count_certificates):
         rs = np.linspace(0.0, R_MAX, 20)
         scan_min_vs_r(0.5, 3, rs)
         assert count_states == [0.5]
-        assert len(count_channels) == len(rs)
+        assert count_channels == [list(rs)]
+        assert count_certificates == [(), (len(rs), 1)]
 
     def test_negativity_threshold_builds_two_states(self, count_states):
         result = negativity_threshold(1, 0.3)
         assert result.sign_change
         assert len(count_states) == 2
 
-    def test_cli_scan_r(self, count_states, count_channels, capsys):
+    def test_cli_scan_r(self, count_states, count_channels, count_certificates, capsys):
         assert main(["scan-r", "--nu", "0.4", "--accelerated", "2", "--r-steps", "30"]) == 0
         assert count_states == [0.4]
-        assert len(count_channels) == 30
+        assert [len(rs) for rs in count_channels] == [30]
+        assert count_certificates == [(), (30, 1)]
 
     def test_cli_scan_nu(self, count_states, capsys):
         assert main(["scan-nu", "--nu", "0", "--r", "0.5", "--accelerated", "0,2", "--nu-steps", "40"]) == 0
@@ -175,13 +199,14 @@ class TestStateBudget:
         assert len(rows) == cli.MAP_STEPS * cli.SURFACE_THETA_STEPS
         assert count_states == [0.0, 1.0]
 
-    def test_figures_fig5_shares_one_sweep_per_k(self, count_states, count_channels):
+    def test_figures_fig5_shares_one_sweep_per_k(self, count_states, count_channels, count_certificates):
         builders = dict(cli._figure_specs())
         tables = [builders[f"fig5{letter}.csv"]() for letter in "abcd"]
-        # per k = 1, 2, 3: the nu = 0.2 and nu = 1 states, each through the channel at every r
+        # per k = 1, 2, 3: the nu = 0.2 and nu = 1 states, both through one channel call at every r
         assert sorted(count_states) == [0.2] * 3 + [1.0] * 3
-        assert len(count_channels) == 3 * 2 * cli.R_CURVE_STEPS
         r_curve = np.linspace(0.0, R_MAX, cli.R_CURVE_STEPS)
+        assert count_channels == [list(r_curve)] * 3
+        assert count_certificates == [(), (), (cli.R_CURVE_STEPS, 2)] * 3
         for table, nu in zip(tables, (1.0, 0.7, 0.5, 0.2)):
             assert len(table) == 3 * cli.R_CURVE_STEPS
             np.testing.assert_array_equal(table[:, 2], nu)
@@ -190,6 +215,52 @@ class TestStateBudget:
                 np.testing.assert_array_equal(rows[:, 3], r_curve)
                 want = oracle([nu], r_curve, k, DistributionKind.WIGNER, PROBE)[0]
                 assert np.abs(rows[:, 6] - want).max() <= SWEEP_TOL
+
+
+def broken_kraus_pair(defects):
+    """``rindler._kraus_pair`` with a defect from ``defects``, a list of
+    (lowest r, defect) in ascending r, applied from that r on: "trace"
+    scales K0[0, 0] by 1.05 (not trace-preserving, and the output's
+    coherences outgrow its populations), "nan" sets K1[1, 0] to NaN."""
+    original = rindler._kraus_pair
+
+    def kraus_pair(r):
+        kraus = original(r).copy()
+        defect = next((d for start, d in reversed(defects) if r >= start), None)
+        if defect == "trace":
+            kraus[0, 0, 0] *= 1.05
+        elif defect == "nan":
+            kraus[1, 1, 0] = math.nan
+        return kraus
+
+    return kraus_pair
+
+
+class TestErrorEquivalence:
+    """probe_sweep raises what the per-(r, endpoint) loop of accelerate
+    that it replaces would raise first: the same class, message and
+    magnitude."""
+
+    @pytest.mark.parametrize(
+        "defects",
+        [[(0.3, "trace")], [(0.3, "nan")], [(0.2, "trace"), (0.5, "nan")], [(0.2, "nan"), (0.5, "trace")]],
+        ids=["trace", "nan", "trace_then_nan", "nan_then_trace"],
+    )
+    @pytest.mark.parametrize("accelerated", [1, (0, 2), 3])
+    def test_first_failing_state(self, monkeypatch, defects, accelerated):
+        monkeypatch.setattr(rindler, "_kraus_pair", broken_kraus_pair(defects))
+        nus = [0.5, 0.1, 0.95]
+        rs = np.linspace(0.0, R_MAX, 9)
+        config = AccelerationConfig(r=0.0, accelerated=quasiprob._accelerated_indices(accelerated, 3))
+        with pytest.raises(ValidationError) as want:
+            for r in rs:
+                for nu in (min(nus), max(nus)):
+                    accelerate(ghz_werner(GhzWernerParams(nu=nu)), replace(config, r=float(r)))
+        with pytest.raises(ValidationError) as got:
+            probe_sweep(nus, rs, accelerated, DistributionKind.WIGNER, PROBE)
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value)
+        assert got.value.magnitude == want.value.magnitude
 
 
 class TestRangeChecks:

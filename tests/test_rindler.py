@@ -4,15 +4,19 @@ printed coefficient tables checked against the numeric channel output.
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from spinwigner import (
     AccelerationConfig,
+    DensityMatrix,
     GhzWernerParams,
     IndexOutOfRange,
+    NegativityViolation,
     ROutOfRange,
+    TraceViolation,
     accelerate,
     coefficient_report,
     coefficient_table,
@@ -20,6 +24,8 @@ from spinwigner import (
     unruh_isometry,
     validate_density,
 )
+
+from spinwigner import linalg
 
 from conftest import random_density
 from dense_oracle import partial_trace
@@ -125,6 +131,21 @@ class TestAccelerate:
         b = accelerate(rho, AccelerationConfig(r=r, accelerated=(0, 2)))
         assert np.allclose(a.matrix, b.matrix, atol=1e-15)
 
+    def test_no_qubit_named_returns_an_x_state_as_it_is(self):
+        rho = ghz_werner(GhzWernerParams(nu=0.4, n_qubits=4))
+        assert accelerate(rho, AccelerationConfig(r=0.5)) is rho
+
+    def test_no_qubit_named_validates_any_other_state(self, rng):
+        rho = random_density(2, rng)
+        out = accelerate(rho, AccelerationConfig(r=0.5))
+        assert out is not rho and not out.x_shaped
+        assert out.matrix.tobytes() == rho.matrix.tobytes()
+        with pytest.raises(TraceViolation):
+            accelerate(DensityMatrix(matrix=np.eye(2, dtype=complex), n_qubits=1), AccelerationConfig(r=0.5))
+        with pytest.raises(NegativityViolation):
+            # X-shaped, but built directly: not certified, so validated
+            accelerate(DensityMatrix(matrix=np.diag([1.5, -0.5]).astype(complex), n_qubits=1), AccelerationConfig(r=0.5))
+
     def test_untouched_qubit_marginal_preserved(self, rng):
         rho = random_density(3, rng)
         out = accelerate(rho, AccelerationConfig(r=0.6, accelerated=(0,)))
@@ -172,6 +193,12 @@ class TestCoefficientTables:
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError):
             coefficient_table("D", 0.5, 0.1)
+
+    @pytest.mark.parametrize("variant", ["A", "B", "C"])
+    def test_report_reads_entries_without_the_dense_matrix(self, monkeypatch, variant):
+        want = coefficient_report(variant, 0.4, 0.5)
+        monkeypatch.setattr(linalg, "_scatter", mock.Mock(side_effect=AssertionError("scattered")))
+        assert coefficient_report(variant, 0.4, 0.5).numeric == want.numeric
 
     def test_report_carries_both_value_sets(self):
         report = coefficient_report("A", 0.7, 0.3)

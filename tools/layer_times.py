@@ -2,7 +2,7 @@
 
 Run from the repository root:
 
-    python3 tools/layer_times.py --parent HEAD --repeats 15 --out LAYERS_10.json
+    python3 tools/layer_times.py --parent HEAD --repeats 15 --out LAYERS_12.json
 
 Each layer is timed in seconds per call: the median and the inclusive
 quartiles over ``--repeats`` samples, each sample the mean of a batch of
@@ -20,7 +20,9 @@ calls lasting at least ``BATCH_S``.  The layers are
 - ``kernel_grid`` of the Wigner kernel on the 91 x 181 equal-angle grid;
 - ``cli._csv_text`` of one 91 x 181 Wigner surface;
 - ``probe_sweep`` of the 51 x 51 nu x r Wigner map at the probe point
-  with three accelerated qubits (the fig4c data).
+  with three accelerated qubits (the fig4c data), the same map of a
+  7-qubit register with all seven accelerated, and the three sweeps of
+  the fig5 r curves (4 nu x 50 r, one per k = 1, 2, 3).
 
 The ``--parent`` revision is extracted and the sides alternate as
 ``paired.py`` describes, over ``ROUNDS`` rounds; each layer's samples are
@@ -121,6 +123,12 @@ def layer_samples(repeats: int) -> dict[str, list[float]]:
     rs = np.linspace(0.0, R_MAX, cli.MAP_STEPS)
     samples["probe_sweep.51x51.k3"] = time_per_call(
         lambda: probe_sweep(nus, rs, 3, DistributionKind.WIGNER, probe), repeats)
+    samples["probe_sweep.51x51.n7k7"] = time_per_call(
+        lambda: probe_sweep(nus, rs, 7, DistributionKind.WIGNER, probe, n_qubits=7), repeats)
+    curve_nus = (0.2, 0.5, 0.7, 1.0)
+    r_curve = np.linspace(0.0, R_MAX, cli.R_CURVE_STEPS)
+    samples["probe_sweep.fig5"] = time_per_call(
+        lambda: [probe_sweep(curve_nus, r_curve, k, DistributionKind.WIGNER, probe) for k in (1, 2, 3)], repeats)
     return samples
 
 
