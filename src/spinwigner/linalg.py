@@ -211,7 +211,7 @@ def _certify_x(stack: np.ndarray) -> np.ndarray:
     diag, anti = stack[..., 0, :], stack[..., 1, :]
     facing = anti[..., ::-1].conj()  # rho^H on the anti-diagonal: conj(rho[dim-1-x, x])
     # on the diagonal |rho - rho^H| is 2 |Im rho[x, x]|
-    herm_err = np.maximum(2.0 * np.abs(diag.imag).max(axis=-1), np.abs(anti - facing).max(axis=-1))
+    herm_err = np.maximum(2.0 * np.abs(diag.imag), np.abs(anti - facing)).max(axis=-1)
     a = diag.real  # the Hermitian part's diagonal
     b = a[..., ::-1]
     c = np.abs(0.5 * (anti + facing))

@@ -106,7 +106,7 @@ def _x_channel(stack: np.ndarray, rs, qubits: tuple[int, ...]) -> np.ndarray:
     column bit 1 - b, are scaled by the transfer's (b, 1-b) coherence
     entry.  The qubits run in ascending order; the steps commute.
     """
-    transfer = _transfer(rs)[(slice(None),) + (None,) * (stack.ndim - 1)]  # r ahead of the batch and high bits
+    transfer = _transfer(rs).reshape((-1,) + (1,) * (stack.ndim - 1) + (4, 4))  # r ahead of the batch and high bits
     populations = transfer[..., ::3, ::3]  # among (0, 0) and (1, 1)
     coherences = transfer.diagonal(axis1=-2, axis2=-1)[..., 1:3, None]  # (0, 1) and (1, 0), by row bit
     n = stack.shape[-1].bit_length() - 1

@@ -220,8 +220,8 @@ class TestStateBudget:
 def broken_kraus_pair(defects):
     """``rindler._kraus_pair`` with a defect from ``defects``, a list of
     (lowest r, defect) in ascending r, applied from that r on: "trace"
-    scales K0[0, 0] by 1.05 (not trace-preserving, and the output's
-    coherences outgrow its populations), "nan" sets K1[1, 0] to NaN."""
+    scales K0[0, 0] by 1.05, so the pair is not trace-preserving, and
+    "nan" sets K1[1, 0] to NaN."""
     original = rindler._kraus_pair
 
     def kraus_pair(r):
