@@ -67,7 +67,7 @@ class DensityMatrix:
     @property
     def matrix(self) -> np.ndarray:
         """The 2^n x 2^n matrix; an X state's is scattered on first read."""
-        if self._matrix is None:
+        if self._matrix is None and self._x_stack is not None:
             object.__setattr__(self, "_matrix", _scatter(self._x_stack, self.n_qubits))
         return self._matrix
 

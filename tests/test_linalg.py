@@ -384,6 +384,11 @@ class TestLazyMatrix:
             assert rho.matrix is m and not m.flags.writeable
             assert rho.dim == 2**n
 
+    def test_direct_construction_keeps_its_matrix(self):
+        m = np.eye(2) / 2.0
+        assert DensityMatrix(matrix=m, n_qubits=1).matrix is m
+        assert DensityMatrix(matrix=None, n_qubits=1).matrix is None
+
     def test_entry_reads_the_stack(self, rng):
         for rho in (accelerated_ghz(0.6, 2, 0.4), random_density(3, rng)):
             got = np.array([[rho.entry(i, j) for j in range(8)] for i in range(8)])

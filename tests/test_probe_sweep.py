@@ -2,7 +2,6 @@
 range checks of the sweep callers."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -251,11 +250,11 @@ class TestErrorEquivalence:
         monkeypatch.setattr(rindler, "_kraus_pair", broken_kraus_pair(defects))
         nus = [0.5, 0.1, 0.95]
         rs = np.linspace(0.0, R_MAX, 9)
-        config = AccelerationConfig(r=0.0, accelerated=quasiprob._accelerated_indices(accelerated, 3))
+        indices = quasiprob._accelerated_indices(accelerated, 3)
         with pytest.raises(ValidationError) as want:
             for r in rs:
                 for nu in (min(nus), max(nus)):
-                    accelerate(ghz_werner(GhzWernerParams(nu=nu)), replace(config, r=float(r)))
+                    accelerate(ghz_werner(GhzWernerParams(nu=nu)), AccelerationConfig(r=float(r), accelerated=indices))
         with pytest.raises(ValidationError) as got:
             probe_sweep(nus, rs, accelerated, DistributionKind.WIGNER, PROBE)
         assert type(got.value) is type(want.value)
