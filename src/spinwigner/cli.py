@@ -27,7 +27,6 @@ from .errors import (
 )
 from .quasiprob import (
     ClosedFormVariant,
-    _accelerated_indices,
     accelerated_ghz,
     compare_closed_form,
     evaluate,
@@ -35,7 +34,7 @@ from .quasiprob import (
     probe_sweep,
     sphere_grid,
 )
-from .rindler import R_MAX, coefficient_report
+from .rindler import R_MAX, _accelerated_qubits, coefficient_report
 from .su2kernel import DistributionKind, SphericalPoint
 
 EXIT_OK = 0
@@ -154,7 +153,7 @@ def _emit_rows(args, table: np.ndarray, meta: dict) -> None:
 def _grid_table(nu, r, accelerated, kind, thetas, phis) -> np.ndarray:
     """Equal-angle surface over thetas x phis (theta-major)."""
     values = grid_values(accelerated_ghz(nu, accelerated, r), kind, thetas, phis)
-    k = len(_accelerated_indices(accelerated, _N_QUBITS))
+    k = len(_accelerated_qubits(accelerated, _N_QUBITS))
     return _table(thetas[:, None], phis, nu, r, k, kind, values)
 
 
@@ -171,7 +170,7 @@ def _cmd_grid(args) -> int:
     accelerated = _parse_accelerated(args.accelerated)
     thetas, phis = sphere_grid(args.theta_steps, args.phi_steps)
     table = _grid_table(args.nu, args.r, accelerated, args.kind, thetas, phis)
-    indices = _accelerated_indices(accelerated, _N_QUBITS)
+    indices = _accelerated_qubits(accelerated, _N_QUBITS)
     meta = {
         "command": "grid",
         "nu": args.nu,
@@ -190,7 +189,7 @@ def _probe_table(nus, rs, accelerated, kind, theta, phi) -> np.ndarray:
     """Point values over nus x rs (nu-major), every qubit at (theta, phi)."""
     values = probe_sweep(nus, rs, accelerated, kind, SphericalPoint(theta, phi))
     nu_col = np.asarray(nus, dtype=float)[:, None]
-    k = len(_accelerated_indices(accelerated, _N_QUBITS))
+    k = len(_accelerated_qubits(accelerated, _N_QUBITS))
     return _table(theta, phi, nu_col, rs, k, kind, values)
 
 

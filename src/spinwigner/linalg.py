@@ -81,8 +81,9 @@ class DensityMatrix:
         return self._x_stack is not None
 
     def entry(self, row: int, col: int) -> complex:
-        """rho[row, col], for 0 <= row, col < dim; an X state's is read
-        from its stack, without building the dense matrix."""
+        """rho[row, col], IndexError outside the matrix; an X state's is read from its stack."""
+        if not (0 <= row < self.dim and 0 <= col < self.dim):
+            raise IndexError(f"entry ({row}, {col}) outside a {self.dim} x {self.dim} matrix")
         if self._x_stack is None:
             return complex(self.matrix[row, col])
         if col == row:
@@ -130,32 +131,32 @@ def _raise_problems(trace_err: float, herm_err: float, min_eig: float) -> None:
         raise cls(msg, magnitude)
 
 
+def _check_n_qubits(n_qubits: int) -> None:
+    """Refuse a register size that is not an integer of at least 1."""
+    if not isinstance(n_qubits, (int, np.integer)) or n_qubits < 1:
+        raise ValueError(f"n_qubits={n_qubits} must be an integer of at least 1")
+
+
 def validate_density(m: np.ndarray, n_qubits: int) -> DensityMatrix:
     """Check trace, Hermiticity and positivity; return the frozen state.
 
-    A matrix with a NaN or infinite entry is refused first, with a
-    structural ValidationError naming the first such index.  Otherwise
-    all violated invariants are reported together in the message of the
-    first failure, each with its measured magnitude.  An X matrix (the
-    exact support test: every nonzero real and imaginary part lies on the
-    diagonal or the anti-diagonal) is certified from those two, as by
+    After the register size and the shape, a matrix with a NaN or infinite
+    entry is refused, with a ValidationError naming the first such index.
+    Otherwise all violated invariants are reported together in the message
+    of the first failure, each with its measured magnitude.  An X matrix
+    (the exact support test: every nonzero real and imaginary part lies on
+    the diagonal or the anti-diagonal) is certified from those two, as by
     :func:`_x_state`, and keeps them as its stack; any other matrix goes
     through :func:`_hermiticity_and_min_eigenvalue`.  The state holds a
     copy of ``m``: the caller's array stays writeable and later edits to
     it do not reach the state.
     """
-    return _validate_owned(np.array(m, dtype=complex), n_qubits)
-
-
-def _validate_owned(arr: np.ndarray, n_qubits: int) -> DensityMatrix:
-    """:func:`validate_density` of a complex array that nothing else
-    holds, such as one the library has just built: every check runs, and
-    on success ``arr`` itself is frozen into the state, without a copy.
-    """
+    _check_n_qubits(n_qubits)
+    arr = np.array(m, dtype=complex)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotSquareError(f"expected a square matrix, got shape {arr.shape}")
     dim = arr.shape[0]
-    if n_qubits < 1 or dim != 2 ** n_qubits:
+    if dim != 2 ** n_qubits:
         raise NotPowerOfTwoError(f"dimension {dim} is not 2**{n_qubits}")
     finite = np.isfinite(arr)
     if not finite.all():

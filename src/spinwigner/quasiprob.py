@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionError, NonRealResult
 from .linalg import DensityMatrix, _certify_x
-from .rindler import MATCH_TOL, AccelerationConfig, _x_channel, accelerate
+from .rindler import MATCH_TOL, AccelerationConfig, _accelerated_qubits, _check_r, _x_channel, accelerate
 from .states import GhzWernerParams, ghz_werner
 from .su2kernel import (
     _PAULIS,
@@ -416,32 +416,21 @@ def closed_form(variant: ClosedFormVariant, theta: float, phi: float, nu: float,
 
     GHZ and ACC1 agree with the numeric pipeline; ACC2 and ACC3 carry
     misprints in the source and are kept as printed so comparisons can
-    quantify the deviation.  ``nu`` and ``r`` are range-checked like the
-    states they describe.
+    quantify the deviation.  ``theta`` and ``phi`` are checked as a
+    :class:`SphericalPoint`, ``nu`` and ``r`` like the states they describe.
     """
     variant = ClosedFormVariant(variant)
+    SphericalPoint(theta, phi)
     GhzWernerParams(nu=nu)
-    AccelerationConfig(r=r)
+    _check_r(r)
     return float(_CLOSED_FORMS[variant](theta, phi, nu, r))
-
-
-def _accelerated_indices(k_accelerated: int | Sequence[int], n_qubits: int) -> tuple[int, ...]:
-    """The first ``k_accelerated`` qubits for a count, else the qubits named."""
-    if isinstance(k_accelerated, (int, np.integer)):
-        if not (0 <= k_accelerated <= n_qubits):
-            raise ValueError(f"k_accelerated={k_accelerated} outside 0..{n_qubits}")
-        return tuple(range(k_accelerated))
-    return tuple(k_accelerated)
 
 
 def accelerated_ghz(nu: float, k_accelerated: int | Sequence[int], r: float, n_qubits: int = 3) -> DensityMatrix:
     """GHZ-Werner state with its first ``k_accelerated`` qubits accelerated,
     or exactly the qubits named when ``k_accelerated`` is a sequence."""
-    config = AccelerationConfig(r=r, accelerated=_accelerated_indices(k_accelerated, n_qubits))
-    rho = ghz_werner(GhzWernerParams(nu=nu, n_qubits=n_qubits))
-    if config.accelerated:
-        rho = accelerate(rho, config)
-    return rho
+    config = AccelerationConfig(r=r, accelerated=_accelerated_qubits(k_accelerated, n_qubits))
+    return accelerate(ghz_werner(GhzWernerParams(nu=nu, n_qubits=n_qubits)), config)
 
 
 def probe_sweep(
@@ -465,17 +454,16 @@ def probe_sweep(
     failing (r, endpoint) state, and one :func:`_contract_x` takes every
     point value: each state goes through the same arithmetic as
     ``accelerate`` then ``evaluate`` would give it alone.  Every nu and r,
-    then the accelerated set, is checked before the first state is built,
-    also when an axis is empty.
+    then the register size and the accelerated set, is checked before the
+    first state is built, also when an axis is empty.
     """
     nus = np.asarray(nus, dtype=float)
     rs = np.asarray(rs, dtype=float)
     for nu in nus:
         GhzWernerParams(nu=float(nu), n_qubits=n_qubits)
     for r in rs:
-        AccelerationConfig(r=float(r))
-    indices = _accelerated_indices(accelerated, n_qubits)
-    AccelerationConfig(r=0.0, accelerated=indices).check_register(n_qubits)
+        _check_r(float(r))
+    indices = _accelerated_qubits(accelerated, n_qubits)
     if nus.size == 0 or rs.size == 0:
         return np.empty((nus.size, rs.size))
     lo, hi = float(nus.min()), float(nus.max())
@@ -548,7 +536,7 @@ def compare_closed_form(
 
 def scan_min_vs_r(
     nu: float,
-    k_accelerated: int,
+    k_accelerated: int | Sequence[int],
     r_samples: Sequence[float],
     theta: float = math.pi / 2.0,
     phi: float = math.pi,
@@ -556,11 +544,11 @@ def scan_min_vs_r(
     """Point value of the Wigner distribution along an r sweep.
 
     Returns (r, W) pairs at the fixed probe point (default theta = pi/2,
-    phi = pi, the sphere minimum of the distribution only at r = 0) with
-    the first ``k_accelerated`` qubits accelerated.
+    phi = pi, the sphere minimum only at r = 0) of three qubits, with
+    ``k_accelerated`` a count 1..3 or a non-empty set of qubits 0..2.
     """
-    if k_accelerated not in (1, 2, 3):
-        raise ValueError(f"k_accelerated={k_accelerated} must be 1, 2, or 3")
+    if not _accelerated_qubits(k_accelerated, 3):
+        raise ValueError(f"k_accelerated={k_accelerated} accelerates no qubit")
     rs = [float(r) for r in r_samples]
     values = probe_sweep((nu,), rs, k_accelerated, DistributionKind.WIGNER, SphericalPoint(theta, phi))
     return [(r, float(w)) for r, w in zip(rs, values[0])]
@@ -579,7 +567,7 @@ class ThresholdResult:
 
 
 def negativity_threshold(
-    k_accelerated: int,
+    k_accelerated: int | Sequence[int],
     r: float,
     theta: float = math.pi / 2.0,
     phi: float = math.pi,
@@ -587,11 +575,9 @@ def negativity_threshold(
     """The nu in [0, 1] where the point Wigner value changes sign.
 
     The value is affine in nu, W(nu) = (1 - nu) w0 + nu w1, so its root
-    is nu* = w0 / (w0 - w1), from the two endpoint values of
-    :func:`probe_sweep`.
+    is nu* = w0 / (w0 - w1), from the two endpoint values of three qubits
+    in :func:`probe_sweep`; ``k_accelerated`` is a count 0..3 or a set.
     """
-    if not (0 <= k_accelerated <= 3):
-        raise ValueError(f"k_accelerated={k_accelerated} outside 0..3")
     ends = probe_sweep((0.0, 1.0), (r,), k_accelerated, DistributionKind.WIGNER, SphericalPoint(theta, phi))
     w_0, w_1 = float(ends[0, 0]), float(ends[1, 0])
     if w_0 == 0.0:

@@ -13,12 +13,13 @@ of silently correcting it.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IndexOutOfRange, MixingOutOfRange, ROutOfRange
-from .linalg import DensityMatrix, _validate_owned, _x_state, validate_density
+from .errors import IndexOutOfRange, ROutOfRange
+from .linalg import DensityMatrix, _check_n_qubits, _x_state, validate_density
 from .states import GhzWernerParams, ghz_werner
 
 R_MAX = math.pi / 4.0
@@ -29,33 +30,49 @@ _K_FOR_VARIANT = {"A": 1, "B": 2, "C": 3}
 _DIAG_KEYS = ("11", "22", "33", "44", "55", "66", "77", "88")
 
 
+def _check_r(r: float) -> None:
+    """Refuse an acceleration parameter outside [0, R_MAX], or NaN."""
+    if not (0.0 <= r <= R_MAX):
+        raise ROutOfRange(f"r={r} outside [0, {R_MAX}]")
+
+
+def _accelerated_qubits(accelerated, n_qubits: int | None = None) -> tuple[int, ...]:
+    """The checked accelerated set as ints: qubits 0..k-1 for a count k, else
+    the integer qubits named, once each, none negative or past ``n_qubits``."""
+    if n_qubits is not None:
+        _check_n_qubits(n_qubits)
+        if isinstance(accelerated, (int, np.integer)):
+            if not 0 <= accelerated <= n_qubits:
+                raise ValueError(f"k_accelerated={accelerated} outside 0..{n_qubits}")
+            return tuple(range(accelerated))
+    idx = tuple(map(operator.index, accelerated))  # TypeError for a non-integer count or index
+    if len(set(idx)) != len(idx):
+        raise ValueError(f"duplicate qubit indices in {idx}")
+    if idx and min(idx) < 0:
+        raise IndexOutOfRange(f"negative qubit index in {idx}")
+    if idx and n_qubits is not None and max(idx) >= n_qubits:
+        raise IndexOutOfRange(f"qubit {next(q for q in idx if q >= n_qubits)} outside register of {n_qubits}")
+    return idx
+
+
 @dataclass(frozen=True)
 class AccelerationConfig:
     """Acceleration parameter and the qubit indices it applies to.
 
-    Qubit indices refer to basis bits (qubit 0 = least significant);
-    duplicates and negative indices are rejected here, the upper end of
-    the range by :meth:`check_register` once the register size is known.
+    Qubit indices refer to basis bits (qubit 0 = least significant), checked
+    by :func:`_accelerated_qubits`, against the register in :meth:`check_register`.
     """
 
     r: float
     accelerated: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not (0.0 <= self.r <= R_MAX):
-            raise ROutOfRange(f"r={self.r} outside [0, {R_MAX}]")
-        idx = tuple(int(q) for q in self.accelerated)
-        if len(set(idx)) != len(idx):
-            raise ValueError(f"duplicate qubit indices in {idx}")
-        if any(q < 0 for q in idx):
-            raise IndexOutOfRange(f"negative qubit index in {idx}")
-        object.__setattr__(self, "accelerated", idx)
+        _check_r(self.r)
+        object.__setattr__(self, "accelerated", _accelerated_qubits(self.accelerated))
 
     def check_register(self, n_qubits: int) -> None:
         """Raise IndexOutOfRange if an accelerated qubit is not in an n-qubit register."""
-        for q in self.accelerated:
-            if q >= n_qubits:
-                raise IndexOutOfRange(f"qubit {q} outside register of {n_qubits}")
+        _accelerated_qubits(self.accelerated, n_qubits)
 
 
 def unruh_isometry(r: float) -> np.ndarray:
@@ -64,8 +81,7 @@ def unruh_isometry(r: float) -> np.ndarray:
     |0> -> cos r |00> + sin r |11> and |1> -> |10>, with the first wedge
     factor most significant; columns are orthonormal for every r.
     """
-    if not (0.0 <= r <= R_MAX):
-        raise ROutOfRange(f"r={r} outside [0, {R_MAX}]")
+    _check_r(r)
     v = np.zeros((4, 2), dtype=complex)
     v[0, 0] = math.cos(r)
     v[3, 0] = math.sin(r)
@@ -155,7 +171,7 @@ def accelerate(rho: DensityMatrix, config: AccelerationConfig) -> DensityMatrix:
         axes = (n - 1 - q, 2 * n - 1 - q)  # row and column bit of qubit q; factors run msb-first
         front = np.moveaxis(t, axes, (0, 1)).reshape(4, -1)
         t = np.moveaxis((transfer @ front).reshape(shape), (0, 1), axes)
-    return _validate_owned(t.reshape(2 ** n, 2 ** n), n)
+    return validate_density(t.reshape(2 ** n, 2 ** n), n)
 
 
 @dataclass(frozen=True)
@@ -184,10 +200,8 @@ def coefficient_table(variant: str, nu: float, r: float) -> CoefficientTable:
     """
     if variant not in COEFFICIENT_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected one of {COEFFICIENT_VARIANTS}")
-    if not (0.0 <= nu <= 1.0):
-        raise MixingOutOfRange(f"nu={nu} outside [0, 1]")
-    if not (0.0 <= r <= R_MAX):
-        raise ROutOfRange(f"r={r} outside [0, {R_MAX}]")
+    GhzWernerParams(nu=nu)
+    _check_r(r)
     c = math.cos(r)
     s = math.sin(r)
     c2, s2 = c * c, s * s

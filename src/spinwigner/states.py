@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MixingOutOfRange
-from .linalg import DensityMatrix, _x_state
+from .linalg import DensityMatrix, _check_n_qubits, _x_state
 
 
 @dataclass(frozen=True)
@@ -21,8 +21,7 @@ class GhzWernerParams:
     def __post_init__(self):
         if not (0.0 <= self.nu <= 1.0):
             raise MixingOutOfRange(f"nu={self.nu} outside [0, 1]")
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits={self.n_qubits} must be at least 1")
+        _check_n_qubits(self.n_qubits)
 
 
 def ghz_werner(params: GhzWernerParams) -> DensityMatrix:

@@ -32,7 +32,6 @@ from spinwigner import (
     validate_density,
 )
 from spinwigner import linalg, quasiprob, rindler, states
-from spinwigner.linalg import _validate_owned
 
 from conftest import off_x, random_density, random_x_density, x_stack
 
@@ -54,6 +53,11 @@ class TestValidateDensity:
     def test_rejects_wrong_power(self):
         with pytest.raises(NotPowerOfTwoError):
             validate_density(np.eye(3) / 3.0, 1)
+
+    @pytest.mark.parametrize("n", [0, -1, 2.0, "2"])
+    def test_register_size_checked_before_the_matrix(self, n):
+        with pytest.raises(ValueError, match=f"n_qubits={n} must be an integer of at least 1"):
+            validate_density(np.eye(1), n)
 
     def test_rejects_trace_violation(self):
         with pytest.raises(TraceViolation) as exc:
@@ -393,6 +397,10 @@ class TestLazyMatrix:
         for rho in (accelerated_ghz(0.6, 2, 0.4), random_density(3, rng)):
             got = np.array([[rho.entry(i, j) for j in range(8)] for i in range(8)])
             assert got.tobytes() == rho.matrix.tobytes()
+            # both layouts refuse what numpy would wrap around or overrun
+            for row, col in ((-1, 0), (0, -1), (8, 0), (0, 8), (-8, 7)):
+                with pytest.raises(IndexError, match=f"entry \\({row}, {col}\\) outside a 8 x 8 matrix"):
+                    rho.entry(row, col)
 
     def test_matrix_refused_above_the_limit(self):
         n = linalg.DENSE_MAX_QUBITS + 1
@@ -416,19 +424,6 @@ class TestLazyMatrix:
             tracemalloc.stop()
         assert peak < 16 * stack_bytes
         assert math.isfinite(value)
-
-
-BAD_MATRICES = {
-    "non_square": (np.ones((2, 4), dtype=complex), 1),
-    "wrong_power": (np.eye(4, dtype=complex) / 4.0, 1),
-    "non_finite": (np.diag([0.5, np.nan]).astype(complex), 1),
-    "trace": (np.eye(2, dtype=complex), 1),
-    "non_hermitian": (np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex), 1),
-    "negative": (np.diag([1.2, -0.2]).astype(complex), 1),
-    "negative_dense": (np.array([[0.5, 0.6, 0.0, 0.0], [0.6, 0.5, 0.0, 0.0],
-                                 [0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]], dtype=complex), 2),
-    "trace_and_hermiticity": (np.array([[1.0, 0.3], [0.0, 0.5]], dtype=complex), 1),
-}
 
 
 class TestValidationOwnership:
@@ -458,18 +453,3 @@ class TestValidationOwnership:
         with pytest.raises(ValueError):
             rho.matrix[0, 0] = 1.0
 
-    @pytest.mark.parametrize("name", list(BAD_MATRICES))
-    def test_owned_validation_runs_every_check(self, name):
-        m, n = BAD_MATRICES[name]
-        with pytest.raises(ValidationError) as public:
-            validate_density(m, n)
-        with pytest.raises(ValidationError) as owned:
-            _validate_owned(np.array(m), n)
-        assert type(owned.value) is type(public.value)
-        assert str(owned.value) == str(public.value)
-        assert owned.value.magnitude == public.value.magnitude
-
-    def test_owned_validation_freezes_without_a_copy(self):
-        m = np.eye(4, dtype=complex) / 4.0
-        rho = _validate_owned(m, 2)
-        assert rho.matrix is m and not m.flags.writeable

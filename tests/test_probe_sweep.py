@@ -20,12 +20,15 @@ from spinwigner import (
     accelerate,
     accelerated_ghz,
     closed_form,
+    coefficient_table,
     evaluate,
     ghz_werner,
     negativity_threshold,
     probe_sweep,
     quasiprob,
     scan_min_vs_r,
+    unruh_isometry,
+    validate_density,
 )
 from spinwigner import cli, linalg, rindler
 from spinwigner.cli import main
@@ -250,7 +253,7 @@ class TestErrorEquivalence:
         monkeypatch.setattr(rindler, "_kraus_pair", broken_kraus_pair(defects))
         nus = [0.5, 0.1, 0.95]
         rs = np.linspace(0.0, R_MAX, 9)
-        indices = quasiprob._accelerated_indices(accelerated, 3)
+        indices = rindler._accelerated_qubits(accelerated, 3)
         with pytest.raises(ValidationError) as want:
             for r in rs:
                 for nu in (min(nus), max(nus)):
@@ -262,7 +265,89 @@ class TestErrorEquivalence:
         assert got.value.magnitude == want.value.magnitude
 
 
+def _accelerate(r=0.1, accelerated=(0,)):
+    """AccelerationConfig, then accelerate on the three-qubit GHZ-Werner state."""
+    config = AccelerationConfig(r=r, accelerated=accelerated)
+    return accelerate(ghz_werner(GhzWernerParams(nu=0.5)), config)
+
+
+W = DistributionKind.WIGNER
+# Every entry point that takes an input, by the rule that checks it, called
+# with that input and otherwise valid arguments on the three-qubit register.
+ENTRY_POINTS = {
+    "nu": {
+        "GhzWernerParams": lambda nu: GhzWernerParams(nu=nu),
+        "accelerated_ghz": lambda nu: accelerated_ghz(nu, 1, 0.1),
+        "probe_sweep": lambda nu: probe_sweep([0.5, nu], [0.1], 1, W, PROBE),
+        "scan_min_vs_r": lambda nu: scan_min_vs_r(nu, 1, [0.1]),
+        "coefficient_table": lambda nu: coefficient_table("A", nu, 0.1),
+        "closed_form": lambda nu: closed_form(ClosedFormVariant.GHZ, 0.0, 0.0, nu),
+    },
+    "r": {
+        "AccelerationConfig": lambda r: _accelerate(r=r),
+        "accelerated_ghz": lambda r: accelerated_ghz(0.5, 1, r),
+        "probe_sweep": lambda r: probe_sweep([0.5], [0.1, r], 1, W, PROBE),
+        "scan_min_vs_r": lambda r: scan_min_vs_r(0.5, 1, [0.1, r]),
+        "negativity_threshold": lambda r: negativity_threshold(1, r),
+        "unruh_isometry": unruh_isometry,
+        "coefficient_table": lambda r: coefficient_table("A", 0.5, r),
+        "closed_form": lambda r: closed_form(ClosedFormVariant.ACC1, 0.0, 0.0, 0.5, r),
+    },
+    "accelerated": {
+        "accelerated_ghz": lambda a: accelerated_ghz(0.5, a, 0.1),
+        "probe_sweep": lambda a: probe_sweep([0.5], [0.1], a, W, PROBE),
+        "scan_min_vs_r": lambda a: scan_min_vs_r(0.5, a, [0.1]),
+        "negativity_threshold": lambda a: negativity_threshold(a, 0.1),
+    },
+    "n_qubits": {
+        "GhzWernerParams": lambda n: GhzWernerParams(nu=0.5, n_qubits=n),
+        "validate_density": lambda n: validate_density(np.eye(4) / 4.0, n),
+        "accelerated_ghz": lambda n: accelerated_ghz(0.5, 0, 0.1, n_qubits=n),
+        "probe_sweep": lambda n: probe_sweep([0.5], [0.1], 0, W, PROBE, n_qubits=n),
+    },
+}
+# (rule, bad input, class, message); a named set also goes to AccelerationConfig
+BAD_INPUTS = [
+    ("nu", -0.1, MixingOutOfRange, "nu=-0.1 outside [0, 1]"),
+    ("nu", math.nan, MixingOutOfRange, "nu=nan outside [0, 1]"),
+    ("r", R_MAX + 0.01, ROutOfRange, f"r={R_MAX + 0.01} outside [0, {R_MAX}]"),
+    ("r", math.nan, ROutOfRange, f"r=nan outside [0, {R_MAX}]"),
+    ("accelerated", -1, ValueError, "k_accelerated=-1 outside 0..3"),
+    ("accelerated", 4, ValueError, "k_accelerated=4 outside 0..3"),
+    ("accelerated", 2.0, TypeError, "'float' object is not iterable"),
+    ("accelerated", (0, 0), ValueError, "duplicate qubit indices in (0, 0)"),
+    ("accelerated", (-1,), IndexOutOfRange, "negative qubit index in (-1,)"),
+    ("accelerated", (3,), IndexOutOfRange, "qubit 3 outside register of 3"),
+    ("accelerated", (1.5,), TypeError, "'float' object cannot be interpreted as an integer"),
+    ("n_qubits", 0, ValueError, "n_qubits=0 must be an integer of at least 1"),
+    ("n_qubits", 2.0, ValueError, "n_qubits=2.0 must be an integer of at least 1"),
+]
+
+
 class TestRangeChecks:
+    @pytest.mark.parametrize("rule, bad, cls, message", BAD_INPUTS, ids=[f"{b[0]}={b[1]!r}" for b in BAD_INPUTS])
+    def test_every_entry_point_refuses_alike(self, count_states, rule, bad, cls, message):
+        calls = dict(ENTRY_POINTS[rule])
+        if isinstance(bad, tuple):
+            calls["AccelerationConfig"] = lambda a: _accelerate(accelerated=a)
+        for name, call in calls.items():
+            with pytest.raises(Exception) as exc:
+                call(bad)
+            assert type(exc.value) is cls, name
+            assert str(exc.value) == message, name
+            assert getattr(exc.value, "magnitude", None) is None, name
+        assert count_states == []
+
+    @pytest.mark.parametrize("r", [0.0, 0.4, R_MAX])
+    def test_threshold_and_scan_take_a_set(self, r):
+        w = probe_sweep((0.0, 1.0), (r,), (0, 2), W, PROBE)
+        w_0, w_1 = float(w[0, 0]), float(w[1, 0])
+        result = negativity_threshold((0, 2), r)
+        assert result.sign_change and result.nu_star == w_0 / (w_0 - w_1)
+        rs = [0.0, r]
+        want = probe_sweep((0.5,), rs, (0, 2), W, PROBE)[0]
+        assert scan_min_vs_r(0.5, (0, 2), rs) == [(x, float(v)) for x, v in zip(rs, want)]
+
     @pytest.mark.parametrize("bad", [-0.1, 1.5, math.nan])
     def test_any_nu_out_of_range_builds_nothing(self, count_states, bad):
         with pytest.raises(MixingOutOfRange):
@@ -342,6 +427,11 @@ class TestClosedFormRanges:
     def test_rejects_r(self):
         with pytest.raises(ROutOfRange):
             closed_form(ClosedFormVariant.ACC1, 0.0, 0.0, 0.5, 3.0)
+
+    @pytest.mark.parametrize("theta, phi", [(math.nan, 0.0), (0.0, math.inf), (-math.inf, math.nan)])
+    def test_rejects_non_finite_angles(self, theta, phi):
+        with pytest.raises(ValueError, match="theta and phi must be finite"):
+            closed_form(ClosedFormVariant.GHZ, theta, phi, 1.0)
 
     def test_boundaries_accepted(self):
         assert math.isfinite(closed_form(ClosedFormVariant.ACC3, 0.3, 1.0, 1.0, R_MAX))

@@ -1,6 +1,7 @@
 """Distribution evaluation, scans, normalization, and closed-form checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -373,9 +374,10 @@ class TestScans:
         for i in range(1, len(rs)):  # strictly positive r
             assert per_k[1][i] <= per_k[2][i] <= per_k[3][i]
 
-    def test_bad_k_rejected(self):
-        with pytest.raises(ValueError):
-            scan_min_vs_r(0.5, 0, [0.1])
+    @pytest.mark.parametrize("none", [0, ()])
+    def test_bad_k_rejected(self, none):
+        with pytest.raises(ValueError, match=re.escape(f"k_accelerated={none} accelerates no qubit")):
+            scan_min_vs_r(0.5, none, [0.1])
 
 
 class TestNegativityThreshold:

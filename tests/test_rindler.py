@@ -74,6 +74,9 @@ class TestAccelerationConfig:
         config.check_register(3)
         with pytest.raises(IndexOutOfRange, match="qubit 2 outside register of 2"):
             config.check_register(2)
+        # the first qubit outside, in the order given
+        with pytest.raises(IndexOutOfRange, match="qubit 3 outside register of 2"):
+            AccelerationConfig(r=0.1, accelerated=(3, 0, 4)).check_register(2)
 
 
 class TestAccelerate:
