@@ -66,14 +66,12 @@ class UsageError(Exception):
     """Invalid argument values detected after parsing."""
 
 
-def _clamp(value: float, lo: float, hi: float, name: str) -> float:
-    """Snap values within a hair of the boundary onto it; reject the rest."""
+def _snap(value: float, lo: float, hi: float) -> float:
+    """Snap values within a hair outside [lo, hi] onto it; the library refuses the rest."""
     if lo - _BOUNDARY_SLACK <= value < lo:
         return lo
     if hi < value <= hi + _BOUNDARY_SLACK:
         return hi
-    if not (lo <= value <= hi):
-        raise UsageError(f"{name}={value} outside [{lo:g}, {hi:g}]")
     return value
 
 
@@ -196,16 +194,14 @@ def _probe_table(nus, rs, accelerated, kind, theta, phi) -> np.ndarray:
 def _cmd_scan(args) -> int:
     """scan-r (r over [0, pi/4] at fixed nu) and scan-nu (nu over [0, 1] at fixed r)."""
     accelerated = _parse_accelerated(args.accelerated)
+    if args.steps < 2:
+        raise UsageError(f"{args.command.removeprefix('scan-')}-steps must be at least 2")
     if args.command == "scan-r":
         if not accelerated:
             raise UsageError("scan-r needs at least one accelerated qubit")
-        if args.r_steps < 2:
-            raise UsageError("r-steps must be at least 2")
-        nus, rs = [args.nu], np.linspace(0.0, R_MAX, args.r_steps)
+        nus, rs = [args.nu], np.linspace(0.0, R_MAX, args.steps)
     else:
-        if args.nu_steps < 2:
-            raise UsageError("nu-steps must be at least 2")
-        nus, rs = np.linspace(0.0, 1.0, args.nu_steps), [args.r]
+        nus, rs = np.linspace(0.0, 1.0, args.steps), [args.r]
     table = _probe_table(nus, rs, accelerated, args.kind, args.theta, args.phi)
     _emit_rows(args, table, {"command": args.command})
     return EXIT_OK
@@ -344,28 +340,37 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spinwigner",
         description="Quasi-probability distributions of three-qubit GHZ-Werner "
         "states on the SU(2) sphere, with acceleration-induced decoherence.",
+        allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # no prefix matching: an option a subcommand lacks (scan-nu --nu) must
+    # not bind to a longer one it has (--nu-steps)
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=functools.partial(argparse.ArgumentParser, allow_abbrev=False),
+    )
 
-    def add_common(p, point_defaults=(None, None)):
-        p.add_argument("--nu", type=float, required=True, help="GHZ weight in [0, 1]")
-        p.add_argument("--r", type=float, default=0.0, help="acceleration parameter in [0, pi/4]")
+    def add_common(p, swept=None):
+        """The state options of a value or table, less the swept one."""
+        if swept != "nu":
+            p.add_argument("--nu", type=float, required=True, help="GHZ weight in [0, 1]")
+        if swept != "r":
+            p.add_argument("--r", type=float, default=0.0, help="acceleration parameter in [0, pi/4]")
         p.add_argument(
             "--accelerated",
             default="0",
             help="count (1/2/3 = first k qubits) or comma-separated indices",
         )
         p.add_argument("--s", choices=("q", "w", "p"), default="w", help="distribution (default w)")
-        theta_default, phi_default = point_defaults
-        p.add_argument("--theta", type=float, default=theta_default, required=theta_default is None)
-        p.add_argument("--phi", type=float, default=phi_default, required=phi_default is None)
 
     p_eval = sub.add_parser("eval", help="print one distribution value")
     add_common(p_eval)
+    p_eval.add_argument("--theta", type=float, required=True)
+    p_eval.add_argument("--phi", type=float, required=True)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_grid = sub.add_parser("grid", help="equal-angle grid over the sphere")
-    add_common(p_grid, point_defaults=(0.0, 0.0))
+    add_common(p_grid)
     p_grid.add_argument("--theta-steps", type=int, default=SURFACE_THETA_STEPS)
     p_grid.add_argument("--phi-steps", type=int, default=SURFACE_PHI_STEPS)
     p_grid.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -374,8 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     for swept, default_steps in (("r", R_CURVE_STEPS), ("nu", MAP_STEPS)):
         p_scan = sub.add_parser(f"scan-{swept}", help=f"sweep {swept} at a fixed probe point")
-        add_common(p_scan, point_defaults=(math.pi / 2.0, math.pi))
-        p_scan.add_argument(f"--{swept}-steps", type=int, default=default_steps)
+        add_common(p_scan, swept)
+        p_scan.add_argument("--theta", type=float, default=math.pi / 2.0)
+        p_scan.add_argument("--phi", type=float, default=math.pi)
+        p_scan.add_argument(f"--{swept}-steps", dest="steps", type=int, default=default_steps)
         p_scan.add_argument("--format", choices=("csv", "json"), default="csv")
         p_scan.add_argument("-o", "--output")
         p_scan.set_defaults(func=_cmd_scan)
@@ -400,9 +407,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if hasattr(args, "nu"):
-            args.nu = _clamp(args.nu, 0.0, 1.0, "nu")
+            args.nu = _snap(args.nu, 0.0, 1.0)
         if hasattr(args, "r"):
-            args.r = _clamp(args.r, 0.0, R_MAX, "r")
+            args.r = _snap(args.r, 0.0, R_MAX)
         if hasattr(args, "s"):
             args.kind = _KIND_BY_LETTER[args.s]
         return args.func(args)

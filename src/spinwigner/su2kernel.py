@@ -53,6 +53,13 @@ class DistributionKind(IntEnum):
     P = 1
 
 
+def _check_angles(theta, phi) -> None:
+    """The angle rule of every point and kernel: theta and phi (scalars or
+    arrays) finite, else ValueError."""
+    if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
+        raise ValueError("theta and phi must be finite")
+
+
 @dataclass(frozen=True)
 class SphericalPoint:
     """Point on the unit sphere: colatitude theta, azimuth phi (radians)."""
@@ -61,8 +68,9 @@ class SphericalPoint:
     phi: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.theta) and math.isfinite(self.phi)):
-            raise ValueError("theta and phi must be finite")
+        if np.ndim(self.theta) or np.ndim(self.phi):
+            raise TypeError("theta and phi of a point must be scalars")
+        _check_angles(self.theta, self.phi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,8 +240,7 @@ def _pauli_coefficients(kind: DistributionKind, theta, phi) -> np.ndarray:
     table = _pauli_table(DistributionKind(kind))
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
-        raise ValueError("theta and phi must be finite")
+    _check_angles(theta, phi)
     basis = np.empty((4,) + np.broadcast_shapes(theta.shape, phi.shape))
     sin_theta = np.sin(theta)
     basis[0] = 1.0

@@ -2,15 +2,26 @@
 
 import json
 import math
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinwigner import cli, sphere_grid
+from spinwigner import (
+    R_MAX,
+    AccelerationConfig,
+    GhzWernerParams,
+    MixingOutOfRange,
+    ROutOfRange,
+    cli,
+    sphere_grid,
+)
 from spinwigner.cli import CSV_HEADER, main
 
 SQRT3 = math.sqrt(3.0)
@@ -204,13 +215,71 @@ class TestScanCommands:
         assert code == 2
 
     def test_scan_nu_endpoints(self, capsys):
-        code, out, _ = run_cli(capsys, "scan-nu", "--nu-steps", "5", "--nu", "0")
+        code, out, _ = run_cli(capsys, "scan-nu", "--nu-steps", "5")
         assert code == 0
         rows = parse_csv(out)
         assert len(rows) == 5
         assert rows[0][2] == 0.0 and rows[-1][2] == 1.0
         assert rows[0][6] == pytest.approx(0.125)
         assert rows[-1][6] == pytest.approx((1 - 3 * SQRT3) / 8, abs=1e-12)
+
+
+# options the subcommand does not read, each a prefix of one it does, and
+# an abbreviation of an option it reads; the refused pair comes last
+REFUSED_OPTIONS = {
+    "grid --theta": ["grid", "--nu", "1", "--theta", "3"],
+    "grid --phi": ["grid", "--nu", "1", "--phi", "3"],
+    "scan-r --r": ["scan-r", "--nu", "1", "--accelerated", "1", "--r", "5"],
+    "scan-nu --nu": ["scan-nu", "--nu", "5"],
+    "eval --acc": ["eval", "--nu", "1", "--theta", "0", "--phi", "0", "--acc", "1"],
+}
+
+
+class TestOptions:
+    @pytest.mark.parametrize("argv", REFUSED_OPTIONS.values(), ids=REFUSED_OPTIONS.keys())
+    def test_unread_or_abbreviated_option_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert info.value.code == 2
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in captured.err
+
+    @pytest.mark.parametrize("nu", ["-0.1", "1.5", "nan"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", "--theta", "0", "--phi", "0"], ["grid"], ["scan-r", "--accelerated", "1"]],
+        ids=["eval", "grid", "scan-r"],
+    )
+    def test_nu_error_is_the_library_message(self, capsys, argv, nu):
+        with pytest.raises(MixingOutOfRange) as expected:
+            GhzWernerParams(nu=float(nu))
+        assert run_cli(capsys, *argv, f"--nu={nu}") == (2, "", f"error: {expected.value}\n")
+
+    @pytest.mark.parametrize("r", ["2", "nan"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["eval", "--nu", "0.5", "--theta", "0", "--phi", "0"], ["grid", "--nu", "0.5"], ["scan-nu"]],
+        ids=["eval", "grid", "scan-nu"],
+    )
+    def test_r_error_is_the_library_message(self, capsys, argv, r):
+        with pytest.raises(ROutOfRange) as expected:
+            AccelerationConfig(r=float(r))
+        assert run_cli(capsys, *argv, f"--r={r}") == (2, "", f"error: {expected.value}\n")
+
+    @pytest.mark.parametrize(
+        "option, edge, outside",
+        [("--r", R_MAX, R_MAX + 1e-7), ("--nu", 1.0, 1.0 + 1e-7), ("--nu", 0.0, -1e-7)],
+    )
+    def test_value_within_the_slack_snaps_onto_the_edge(self, capsys, option, edge, outside):
+        def output(value):
+            values = {"--nu": 0.5, "--r": 0.3, option: value}
+            others = ["--accelerated", "2", "--theta", "0.7", "--phi", "0.2"]
+            return run_cli(capsys, "eval", *others, *(f"{name}={v!r}" for name, v in values.items()))
+
+        at_edge = output(edge)
+        assert at_edge[0] == 0 and at_edge[1] != ""
+        assert output(outside) == at_edge
 
 
 GRID_THETAS, GRID_PHIS = sphere_grid(5, 7)
@@ -229,7 +298,7 @@ TABLE_COMMANDS = {
         [1.2] * 6,
     ),
     "scan-nu": (
-        ["scan-nu", "--nu", "0", "--r", "0.5", "--accelerated", "3", "--nu-steps", "5"],
+        ["scan-nu", "--r", "0.5", "--accelerated", "3", "--nu-steps", "5"],
         [math.pi / 2] * 5,
         [math.pi] * 5,
     ),
@@ -419,3 +488,32 @@ class TestEntryPoint:
             [sys.executable, "-m", "spinwigner"], capture_output=True, text=True
         )
         assert proc.returncode == 2
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_commands():
+    """The ``spinwigner`` lines of README's command-line block as argv, each
+    with the value a ``# value`` comment right after it promises, or None."""
+    section = README.read_text(encoding="utf-8").split("## Command-line interface", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.splitlines():
+        if line.startswith("spinwigner "):
+            commands.append((shlex.split(line)[1:], None))
+        elif re.fullmatch(r"# -?[0-9.]+", line) and commands:
+            commands[-1] = (commands[-1][0], line[2:])
+    return commands
+
+
+class TestReadme:
+    def test_cli_block_runs(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        commands = readme_cli_commands()
+        assert [value for _, value in commands if value is not None] == ["-0.524519052838", "1.30801270189"]
+        for argv, value in commands:
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, (argv, err)
+            if value is not None:
+                assert out == value + "\n"

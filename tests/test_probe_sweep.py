@@ -193,7 +193,7 @@ class TestStateBudget:
         assert count_certificates == [(), (30, 1)]
 
     def test_cli_scan_nu(self, count_states, capsys):
-        assert main(["scan-nu", "--nu", "0", "--r", "0.5", "--accelerated", "0,2", "--nu-steps", "40"]) == 0
+        assert main(["scan-nu", "--r", "0.5", "--accelerated", "0,2", "--nu-steps", "40"]) == 0
         assert len(count_states) == 2
 
     def test_figure_nu_theta_map_builds_two_states(self, count_states):

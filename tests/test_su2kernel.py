@@ -182,8 +182,16 @@ class TestSphericalHarmonic:
             spherical_harmonic(1, 2, SphericalPoint(0.1, 0.1))
 
     def test_non_finite_point_rejected(self):
-        with pytest.raises(ValueError):
-            SphericalPoint(math.nan, 0.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            for theta, phi in ((bad, 0.0), (0.0, bad)):
+                with pytest.raises(ValueError, match="^theta and phi must be finite$"):
+                    SphericalPoint(theta, phi)
+
+    @pytest.mark.parametrize("theta, phi", [(np.array([0.1, 0.2]), 0.0), (0.1, [0.0])])
+    def test_point_of_arrays_rejected(self, theta, phi):
+        # the kernels take angle arrays; a point holds one pair
+        with pytest.raises(TypeError):
+            SphericalPoint(theta, phi)
 
 
 class TestIto:
