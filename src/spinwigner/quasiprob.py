@@ -7,10 +7,15 @@ comparisons against the published closed-form expressions for the
 
 Every evaluator is one contraction, :func:`_contract`: the trace of the
 state against a tensor product of per-qubit operator stacks, taken one
-qubit axis pair at a time.  Equal-angle surfaces contract the state with
-the Pauli basis once and sum the resulting correlation tensor by weight
-class, since with every qubit at the same point the value depends on a
-Pauli string only through how many I, X, Y and Z it holds.
+qubit axis pair at a time.  Surface scans contract the state with the
+Pauli basis once and carry the real correlation tensor over to the
+kernel's angular basis (1, cos theta, sin theta cos phi, sin theta sin
+phi), where W is a polynomial in the basis functions of each qubit.
+An independent-angle scan contracts that tensor with the basis on each
+qubit's grid.  An equal-angle surface is separable: its monomials are
+cos^b theta sin^(c+d) theta times cos^c phi sin^d phi, so it is one
+matrix product of a theta factor and a phi factor over the pairs (c, d).
+Both scans check the Pauli-basis tensor for realness.
 """
 
 from __future__ import annotations
@@ -33,15 +38,18 @@ from .su2kernel import (
     SQRT3,
     DistributionKind,
     SphericalPoint,
+    _angular_basis,
     _pauli_coefficients,
+    _pauli_table,
+    _trig,
     kernel_grid,
 )
 
 IMAG_TOL = 1e-10
 # Most cells, (theta_steps * phi_steps) ** n, of one independent-angle scan.
-# A two-qubit scan of 3,992,004 cells (37 x 54 per qubit) peaks at 0.096 GB
-# of numpy allocations (tracemalloc): the complex contraction and its real
-# copy, side by side.
+# A two-qubit scan of 3,992,004 cells (37 x 54 per qubit) peaks at 0.068 GB
+# of numpy allocations (tracemalloc): the values, their negative part for
+# the negative volume and the sign mask, side by side.
 SPLIT_SCAN_MAX_CELLS = 4_000_000
 # Gauss-Legendre nodes in cos(theta) of normalization_check; twice as many
 # trapezoid points in phi.
@@ -147,6 +155,34 @@ def _weight_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return table, index
 
 
+def _each_qubit(t: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Sum each axis of the (4,)*n tensor ``t``, one per qubit, against
+    the first axis of the (4, k) matrix ``m``, lowest qubit first.  Each
+    step drops the leading axis and appends a k-long one, so the result,
+    of shape (k^(n-1), k), holds the new axes in qubit order."""
+    for _ in range(t.ndim):
+        t = t.reshape(4, -1).T @ m
+    return t
+
+
+def _basis_correlations(rho: DensityMatrix, kind: DistributionKind, context: str) -> np.ndarray:
+    """Correlation tensor of ``rho`` in the angular basis of ``kind``'s
+    kernel, real, of shape (4,)*n with qubit 0's axis first.
+
+    With the Pauli-basis tensor T_mu = Tr[rho sigma_mu_0 x ... x
+    sigma_mu_{n-1}] and the kernel's table, v_m = sum_beta table[m, beta]
+    basis_beta, this is T_beta = sum_mu T_mu prod_q table[mu_q, beta_q], so
+    that W = sum_beta T_beta prod_q basis_{beta_q}(theta_q, phi_q).
+
+    The realness check (IMAG_TOL) is made on T, not on W: the table and
+    the basis are real, so W's imaginary residue is the same sum over
+    Im(T), up to 2^n times T's for the P kernel, and is never formed.
+    """
+    n = rho.n_qubits
+    corr = _real(_contract(rho, [_PAULIS] * n), context)
+    return _each_qubit(corr, _pauli_table(DistributionKind(kind))).reshape((4,) * n)
+
+
 def evaluate(rho: DensityMatrix, kind: DistributionKind, points: Sequence[SphericalPoint]) -> QuasiProbSample:
     """Distribution value Tr[rho K(p_0) x ... x K(p_{n-1})], one point per qubit."""
     pts = tuple(points)
@@ -168,15 +204,15 @@ def sphere_grid(theta_steps: int, phi_steps: int) -> tuple[np.ndarray, np.ndarra
 def grid_values(rho: DensityMatrix, kind: DistributionKind, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """Equal-angle values W(theta_i, phi_j) as a (len(thetas), len(phis)) array.
 
-    Same kernel as :func:`evaluate`, taken in its real Pauli coefficients:
-    K = sum_m v_m sigma_m with v_m = Tr[K sigma_m] / 2.  With the
-    correlation tensor T_mu = Tr[rho sigma_mu_0 x ... x sigma_mu_{n-1}],
-    W = sum_mu T_mu prod_q v_{mu_q}, and the product only depends on the
-    weight class of mu, so T is summed per class first.
-
-    The realness check (IMAG_TOL) is made on T, not on W: the v surfaces
-    are real, so W's imaginary residue is sum_mu Im(T_mu) prod_q v_{mu_q},
-    up to 2^n times T's for the P kernel, and is never formed.
+    Same kernel as :func:`evaluate`, taken through the correlation tensor
+    T_beta of :func:`_basis_correlations`.  With every qubit at one point,
+    a basis string holding b cos theta, c sin theta cos phi and d sin
+    theta sin phi factors gives the monomial cos^b theta sin^(c+d) theta
+    cos^c phi sin^d phi, so T_beta is summed per weight class into
+    S[b, (c, d)] and W = A B^T over the (n+1)(n+2)/2 pairs (c, d), with
+    A[i] = sin^(c+d) theta_i sum_b S[b, (c, d)] cos^b theta_i and
+    B[j] = cos^c phi_j sin^d phi_j.  The realness check is made on the
+    Pauli-basis tensor, as :func:`_basis_correlations` says.
 
     ``thetas`` and ``phis`` must be non-empty 1-D axes (DimensionError).
     """
@@ -187,21 +223,21 @@ def grid_values(rho: DensityMatrix, kind: DistributionKind, thetas: np.ndarray, 
             f"thetas and phis must be non-empty 1-D axes, got shapes {thetas.shape} and {phis.shape}"
         )
     n = rho.n_qubits
-    corr = _real(_contract(rho, [_PAULIS] * n), "grid values")
+    t_beta = _basis_correlations(rho, kind, "grid values")
+    cos_theta, sin_theta, cos_phi, sin_phi = _trig(thetas, phis)
     classes, index = _weight_classes(n)
-    sums = np.bincount(index, weights=corr.reshape(-1), minlength=len(classes))
-    v = _pauli_coefficients(kind, thetas[:, None], phis[None, :])
-    acc = np.zeros(v.shape[1:])
-    term = np.empty_like(acc)
-    for counts, s in zip(classes, sums):
-        if s == 0.0:
-            continue
-        term.fill(s)
-        for m, c in enumerate(counts):
-            for _ in range(c):
-                term *= v[m]
-        acc += term
-    return acc
+    class_sums = np.bincount(index, weights=t_beta.reshape(-1), minlength=len(classes))
+    # S[b, p]: the pair (c, d) has index p = s (s + 1) / 2 + d, s = c + d
+    _, b, c, d = classes.T
+    pairs = (n + 1) * (n + 2) // 2
+    slots = b * pairs + (c + d) * (c + d + 1) // 2 + d
+    sums = np.bincount(slots, weights=class_sums, minlength=(n + 1) * pairs).reshape(n + 1, pairs)
+    powers = np.arange(n + 1)
+    pair_s = np.repeat(powers, powers + 1)
+    pair_d = np.arange(pairs) - pair_s * (pair_s + 1) // 2
+    theta_factor = (cos_theta[:, None] ** powers) @ sums * (sin_theta[:, None] ** powers)[:, pair_s]
+    phi_factor = (cos_phi[:, None] ** powers)[:, pair_s - pair_d] * (sin_phi[:, None] ** powers)[:, pair_d]
+    return theta_factor @ phi_factor.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,10 +275,14 @@ def grid_scan(
     """Scan theta in [0, pi] (inclusive) x phi in [0, 2*pi) on uniform grids.
 
     With ``equal_angles`` every qubit sits at the same point (the usual
-    convention for the figures).  Otherwise each qubit runs over its own
-    copy of the grid, which multiplies the sample count by itself n times;
-    a scan of more than ``SPLIT_SCAN_MAX_CELLS`` cells is refused with
-    :class:`DimensionError` before anything is allocated.
+    convention for the figures), and the values are the separable product
+    of :func:`grid_values`.  Otherwise each qubit runs over its own copy
+    of the grid, which multiplies the sample count by itself n times: the
+    correlation tensor of :func:`_basis_correlations` is contracted with
+    the angular basis on each qubit's grid, one matrix product per qubit.
+    A scan of more than ``SPLIT_SCAN_MAX_CELLS`` cells is refused with
+    :class:`DimensionError` before anything is allocated.  Both kinds of
+    scan check the Pauli-basis correlation tensor for realness, not W.
     """
     thetas, phis = sphere_grid(theta_steps, phi_steps)
     n = rho.n_qubits
@@ -255,17 +295,14 @@ def grid_scan(
             )
     d_theta = math.pi / (theta_steps - 1)
     d_phi = 2.0 * math.pi / phi_steps
-    point_weight = np.sin(thetas)[:, None] * d_theta * d_phi * np.ones_like(phis)[None, :]
+    point_weight = np.repeat(np.sin(thetas) * d_theta * d_phi, phi_steps)  # by (theta, phi), row-major
 
     if equal_angles:
         values = grid_values(rho, kind, thetas, phis)
-        weight = point_weight
     else:
-        e = kernel_grid(kind, thetas[:, None], phis[None, :])
-        values = _real(_contract(rho, [e] * n), "grid scan")
-        weight = point_weight
-        for _ in range(n - 1):
-            weight = np.multiply.outer(weight, point_weight)
+        basis = _angular_basis(thetas[:, None], phis[None, :]).reshape(4, -1)
+        t_beta = _basis_correlations(rho, kind, "grid scan")
+        values = _each_qubit(t_beta, basis).reshape((theta_steps, phi_steps) * n)
 
     flat_min = int(values.argmin())
     flat_max = int(values.argmax())
@@ -280,7 +317,11 @@ def grid_scan(
             for i in range(n)
         )
 
-    negative = values < 0.0
+    # a cell's weight is the product of its point weights, one per (theta,
+    # phi) axis pair, so the volume is summed one pair at a time, last first
+    volume = np.minimum(values, 0.0)
+    for _ in range(values.ndim // 2):
+        volume = volume.reshape(-1, point_weight.size) @ point_weight
     return ScanReport(
         kind=DistributionKind(kind),
         theta_steps=theta_steps,
@@ -293,8 +334,8 @@ def grid_scan(
         argmin=_points_at(flat_min),
         max_value=float(values.flat[flat_max]),
         argmax=_points_at(flat_max),
-        negative_fraction=float(negative.sum()) / values.size,
-        negative_volume=float((-values[negative] * weight[negative]).sum()),
+        negative_fraction=float((values < 0.0).sum()) / values.size,
+        negative_volume=abs(float(volume[0])),  # a sum of terms <= 0
     )
 
 

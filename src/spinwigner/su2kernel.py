@@ -55,8 +55,13 @@ class DistributionKind(IntEnum):
 
 def _check_angles(theta, phi) -> None:
     """The angle rule of every point and kernel: theta and phi (scalars or
-    arrays) finite, else ValueError."""
-    if not (np.isfinite(theta).all() and np.isfinite(phi).all()):
+    arrays) finite, else ValueError.  Scalars, Python or numpy, are read
+    by math.isfinite: numpy's reduction costs microseconds a point."""
+    if isinstance(theta, np.ndarray) or isinstance(phi, np.ndarray):
+        finite = np.isfinite(theta).all() and np.isfinite(phi).all()
+    else:
+        finite = math.isfinite(theta) and math.isfinite(phi)
+    if not finite:
         raise ValueError("theta and phi must be finite")
 
 
@@ -229,24 +234,38 @@ def _pauli_table(kind: DistributionKind) -> np.ndarray:
     return table
 
 
+def _trig(theta, phi) -> tuple[np.ndarray, ...]:
+    """cos theta, sin theta, cos phi and sin phi, each on its own angle's
+    shape.  The one angle gate of every kernel and surface: every angle
+    finite (ValueError)."""
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    _check_angles(theta, phi)
+    return np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
+
+
+def _angular_basis(theta, phi) -> np.ndarray:
+    """The stack (1, cos theta, sin theta cos phi, sin theta sin phi) of
+    shape (4,) + broadcast(theta, phi).shape, the columns of
+    :func:`_pauli_table`; every angle finite (ValueError)."""
+    cos_theta, sin_theta, cos_phi, sin_phi = _trig(theta, phi)
+    basis = np.empty((4,) + np.broadcast_shapes(cos_theta.shape, cos_phi.shape))
+    basis[0] = 1.0
+    basis[1] = cos_theta
+    basis[2] = sin_theta * cos_phi
+    basis[3] = sin_theta * sin_phi
+    return basis
+
+
 def _pauli_coefficients(kind: DistributionKind, theta, phi) -> np.ndarray:
     """Real Pauli coefficients of the kernel, K = sum_m v_m sigma_m.
 
     Returns the stack (v_I, v_X, v_Y, v_Z) of shape (4,) +
-    broadcast(theta, phi).shape.  The one input gate of every kernel:
-    ``kind`` must be a DistributionKind value and every angle finite
-    (ValueError).
+    broadcast(theta, phi).shape: the table of ``kind``, which must be a
+    DistributionKind value, applied to :func:`_angular_basis`.
     """
     table = _pauli_table(DistributionKind(kind))
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    _check_angles(theta, phi)
-    basis = np.empty((4,) + np.broadcast_shapes(theta.shape, phi.shape))
-    sin_theta = np.sin(theta)
-    basis[0] = 1.0
-    basis[1] = np.cos(theta)
-    basis[2] = sin_theta * np.cos(phi)
-    basis[3] = sin_theta * np.sin(phi)
+    basis = _angular_basis(theta, phi)
     # matmul on the flattened grid: tensordot's set-up dominates a
     # point evaluation's few angles
     return (table @ basis.reshape(4, -1)).reshape(basis.shape)

@@ -21,6 +21,7 @@ from spinwigner import (
     grid_scan,
     grid_values,
     normalization_check,
+    sphere_grid,
     validate_density,
 )
 from spinwigner.linalg import _certified
@@ -137,6 +138,33 @@ class TestEqualAngleSurface:
     def test_accelerated_states(self, accelerated, n):
         assert_surface_matches(accelerated_ghz(0.8, accelerated, 0.55, n_qubits=n), THETAS, PHIS)
 
+    @pytest.mark.parametrize("kind", list(DistributionKind))
+    @pytest.mark.parametrize("layout", ["dense", "x"])
+    def test_north_pole_row_is_constant(self, rng, kind, layout):
+        # at theta = 0 every monomial with a sin theta factor is 0, so the row
+        # is one theta-factor entry times cos^0 phi sin^0 phi = 1, bit for bit
+        for n in (2, 3, 5):
+            if layout == "dense":
+                rho = random_density(n, rng)
+            else:
+                rho = validate_density(random_x_density(n, rng), n)
+            assert rho.x_shaped == (layout == "x")
+            row = grid_values(rho, kind, THETAS[:3], PHIS)[0]
+            assert np.array_equal(row, np.full_like(row, row[0])), n
+
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_large_x_states_match_evaluate(self, rng, n):
+        # evaluate is an O(2^n) path of its own: one 2x2 kernel per qubit
+        rho = validate_density(random_x_density(n, rng), n)
+        assert rho.x_shaped
+        thetas, phis = np.sort(rng.uniform(0.0, math.pi, 7)), rng.uniform(0.0, 2.0 * math.pi, 9)
+        for kind in DistributionKind:
+            surface = grid_values(rho, kind, thetas, phis)
+            for i, theta in enumerate(thetas):
+                for j, phi in enumerate(phis):
+                    want = evaluate(rho, kind, [SphericalPoint(theta, phi)] * n).value
+                    assert abs(surface[i, j] - want) <= 1e-12 * max(1.0, abs(want)), (kind, i, j)
+
 
 @pytest.mark.parametrize("n, theta_steps, phi_steps", [(2, 9, 14), (3, 5, 6)])
 def test_split_scan_matches_dense_loop(rng, n, theta_steps, phi_steps):
@@ -251,4 +279,21 @@ class TestRealnessCheck:
                 grid_values(rho, DistributionKind.P, thetas, phis)
         else:
             out = grid_values(rho, DistributionKind.P, thetas, phis)
+            np.testing.assert_allclose(out, w.real, rtol=0, atol=ORACLE_TOL)
+
+    @pytest.mark.parametrize("residue, raises", [(0.9e-10, False), (1.1e-10, True)])
+    def test_split_scan_checks_the_correlation_tensor(self, residue, raises):
+        # the same rule as grid_values: T is checked, and W's residue, 4 times
+        # larger where both qubits sit at theta = pi, is never formed
+        m = np.eye(4, dtype=complex) / 4.0
+        m[0, 0] += residue * 1j
+        rho = DensityMatrix(matrix=m, n_qubits=2)
+        thetas, phis = sphere_grid(3, 4)
+        w = dense_oracle.split_surface(m, DistributionKind.P, thetas, phis)
+        assert np.abs(w.imag).max() == pytest.approx(4.0 * residue, rel=1e-6)
+        if raises:
+            with pytest.raises(NonRealResult, match="grid scan: imaginary residue"):
+                grid_scan(rho, DistributionKind.P, 3, 4, equal_angles=False)
+        else:
+            out = grid_scan(rho, DistributionKind.P, 3, 4, equal_angles=False).values
             np.testing.assert_allclose(out, w.real, rtol=0, atol=ORACLE_TOL)

@@ -16,8 +16,10 @@ LAYERS = {
 } | {f"accelerate.{state}.n{n}" for state in ("ghz_werner", "dense") for n in range(1, 8)} | {
     f"evaluate.{state}.n{n}" for state in ("ghz_werner", "accelerated", "dense") for n in range(1, 8)
 } | {f"ghz_werner.n{n}" for n in range(1, 8)} | {
-    "kernel_grid.91x181", "cli._csv_text.91x181", "probe_sweep.51x51.k3", "probe_sweep.51x51.n7k7",
-    "probe_sweep.fig5"}
+    f"grid_values.{state}.n{n}" for state in ("ghz_werner", "dense") for n in range(1, 8)
+} | {
+    "grid_scan.split.n3", "kernel_grid.91x181", "cli._csv_text.91x181", "probe_sweep.51x51.k3",
+    "probe_sweep.51x51.n7k7", "probe_sweep.fig5"}
 
 
 def run_tool(*args):

@@ -186,6 +186,23 @@ class TestGridScan:
         assert 0.0 < report.negative_fraction < 0.5
         assert report.negative_volume > 0.0
 
+    @pytest.mark.parametrize("equal_angles, steps", [(True, (31, 40)), (False, (5, 6))])
+    def test_negative_volume_weighs_each_negative_cell(self, equal_angles, steps):
+        # the weight of a cell is sin(theta) dtheta dphi per qubit point
+        rho = accelerated_ghz(1.0, 1, 0.3)
+        report = grid_scan(rho, DistributionKind.WIGNER, *steps, equal_angles=equal_angles)
+        point = np.sin(report.thetas)[:, None] * (math.pi / (steps[0] - 1)) * (2.0 * math.pi / steps[1])
+        weight = np.broadcast_to(point, steps)
+        for _ in range(0 if equal_angles else 2):
+            weight = np.multiply.outer(weight, np.broadcast_to(point, steps))
+        negative = report.values < 0.0
+        assert negative.any()
+        want = float((-report.values[negative] * weight[negative]).sum())
+        assert report.negative_volume == pytest.approx(want, rel=1e-12)
+        mixed = ghz_werner(GhzWernerParams(nu=0.0))
+        flat = grid_scan(mixed, DistributionKind.WIGNER, *steps, equal_angles=equal_angles)
+        assert math.copysign(1.0, flat.negative_volume) == 1.0 and flat.negative_volume == 0.0
+
     def test_independent_angles_contain_equal_diagonal(self):
         rho = ghz_werner(GhzWernerParams(nu=0.7))
         eq = grid_scan(rho, DistributionKind.WIGNER, 5, 4, equal_angles=True)

@@ -187,6 +187,21 @@ class TestSphericalHarmonic:
                 with pytest.raises(ValueError, match="^theta and phi must be finite$"):
                     SphericalPoint(theta, phi)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("form", [float, np.float64, lambda x: np.array([0.5, x])],
+                             ids=["float", "float64", "array"])
+    def test_angle_rule_has_one_message_for_every_form(self, bad, form):
+        # scalars are read by math.isfinite and arrays by np.isfinite: one rule
+        for theta, phi in ((form(bad), form(0.5)), (form(0.5), form(bad))):
+            with pytest.raises(ValueError, match="^theta and phi must be finite$"):
+                su2kernel._check_angles(theta, phi)
+            with pytest.raises(ValueError, match="^theta and phi must be finite$"):
+                if isinstance(theta, np.ndarray):
+                    kernel_grid(DistributionKind.WIGNER, theta, phi)
+                else:
+                    SphericalPoint(theta, phi)
+        su2kernel._check_angles(form(0.5), form(1.5))
+
     @pytest.mark.parametrize("theta, phi", [(np.array([0.1, 0.2]), 0.0), (0.1, [0.0])])
     def test_point_of_arrays_rejected(self, theta, phi):
         # the kernels take angle arrays; a point holds one pair

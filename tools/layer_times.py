@@ -17,6 +17,10 @@ calls lasting at least ``BATCH_S``.  The layers are
   (the dense per-qubit transfer);
 - ``evaluate`` of the Wigner kernel at n = 1..7 with every qubit at the
   probe point (pi/2, pi), on the same three states, validated;
+- ``grid_values`` of the Wigner kernel at n = 1..7 on the 91 x 181
+  equal-angle grid, on the GHZ-Werner and the dense state;
+- ``grid_scan`` of the Wigner kernel with independent angles on a 7 x 12
+  grid per qubit, on the dense 3-qubit state;
 - ``kernel_grid`` of the Wigner kernel on the 91 x 181 equal-angle grid;
 - ``cli._csv_text`` of one 91 x 181 Wigner surface;
 - ``probe_sweep`` of the 51 x 51 nu x r Wigner map at the probe point
@@ -82,6 +86,8 @@ def layer_samples(repeats: int) -> dict[str, list[float]]:
         accelerated_ghz,
         evaluate,
         ghz_werner,
+        grid_scan,
+        grid_values,
         kernel_grid,
         probe_sweep,
         sphere_grid,
@@ -91,6 +97,7 @@ def layer_samples(repeats: int) -> dict[str, list[float]]:
 
     rng = np.random.default_rng(6)
     probe = SphericalPoint(math.pi / 2.0, math.pi)
+    thetas, phis = sphere_grid(cli.SURFACE_THETA_STEPS, cli.SURFACE_PHI_STEPS)
     samples = {}
     for n in REGISTER_SIZES:
         dim = 2**n
@@ -114,7 +121,13 @@ def layer_samples(repeats: int) -> dict[str, list[float]]:
         for name, rho in validated.items():
             samples[f"evaluate.{name}.n{n}"] = time_per_call(
                 lambda rho=rho, points=(probe,) * n: evaluate(rho, DistributionKind.WIGNER, points), repeats)
-    thetas, phis = sphere_grid(cli.SURFACE_THETA_STEPS, cli.SURFACE_PHI_STEPS)
+        for name in ("ghz_werner", "dense"):
+            samples[f"grid_values.{name}.n{n}"] = time_per_call(
+                lambda rho=validated[name]: grid_values(rho, DistributionKind.WIGNER, thetas, phis), repeats)
+        if n == 3:
+            samples["grid_scan.split.n3"] = time_per_call(
+                lambda rho=validated["dense"]: grid_scan(rho, DistributionKind.WIGNER, 7, 12, equal_angles=False),
+                repeats)
     samples["kernel_grid.91x181"] = time_per_call(
         lambda: kernel_grid(DistributionKind.WIGNER, thetas[:, None], phis), repeats)
     table = cli._grid_table(1.0, 0.0, 0, DistributionKind.WIGNER, thetas, phis)
