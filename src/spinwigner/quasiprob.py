@@ -5,22 +5,20 @@ negativity diagnostics, a quadrature normalization functional, and
 comparisons against the published closed-form expressions for the
 (accelerated) GHZ-Werner family.
 
-Every evaluator is one contraction, :func:`_contract`: the trace of the
-state against a tensor product of per-qubit operator stacks, taken one
-qubit axis pair at a time.  Surface scans contract the state with the
-Pauli basis once and carry the real correlation tensor over to the
-kernel's angular basis (1, cos theta, sin theta cos phi, sin theta sin
-phi), where W is a polynomial in the basis functions of each qubit.
-An independent-angle scan contracts that tensor with the basis on each
-qubit's grid.  An equal-angle surface is separable: its monomials are
-cos^b theta sin^(c+d) theta times cos^c phi sin^d phi, so it is one
-matrix product of a theta factor and a phi factor over the pairs (c, d).
-Both scans check the Pauli-basis tensor for realness.
+Every point value, quadrature and independent-angle scan is one
+contraction, :func:`_contract`: the trace of the state against a tensor
+product of per-qubit operator stacks, taken one qubit axis pair at a
+time.  An independent-angle scan contracts the state with the Pauli
+basis once and the real correlation tensor with the kernel's Pauli
+coefficients on each qubit's grid.  An equal-angle surface needs no
+tensor: with every qubit at one point, an entry of the state meets a
+monomial fixed by three bit counts of its row and column, so the entries
+are summed by those counts (:func:`_pair_sums`) and the surface is one
+matrix product of a theta factor and the 2n + 1 harmonics of phi.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -38,10 +36,8 @@ from .su2kernel import (
     SQRT3,
     DistributionKind,
     SphericalPoint,
-    _angular_basis,
+    _check_angles,
     _pauli_coefficients,
-    _pauli_table,
-    _trig,
     kernel_grid,
 )
 
@@ -73,12 +69,16 @@ class QuasiProbSample:
     value: float
 
 
+def _check_residue(residue: float, context: str) -> None:
+    """NonRealResult for an imaginary residue above IMAG_TOL."""
+    if residue > IMAG_TOL:
+        raise NonRealResult(f"{context}: imaginary residue {residue:.3e}")
+
+
 def _real(values: np.ndarray, context: str) -> np.ndarray:
     """Real part of a contraction; an imaginary residue above IMAG_TOL
     raises NonRealResult."""
-    residue = float(max(values.imag.max(), -values.imag.min()))
-    if residue > IMAG_TOL:
-        raise NonRealResult(f"{context}: imaginary residue {residue:.3e}")
+    _check_residue(float(max(values.imag.max(), -values.imag.min())), context)
     return values.real.copy()
 
 
@@ -137,24 +137,6 @@ def _contract_x(stack: np.ndarray, ops: Sequence[np.ndarray]) -> np.ndarray:
     return t.reshape(batch + shape)
 
 
-@lru_cache(maxsize=None)
-def _weight_classes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pauli strings of n qubits grouped by how many I, X, Y and Z they hold.
-
-    Returns the (C, 4) table of counts, C = binom(n + 3, 3), and the class
-    index of every string in the row-major order of the (4,)*n tensor.
-    """
-    # Plain Python: built once per n, and numpy's unique/sort paths would
-    # page ~0.5 MiB more of the library into every process that scans.
-    classes: dict[tuple[int, ...], int] = {}
-    index = [classes.setdefault(tuple(mu.count(m) for m in range(4)), len(classes))
-             for mu in itertools.product(range(4), repeat=n)]
-    table, index = np.array(list(classes)), np.array(index)
-    table.setflags(write=False)
-    index.setflags(write=False)
-    return table, index
-
-
 def _each_qubit(t: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Sum each axis of the (4,)*n tensor ``t``, one per qubit, against
     the first axis of the (4, k) matrix ``m``, lowest qubit first.  Each
@@ -165,22 +147,33 @@ def _each_qubit(t: np.ndarray, m: np.ndarray) -> np.ndarray:
     return t
 
 
-def _basis_correlations(rho: DensityMatrix, kind: DistributionKind, context: str) -> np.ndarray:
-    """Correlation tensor of ``rho`` in the angular basis of ``kind``'s
-    kernel, real, of shape (4,)*n with qubit 0's axis first.
+def _pair_sums(rho: DensityMatrix) -> np.ndarray:
+    """The entries of ``rho`` summed by the monomial they meet when every
+    qubit sits at one point, complex, of shape (n + 1, n + 1, 2n + 1).
 
-    With the Pauli-basis tensor T_mu = Tr[rho sigma_mu_0 x ... x
-    sigma_mu_{n-1}] and the kernel's table, v_m = sum_beta table[m, beta]
-    basis_beta, this is T_beta = sum_mu T_mu prod_q table[mu_q, beta_q], so
-    that W = sum_beta T_beta prod_q basis_{beta_q}(theta_q, phi_q).
-
-    The realness check (IMAG_TOL) is made on T, not on W: the table and
-    the basis are real, so W's imaginary residue is the same sum over
-    Im(T), up to 2^n times T's for the P kernel, and is never formed.
+    An entry rho[x, y] whose qubits hold k bit pairs (x_q, y_q) = (1, 1),
+    u pairs (1, 0) and d pairs (0, 1) lands in S[k, u + d, n + u - d].
+    With |x| the number of set bits of x, k = |x & y|, u + d = |x ^ y|
+    and u - d = |x| - |y|.  An X state supplies its stack: a diagonal
+    entry has k = |x| and u = d = 0, an anti-diagonal one k = 0, u + d = n
+    and |y| = n - |x|.  Any other state supplies its matrix.
     """
     n = rho.n_qubits
-    corr = _real(_contract(rho, [_PAULIS] * n), context)
-    return _each_qubit(corr, _pauli_table(DistributionKind(kind))).reshape((4,) * n)
+    ones = np.zeros(1, dtype=np.intp)  # ones[x] = |x|
+    for _ in range(n):
+        ones = np.concatenate([ones, ones + 1])
+    harmonics = 2 * n + 1
+    if rho.x_shaped:
+        entries = rho._x_stack
+        slots = np.stack([ones * ((n + 1) * harmonics) + n, n * harmonics + 2 * ones])
+    else:
+        entries = rho.matrix
+        x = np.arange(2 ** n)
+        slots = (ones[x[:, None] & x] * (n + 1) + ones[x[:, None] ^ x]) * harmonics + n + ones[:, None] - ones
+    slots = slots.ravel()
+    size = (n + 1) ** 2 * harmonics
+    sums = np.bincount(slots, entries.real.ravel(), size) + 1j * np.bincount(slots, entries.imag.ravel(), size)
+    return sums.reshape(n + 1, n + 1, harmonics)
 
 
 def evaluate(rho: DensityMatrix, kind: DistributionKind, points: Sequence[SphericalPoint]) -> QuasiProbSample:
@@ -204,15 +197,15 @@ def sphere_grid(theta_steps: int, phi_steps: int) -> tuple[np.ndarray, np.ndarra
 def grid_values(rho: DensityMatrix, kind: DistributionKind, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """Equal-angle values W(theta_i, phi_j) as a (len(thetas), len(phis)) array.
 
-    Same kernel as :func:`evaluate`, taken through the correlation tensor
-    T_beta of :func:`_basis_correlations`.  With every qubit at one point,
-    a basis string holding b cos theta, c sin theta cos phi and d sin
-    theta sin phi factors gives the monomial cos^b theta sin^(c+d) theta
-    cos^c phi sin^d phi, so T_beta is summed per weight class into
-    S[b, (c, d)] and W = A B^T over the (n+1)(n+2)/2 pairs (c, d), with
-    A[i] = sin^(c+d) theta_i sum_b S[b, (c, d)] cos^b theta_i and
-    B[j] = cos^c phi_j sin^d phi_j.  The realness check is made on the
-    Pauli-basis tensor, as :func:`_basis_correlations` says.
+    Same kernel as :func:`evaluate`.  At one point (theta, phi) the kernel
+    has K[0, 0] = a, K[1, 1] = b and K[0, 1] = conj(K[1, 0]) = c e^(i phi)
+    with a, b and c real functions of theta, so an entry in the slot
+    S[k, m, n + D] of :func:`_pair_sums` meets a^(n-k-m) b^k c^m e^(i D phi)
+    and W is the real part of one matrix product over the 2n + 1 harmonics
+    D = -n..n: with F[i] the pair sums contracted with the monomials at
+    theta_i, W = (Re F, -Im F) E^T with E[j] = (cos D phi_j, sin D phi_j).
+    The realness check is made on the pair sums: half the largest
+    |S[k, m, D] - conj(S[k, m, -D])| is the imaginary residue.
 
     ``thetas`` and ``phis`` must be non-empty 1-D axes (DimensionError).
     """
@@ -222,22 +215,24 @@ def grid_values(rho: DensityMatrix, kind: DistributionKind, thetas: np.ndarray, 
         raise DimensionError(
             f"thetas and phis must be non-empty 1-D axes, got shapes {thetas.shape} and {phis.shape}"
         )
+    _check_angles(thetas, phis)
     n = rho.n_qubits
-    t_beta = _basis_correlations(rho, kind, "grid values")
-    cos_theta, sin_theta, cos_phi, sin_phi = _trig(thetas, phis)
-    classes, index = _weight_classes(n)
-    class_sums = np.bincount(index, weights=t_beta.reshape(-1), minlength=len(classes))
-    # S[b, p]: the pair (c, d) has index p = s (s + 1) / 2 + d, s = c + d
-    _, b, c, d = classes.T
-    pairs = (n + 1) * (n + 2) // 2
-    slots = b * pairs + (c + d) * (c + d + 1) // 2 + d
-    sums = np.bincount(slots, weights=class_sums, minlength=(n + 1) * pairs).reshape(n + 1, pairs)
+    sums = _pair_sums(rho)
+    _check_residue(0.5 * float(np.abs(sums - sums[..., ::-1].conj()).max()), "grid values")
+    # The one condition on the kind's table: it maps sin theta cos phi only
+    # to v_X and sin theta sin phi only to v_Y, with opposite signs, and
+    # nothing else to either.  Then K[0, 1] = v_X - i v_Y is proportional to
+    # e^(i phi), K[0, 0] and K[1, 1] do not depend on phi, and a, b and c
+    # are the kernel's entries at phi = 0.
+    kernels = kernel_grid(kind, thetas, 0.0).real
     powers = np.arange(n + 1)
-    pair_s = np.repeat(powers, powers + 1)
-    pair_d = np.arange(pairs) - pair_s * (pair_s + 1) // 2
-    theta_factor = (cos_theta[:, None] ** powers) @ sums * (sin_theta[:, None] ** powers)[:, pair_s]
-    phi_factor = (cos_phi[:, None] ** powers)[:, pair_s - pair_d] * (sin_phi[:, None] ** powers)[:, pair_d]
-    return theta_factor @ phi_factor.T
+    a, b, c = (kernels[row, col][:, None] ** powers for row, col in ((0, 0), (1, 1), (0, 1)))
+    # slots with k + m > n hold no entry: their exponent of a is clipped to 0
+    exponents = np.maximum(n - powers[:, None] - powers, 0)
+    monomials = a[:, exponents] * b[:, :, None] * c[:, None, :]
+    f = monomials.reshape(thetas.size, -1) @ sums.reshape((n + 1) ** 2, -1)
+    angles = phis[:, None] * (np.arange(2 * n + 1) - n)
+    return np.hstack([f.real, -f.imag]) @ np.hstack([np.cos(angles), np.sin(angles)]).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -278,11 +273,12 @@ def grid_scan(
     convention for the figures), and the values are the separable product
     of :func:`grid_values`.  Otherwise each qubit runs over its own copy
     of the grid, which multiplies the sample count by itself n times: the
-    correlation tensor of :func:`_basis_correlations` is contracted with
-    the angular basis on each qubit's grid, one matrix product per qubit.
-    A scan of more than ``SPLIT_SCAN_MAX_CELLS`` cells is refused with
-    :class:`DimensionError` before anything is allocated.  Both kinds of
-    scan check the Pauli-basis correlation tensor for realness, not W.
+    real Pauli correlation tensor T_mu = Tr[rho sigma_mu_0 x ... x
+    sigma_mu_{n-1}] is contracted with the kernel's Pauli coefficients on
+    each qubit's grid, one matrix product per qubit.  A scan of more than
+    ``SPLIT_SCAN_MAX_CELLS`` cells is refused with :class:`DimensionError`
+    before anything is allocated.  The equal-angle scan checks the pair
+    sums for realness and the independent-angle scan checks T, not W.
     """
     thetas, phis = sphere_grid(theta_steps, phi_steps)
     n = rho.n_qubits
@@ -300,9 +296,9 @@ def grid_scan(
     if equal_angles:
         values = grid_values(rho, kind, thetas, phis)
     else:
-        basis = _angular_basis(thetas[:, None], phis[None, :]).reshape(4, -1)
-        t_beta = _basis_correlations(rho, kind, "grid scan")
-        values = _each_qubit(t_beta, basis).reshape((theta_steps, phi_steps) * n)
+        corr = _real(_contract(rho, [_PAULIS] * n), "grid scan")
+        v = _pauli_coefficients(kind, thetas[:, None], phis[None, :]).reshape(4, -1)
+        values = _each_qubit(corr, v).reshape((theta_steps, phi_steps) * n)
 
     flat_min = int(values.argmin())
     flat_max = int(values.argmax())

@@ -234,38 +234,25 @@ def _pauli_table(kind: DistributionKind) -> np.ndarray:
     return table
 
 
-def _trig(theta, phi) -> tuple[np.ndarray, ...]:
-    """cos theta, sin theta, cos phi and sin phi, each on its own angle's
-    shape.  The one angle gate of every kernel and surface: every angle
-    finite (ValueError)."""
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    _check_angles(theta, phi)
-    return np.cos(theta), np.sin(theta), np.cos(phi), np.sin(phi)
-
-
-def _angular_basis(theta, phi) -> np.ndarray:
-    """The stack (1, cos theta, sin theta cos phi, sin theta sin phi) of
-    shape (4,) + broadcast(theta, phi).shape, the columns of
-    :func:`_pauli_table`; every angle finite (ValueError)."""
-    cos_theta, sin_theta, cos_phi, sin_phi = _trig(theta, phi)
-    basis = np.empty((4,) + np.broadcast_shapes(cos_theta.shape, cos_phi.shape))
-    basis[0] = 1.0
-    basis[1] = cos_theta
-    basis[2] = sin_theta * cos_phi
-    basis[3] = sin_theta * sin_phi
-    return basis
-
-
 def _pauli_coefficients(kind: DistributionKind, theta, phi) -> np.ndarray:
     """Real Pauli coefficients of the kernel, K = sum_m v_m sigma_m.
 
     Returns the stack (v_I, v_X, v_Y, v_Z) of shape (4,) +
     broadcast(theta, phi).shape: the table of ``kind``, which must be a
-    DistributionKind value, applied to :func:`_angular_basis`.
+    DistributionKind value, applied to the angular basis (1, cos theta,
+    sin theta cos phi, sin theta sin phi).  The one builder under every
+    kernel, and so the angle gate of each: every angle finite (ValueError).
     """
     table = _pauli_table(DistributionKind(kind))
-    basis = _angular_basis(theta, phi)
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    _check_angles(theta, phi)
+    sin_theta = np.sin(theta)
+    basis = np.empty((4,) + np.broadcast_shapes(theta.shape, phi.shape))
+    basis[0] = 1.0
+    basis[1] = np.cos(theta)
+    basis[2] = sin_theta * np.cos(phi)
+    basis[3] = sin_theta * np.sin(phi)
     # matmul on the flattened grid: tensordot's set-up dominates a
     # point evaluation's few angles
     return (table @ basis.reshape(4, -1)).reshape(basis.shape)

@@ -3,6 +3,7 @@ X-shaped layout, against the dense references in ``dense_oracle``, and the
 realness check on its results."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from spinwigner import (
     validate_density,
 )
 from spinwigner.linalg import _certified
-from spinwigner.quasiprob import _contract, _weight_classes
+from spinwigner.quasiprob import _contract, _pair_sums
 from spinwigner.su2kernel import _PAULIS
 
 import dense_oracle
@@ -119,6 +120,8 @@ class TestXLayout:
         assert rho.x_shaped and not dense.x_shaped
         for ops in ([_PAULIS] * n, [np.arange(4.0).reshape(2, 2) + 1j] * n):
             np.testing.assert_allclose(_contract(rho, ops), _contract(dense, ops), rtol=1e-14, atol=1e-14)
+        # the stack and the matrix land every entry in the same slot
+        np.testing.assert_allclose(_pair_sums(rho), _pair_sums(dense), rtol=0, atol=1e-15)
 
 
 class TestEqualAngleSurface:
@@ -165,6 +168,20 @@ class TestEqualAngleSurface:
                     want = evaluate(rho, kind, [SphericalPoint(theta, phi)] * n).value
                     assert abs(surface[i, j] - want) <= 1e-12 * max(1.0, abs(want)), (kind, i, j)
 
+    def test_sixteen_qubit_x_state_never_forms_the_matrix(self):
+        # the state's dense matrix would be 4^16 x 16 B = 64 GiB, its Pauli
+        # correlation tensor as much; the stack is 2 x 2^16 x 16 B = 2 MiB
+        rho = accelerated_ghz(0.7, 16, 0.5, n_qubits=16)
+        tracemalloc.start()
+        try:
+            surface = grid_values(rho, DistributionKind.WIGNER, THETAS, PHIS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert rho._matrix is None
+        assert surface.shape == (91, 181) and np.isfinite(surface).all()
+
 
 @pytest.mark.parametrize("n, theta_steps, phi_steps", [(2, 9, 14), (3, 5, 6)])
 def test_split_scan_matches_dense_loop(rng, n, theta_steps, phi_steps):
@@ -198,18 +215,6 @@ def test_pauli_correlation_tensor(rng):
         sigma = np.kron(np.kron(_PAULIS[..., mu[2]], _PAULIS[..., mu[1]]), _PAULIS[..., mu[0]])
         assert corr[mu] == pytest.approx(np.trace(rho.matrix @ sigma), abs=1e-15)
     assert corr[0, 0, 0] == pytest.approx(1.0, abs=1e-15)
-
-
-@pytest.mark.parametrize("n, count", [(1, 4), (3, 20), (6, 84), (7, 120)])
-def test_weight_classes(n, count):
-    classes, index = _weight_classes(n)
-    assert classes.shape == (count, 4)
-    assert (classes.sum(axis=1) == n).all()
-    assert np.bincount(index, minlength=count).sum() == 4 ** n
-    # the string X Y ... Y Z: one X on qubit 0, one Z on qubit n-1
-    if n >= 2:
-        flat = np.ravel_multi_index((1,) + (2,) * (n - 2) + (3,), (4,) * n)
-        assert tuple(classes[index[flat]]) == (0, 1, n - 2, 1)
 
 
 class TestRealnessCheck:
@@ -265,15 +270,33 @@ class TestRealnessCheck:
         assert evaluate(rho, DistributionKind.WIGNER, self.POINTS).value == pytest.approx(0.25, abs=1e-12)
 
     @pytest.mark.parametrize("residue, raises", [(0.9e-10, False), (1.1e-10, True)])
-    def test_grid_values_checks_the_correlation_tensor(self, residue, raises):
-        # grid_values checks T_mu = Tr[rho sigma_mu] (imaginary parts 0 or +-residue
+    def test_grid_values_checks_the_pair_sums(self, residue, raises):
+        # grid_values checks the pair sums S (imaginary parts 0 or residue
         # here), not W: at theta = pi the P surface's own residue is 4 times larger
         m = np.eye(4, dtype=complex) / 4.0
         m[0, 0] += residue * 1j
-        rho = DensityMatrix(matrix=m, n_qubits=2)
         thetas, phis = np.array([1.0, math.pi]), np.array([0.0, 2.0])
         w = dense_oracle.equal_angle_surface(m, DistributionKind.P, thetas, phis)
         assert np.abs(w.imag).max() == pytest.approx(4.0 * residue, rel=1e-6)
+        self.assert_grid_values_check(m, thetas, phis, w, raises)
+
+    @pytest.mark.parametrize("residue, raises", [(0.9e-10, False), (1.1e-10, True)])
+    def test_grid_values_checks_off_diagonal_pair_sums(self, residue, raises):
+        # m[0, 1] - conj(m[1, 0]) = 2 residue: the skew sits in the slots of
+        # the harmonics -1 and +1, S[0, 1, n - 1] - conj(S[0, 1, n + 1]), and
+        # reaches W through sin phi
+        m = np.eye(4, dtype=complex) / 4.0
+        m[0, 1], m[1, 0] = 0.1 + residue, 0.1 - residue
+        thetas, phis = np.array([1.0, 2.0]), np.array([0.0, 2.0])
+        w = dense_oracle.equal_angle_surface(m, DistributionKind.P, thetas, phis)
+        assert np.abs(w.imag).max() > 0.0
+        self.assert_grid_values_check(m, thetas, phis, w, raises)
+
+    @staticmethod
+    def assert_grid_values_check(m, thetas, phis, w, raises):
+        """grid_values of the P kernel on ``m`` refuses it, or returns the
+        real part of the oracle's surface ``w``."""
+        rho = DensityMatrix(matrix=m, n_qubits=2)
         if raises:
             with pytest.raises(NonRealResult, match="grid values: imaginary residue"):
                 grid_values(rho, DistributionKind.P, thetas, phis)
@@ -283,8 +306,8 @@ class TestRealnessCheck:
 
     @pytest.mark.parametrize("residue, raises", [(0.9e-10, False), (1.1e-10, True)])
     def test_split_scan_checks_the_correlation_tensor(self, residue, raises):
-        # the same rule as grid_values: T is checked, and W's residue, 4 times
-        # larger where both qubits sit at theta = pi, is never formed
+        # T is checked, and W's residue, 4 times larger where both qubits
+        # sit at theta = pi, is never formed
         m = np.eye(4, dtype=complex) / 4.0
         m[0, 0] += residue * 1j
         rho = DensityMatrix(matrix=m, n_qubits=2)

@@ -17,7 +17,7 @@ LAYERS = {
     f"evaluate.{state}.n{n}" for state in ("ghz_werner", "accelerated", "dense") for n in range(1, 8)
 } | {f"ghz_werner.n{n}" for n in range(1, 8)} | {
     f"grid_values.{state}.n{n}" for state in ("ghz_werner", "dense") for n in range(1, 8)
-} | {
+} | {f"grid_values.ghz_werner.n{n}" for n in range(8, 11)} | {
     "grid_scan.split.n3", "kernel_grid.91x181", "cli._csv_text.91x181", "probe_sweep.51x51.k3",
     "probe_sweep.51x51.n7k7", "probe_sweep.fig5"}
 

@@ -126,6 +126,12 @@ class TestGridValues:
         with pytest.raises(ValueError, match="theta and phi must be finite"):
             grid_values(rho, DistributionKind.WIGNER, [0.1, math.nan], [0.0, 1.0])
 
+    def test_rejects_infinite_phi(self):
+        # the phi harmonics are taken outside the kernel, behind the same gate
+        rho = ghz_werner(GhzWernerParams(nu=1.0))
+        with pytest.raises(ValueError, match="theta and phi must be finite"):
+            grid_values(rho, DistributionKind.WIGNER, [0.1, 0.2], [0.0, math.inf])
+
     @pytest.mark.parametrize("thetas, phis", [([], [0.0, 1.0]), ([0.1, 0.2], [])])
     def test_rejects_empty_axis(self, thetas, phis):
         rho = ghz_werner(GhzWernerParams(nu=1.0))

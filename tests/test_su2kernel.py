@@ -369,6 +369,15 @@ class TestPauliCoefficients:
         with pytest.raises(ValueError):
             table[0, 0] = 1.0
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_equal_angle_form(self, kind):
+        # what grid_values needs: sin theta cos phi feeds only v_X and sin
+        # theta sin phi only v_Y, with opposite signs, and nothing else feeds
+        # either, so K[0, 1] = v_X - i v_Y is proportional to e^(i phi)
+        table = _pauli_table(kind)
+        assert np.count_nonzero(table[:, 2:]) == np.count_nonzero(table[1:3]) == 2
+        assert table[1, 2] == -table[2, 3] != 0.0
+
     def test_imaginary_table_refused(self, monkeypatch):
         # a Y_11 with the wrong sign of its sin(phi) part leaves i*v_X terms
         bad = dict(su2kernel._YLM_ON_BASIS)

@@ -18,7 +18,9 @@ calls lasting at least ``BATCH_S``.  The layers are
 - ``evaluate`` of the Wigner kernel at n = 1..7 with every qubit at the
   probe point (pi/2, pi), on the same three states, validated;
 - ``grid_values`` of the Wigner kernel at n = 1..7 on the 91 x 181
-  equal-angle grid, on the GHZ-Werner and the dense state;
+  equal-angle grid, on the GHZ-Werner and the dense state, and at
+  n = 8..10 on the GHZ-Werner state alone (an X state built from its
+  stack, with no dense matrix);
 - ``grid_scan`` of the Wigner kernel with independent angles on a 7 x 12
   grid per qubit, on the dense 3-qubit state;
 - ``kernel_grid`` of the Wigner kernel on the 91 x 181 equal-angle grid;
@@ -128,6 +130,10 @@ def layer_samples(repeats: int) -> dict[str, list[float]]:
             samples["grid_scan.split.n3"] = time_per_call(
                 lambda rho=validated["dense"]: grid_scan(rho, DistributionKind.WIGNER, 7, 12, equal_angles=False),
                 repeats)
+    for n in range(8, 11):
+        rho = ghz_werner(GhzWernerParams(nu=0.5, n_qubits=n))
+        samples[f"grid_values.ghz_werner.n{n}"] = time_per_call(
+            lambda rho=rho: grid_values(rho, DistributionKind.WIGNER, thetas, phis), repeats)
     samples["kernel_grid.91x181"] = time_per_call(
         lambda: kernel_grid(DistributionKind.WIGNER, thetas[:, None], phis), repeats)
     table = cli._grid_table(1.0, 0.0, 0, DistributionKind.WIGNER, thetas, phis)
