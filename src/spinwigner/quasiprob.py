@@ -5,12 +5,14 @@ negativity diagnostics, a quadrature normalization functional, and
 comparisons against the published closed-form expressions for the
 (accelerated) GHZ-Werner family.
 
-Every point value, quadrature and independent-angle scan is one
-contraction, :func:`_contract`: the trace of the state against a tensor
-product of per-qubit operator stacks, taken one qubit axis pair at a
-time.  An independent-angle scan contracts the state with the Pauli
-basis once and the real correlation tensor with the kernel's Pauli
-coefficients on each qubit's grid.  An equal-angle surface needs no
+A point value or quadrature is the trace of the state against a tensor
+product of 2x2 operators.  An X state's entries meet one operator entry
+per qubit, so its stack is summed against their products
+(:func:`_trace_x`); any other state is contracted one qubit axis pair at
+a time (:func:`_contract`).  An independent-angle scan contracts the
+state's matrix with the Pauli basis once and the real correlation tensor
+with the kernel's Pauli coefficients on each qubit's grid.  An
+equal-angle surface needs no
 tensor: with every qubit at one point, an entry of the state meets a
 monomial fixed by three bit counts of its row and column, so the entries
 are summed by those counts (:func:`_pair_sums`) and the surface is one
@@ -86,17 +88,11 @@ def _contract(rho: DensityMatrix, ops: Sequence[np.ndarray]) -> np.ndarray:
     """Tr[rho ops[0] x ... x ops[n-1]], complex, of shape g_0 + ... + g_{n-1}.
 
     ``ops[q]`` has shape (2, 2) + g_q and belongs to qubit q, the basis
-    bit of weight 2^q.  The qubits are contracted one at a time, lowest
-    first, each appending g_q to the trailing axes, in one of two layouts:
-
-    - a state that validation certified as an X matrix is contracted from
-      its (2, 2^n) stack by :func:`_contract_x`, as a batch of one;
-    - any other state is viewed as a (2,)*2n tensor whose row and column
-      factors run msb-first, and each qubit is one tensordot of its row
-      and column axes with its operator.
+    bit of weight 2^q.  The state's matrix (an X state's is scattered) is
+    viewed as a (2,)*2n tensor whose row and column factors run
+    msb-first, and each qubit, lowest first, is one tensordot of its row
+    and column axes with its operator, appending g_q to the trailing axes.
     """
-    if rho.x_shaped:
-        return _contract_x(rho._x_stack, ops)
     n = rho.n_qubits
     t = rho.matrix.reshape((2,) * (2 * n))
     for q, op in enumerate(ops):
@@ -106,35 +102,36 @@ def _contract(rho: DensityMatrix, ops: Sequence[np.ndarray]) -> np.ndarray:
     return t
 
 
-def _contract_x(stack: np.ndarray, ops: Sequence[np.ndarray]) -> np.ndarray:
-    """:func:`_contract` of every X state in ``stack``, of shape
-    (..., 2, 2^n): per state its diagonal entries rho[x, x] and
-    anti-diagonal entries rho[x, x~], x~ = 2^n - 1 - x, by row x.  The
-    result has shape stack.shape[:-2] + g_0 + ... + g_{n-1}.
+def _x_weights(ops: Sequence[np.ndarray]) -> np.ndarray:
+    """The (2, 2^m) weights an X state's stack meets under the 2x2
+    operators ``ops`` of m qubits: row 0 the product of op_q[x_q, x_q] and
+    row 1 that of op_q[1 - x_q, x_q], by x, one Kronecker factor per qubit."""
+    weights = np.ones((2, 1))
+    for op in ops:
+        weights = (op.reshape(4)[_X_PAIRS][:, :, None] * weights[:, None, :]).reshape(2, -1)
+    return weights
 
-    A diagonal entry with row bit b meets op[b, b] and an anti-diagonal
-    one op[1 - b, b], so each qubit is one matmul batched over the states
-    and the two rows of each stack, which are summed at the last qubit:
-    O(2^n) work per state for point kernels.  Every state goes through
-    the same matrix products as it would alone.
+
+def _trace_x(stack: np.ndarray, ops: Sequence[np.ndarray]) -> np.ndarray:
+    """Tr[rho ops[0] x ... x ops[n-1]], for 2x2 ``ops``, of every X state
+    in ``stack``, of shape (..., 2, 2^n): per state its diagonal entries
+    rho[x, x] and anti-diagonal entries rho[x, x~], x~ = 2^n - 1 - x, by
+    row x.  The result has shape stack.shape[:-2].
+
+    The weights (:func:`_x_weights`) are the Kronecker product of those of
+    the low and the high half of the qubits, so the stack is summed
+    against the one, then the other: O(2^n) work, each state as alone.
     """
-    batch = stack.shape[:-2]
-    states = math.prod(batch)
-    n = len(ops)
-    t = stack  # t[state, row of the stack, x]
-    size, shape = 1, ()  # of the g axes so far
-    for q, op in enumerate(ops):
-        pair = op.reshape(4, -1)[_X_PAIRS]  # pair[row of the stack, b, g]
-        t = t.reshape(states, 2, -1, 2)  # (state, stack, g so far x higher bits, bit q)
-        if q < n - 1:
-            # move g_q ahead of the higher bits, so that bit q + 1 comes last
-            t = (t @ pair).reshape(states, 2, size, 2 ** (n - 1 - q), -1).swapaxes(3, 4)
-        else:
-            # the stack's two rows are summed in this last product
-            t = t.transpose(0, 2, 1, 3).reshape(states, size, 4) @ pair.reshape(4, -1)
-        size *= pair.shape[2]
-        shape += op.shape[2:]
-    return t.reshape(batch + shape)
+    half = len(ops) // 2
+    low, high = _x_weights(ops[:half]), _x_weights(ops[half:])
+    t = stack.reshape(stack.shape[:-1] + (high.shape[1], low.shape[1]))
+    return np.einsum("...sh,sh->...", np.einsum("...shl,sl->...sh", t, low), high)
+
+
+def _trace(rho: DensityMatrix, ops: Sequence[np.ndarray]) -> np.ndarray:
+    """Tr[rho ops[0] x ... x ops[n-1]] for 2x2 operators: from the stack
+    of a state validation certified as an X matrix, else by :func:`_contract`."""
+    return _trace_x(rho._x_stack, ops) if rho.x_shaped else _contract(rho, ops)
 
 
 def _each_qubit(t: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -154,23 +151,21 @@ def _pair_sums(rho: DensityMatrix) -> np.ndarray:
     An entry rho[x, y] whose qubits hold k bit pairs (x_q, y_q) = (1, 1),
     u pairs (1, 0) and d pairs (0, 1) lands in S[k, u + d, n + u - d].
     With |x| the number of set bits of x, k = |x & y|, u + d = |x ^ y|
-    and u - d = |x| - |y|.  An X state supplies its stack: a diagonal
-    entry has k = |x| and u = d = 0, an anti-diagonal one k = 0, u + d = n
-    and |y| = n - |x|.  Any other state supplies its matrix.
+    and u - d = |x| - |y|.  Only the entries and their (x, y) depend on
+    the layout: an X state's stack sits at (x, x) and (x, 2^n - 1 - x),
+    any other state's matrix everywhere.
     """
     n = rho.n_qubits
     ones = np.zeros(1, dtype=np.intp)  # ones[x] = |x|
     for _ in range(n):
         ones = np.concatenate([ones, ones + 1])
     harmonics = 2 * n + 1
+    x = np.arange(2 ** n)
     if rho.x_shaped:
-        entries = rho._x_stack
-        slots = np.stack([ones * ((n + 1) * harmonics) + n, n * harmonics + 2 * ones])
+        entries, row, col = rho._x_stack, x, np.stack([x, x[::-1]])
     else:
-        entries = rho.matrix
-        x = np.arange(2 ** n)
-        slots = (ones[x[:, None] & x] * (n + 1) + ones[x[:, None] ^ x]) * harmonics + n + ones[:, None] - ones
-    slots = slots.ravel()
+        entries, row, col = rho.matrix, x[:, None], x
+    slots = ((ones[row & col] * (n + 1) + ones[row ^ col]) * harmonics + n + ones[row] - ones[col]).ravel()
     size = (n + 1) ** 2 * harmonics
     sums = np.bincount(slots, entries.real.ravel(), size) + 1j * np.bincount(slots, entries.imag.ravel(), size)
     return sums.reshape(n + 1, n + 1, harmonics)
@@ -182,7 +177,7 @@ def evaluate(rho: DensityMatrix, kind: DistributionKind, points: Sequence[Spheri
     if len(pts) != rho.n_qubits:
         raise DimensionError(f"expected {rho.n_qubits} points, got {len(pts)}")
     k = kernel_grid(kind, [p.theta for p in pts], [p.phi for p in pts])
-    value = float(_real(_contract(rho, [k[..., q] for q in range(len(pts))]), "evaluate"))
+    value = float(_real(_trace(rho, [k[..., q] for q in range(len(pts))]), "evaluate"))
     return QuasiProbSample(points=pts, kind=DistributionKind(kind), value=value)
 
 
@@ -203,7 +198,7 @@ def grid_values(rho: DensityMatrix, kind: DistributionKind, thetas: np.ndarray, 
     S[k, m, n + D] of :func:`_pair_sums` meets a^(n-k-m) b^k c^m e^(i D phi)
     and W is the real part of one matrix product over the 2n + 1 harmonics
     D = -n..n: with F[i] the pair sums contracted with the monomials at
-    theta_i, W = (Re F, -Im F) E^T with E[j] = (cos D phi_j, sin D phi_j).
+    theta_i, W[i, j] = sum_D Re F[i, D] cos D phi_j - Im F[i, D] sin D phi_j.
     The realness check is made on the pair sums: half the largest
     |S[k, m, D] - conj(S[k, m, -D])| is the imaginary residue.
 
@@ -230,9 +225,10 @@ def grid_values(rho: DensityMatrix, kind: DistributionKind, thetas: np.ndarray, 
     # slots with k + m > n hold no entry: their exponent of a is clipped to 0
     exponents = np.maximum(n - powers[:, None] - powers, 0)
     monomials = a[:, exponents] * b[:, :, None] * c[:, None, :]
-    f = monomials.reshape(thetas.size, -1) @ sums.reshape((n + 1) ** 2, -1)
+    # F's real and imaginary parts interleaved by harmonic, as E's (cos, -sin)
+    f = monomials.reshape(thetas.size, -1) @ sums.reshape((n + 1) ** 2, -1).view(float)
     angles = phis[:, None] * (np.arange(2 * n + 1) - n)
-    return np.hstack([f.real, -f.imag]) @ np.hstack([np.cos(angles), np.sin(angles)]).T
+    return f @ np.stack([np.cos(angles), -np.sin(angles)], axis=-1).reshape(phis.size, -1).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,8 +273,11 @@ def grid_scan(
     sigma_mu_{n-1}] is contracted with the kernel's Pauli coefficients on
     each qubit's grid, one matrix product per qubit.  A scan of more than
     ``SPLIT_SCAN_MAX_CELLS`` cells is refused with :class:`DimensionError`
-    before anything is allocated.  The equal-angle scan checks the pair
-    sums for realness and the independent-angle scan checks T, not W.
+    before anything is allocated.  An X state's matrix is scattered for
+    this contraction and kept on the state: with at least 4^n cells the
+    limit allows n <= 10, within ``DENSE_MAX_QUBITS``.  The equal-angle
+    scan checks the pair sums for realness and the independent-angle scan
+    checks T, not W.
     """
     thetas, phis = sphere_grid(theta_steps, phi_steps)
     n = rho.n_qubits
@@ -346,7 +345,7 @@ def normalization_check(rho: DensityMatrix, kind: DistributionKind) -> float:
     operator is contracted with the state.
     """
     op = _quadrature_mean(DistributionKind(kind))
-    return float(_real(_contract(rho, [op] * rho.n_qubits), "normalization_check"))
+    return float(_real(_trace(rho, [op] * rho.n_qubits), "normalization_check"))
 
 
 @lru_cache(maxsize=None)
@@ -488,7 +487,7 @@ def probe_sweep(
     (:func:`~spinwigner.rindler._x_channel`), the (R, endpoints, 2, 2^n)
     output is certified state by state in one call of
     :func:`~spinwigner.linalg._certify_x`, which raises for the first
-    failing (r, endpoint) state, and one :func:`_contract_x` takes every
+    failing (r, endpoint) state, and one :func:`_trace_x` takes every
     point value: each state goes through the same arithmetic as
     ``accelerate`` then ``evaluate`` would give it alone.  Every nu and r,
     then the register size and the accelerated set, is checked before the
@@ -511,7 +510,7 @@ def probe_sweep(
         stack = _x_channel(stack, rs, indices)  # (r, endpoint, 2, 2^n)
         _certify_x(stack)
     k = kernel_grid(kind, [point.theta] * n_qubits, [point.phi] * n_qubits)
-    w = _real(_contract_x(stack, [k[..., q] for q in range(n_qubits)]), "probe_sweep")
+    w = _real(_trace_x(stack, [k[..., q] for q in range(n_qubits)]), "probe_sweep")
     w = np.broadcast_to(w, (rs.size, len(ends)))
     return (1.0 - t) * w[:, 0] + t * w[:, -1]
 

@@ -26,7 +26,7 @@ from spinwigner import (
     validate_density,
 )
 from spinwigner.linalg import _certified
-from spinwigner.quasiprob import _contract, _pair_sums
+from spinwigner.quasiprob import _contract, _pair_sums, _trace_x
 from spinwigner.su2kernel import _PAULIS
 
 import dense_oracle
@@ -118,10 +118,20 @@ class TestXLayout:
         rho = accelerated_ghz(0.7, n // 2, 0.6, n_qubits=n)
         dense = DensityMatrix(matrix=rho.matrix, n_qubits=n)
         assert rho.x_shaped and not dense.x_shaped
-        for ops in ([_PAULIS] * n, [np.arange(4.0).reshape(2, 2) + 1j] * n):
-            np.testing.assert_allclose(_contract(rho, ops), _contract(dense, ops), rtol=1e-14, atol=1e-14)
+        ops = [np.arange(4.0).reshape(2, 2) + 1j] * n
+        np.testing.assert_allclose(_trace_x(rho._x_stack, ops), _contract(dense, ops), rtol=1e-14, atol=1e-14)
         # the stack and the matrix land every entry in the same slot
         np.testing.assert_allclose(_pair_sums(rho), _pair_sums(dense), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_x_trace_of_a_batch_is_each_state_traced_alone(rng, n):
+    stack = rng.standard_normal((4, 3, 2, 2**n)) + 1j * rng.standard_normal((4, 3, 2, 2**n))
+    ops = list(rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2)))
+    got = _trace_x(stack, ops)
+    assert got.shape == (4, 3)
+    for i, j in np.ndindex(4, 3):
+        assert got[i, j] == _trace_x(stack[i, j], ops)
 
 
 class TestEqualAngleSurface:

@@ -18,8 +18,10 @@ LAYERS = {
 } | {f"ghz_werner.n{n}" for n in range(1, 8)} | {
     f"grid_values.{state}.n{n}" for state in ("ghz_werner", "dense") for n in range(1, 8)
 } | {f"grid_values.ghz_werner.n{n}" for n in range(8, 11)} | {
+    f"{layer}.n{n}" for layer in ("ghz_werner", "accelerate.ghz_werner", "evaluate.ghz_werner") for n in (10, 16)
+} | {f"normalization_check.ghz_werner.n{n}" for n in (3, 7, 16)} | {
     "grid_scan.split.n3", "kernel_grid.91x181", "cli._csv_text.91x181", "probe_sweep.51x51.k3",
-    "probe_sweep.51x51.n7k7", "probe_sweep.fig5"}
+    "probe_sweep.51x51.n7k7", "probe_sweep.5x5.n16k16", "probe_sweep.fig5"}
 
 
 def run_tool(*args):

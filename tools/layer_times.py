@@ -8,15 +8,20 @@ Each layer is timed in seconds per call: the median and the inclusive
 quartiles over ``--repeats`` samples, each sample the mean of a batch of
 calls lasting at least ``BATCH_S``.  The layers are
 
-- ``ghz_werner`` at n = 1..7 and nu = 0.5, its validation included;
+- ``ghz_werner`` at n = 1..7, 10 and 16 and nu = 0.5, its validation
+  included;
 - ``validate_density`` at n = 1..7 on three matrices built beforehand:
   the GHZ-Werner state at nu = 0.5, the same state with every qubit
   accelerated at r = 0.5, and a dense (Ginibre) state;
 - ``accelerate`` at n = 1..7 with every qubit accelerated at r = 0.5,
   on the GHZ-Werner state (the X-shaped layout) and on the dense state
-  (the dense per-qubit transfer);
+  (the dense per-qubit transfer), and at n = 10 and 16 on the GHZ-Werner
+  state alone;
 - ``evaluate`` of the Wigner kernel at n = 1..7 with every qubit at the
-  probe point (pi/2, pi), on the same three states, validated;
+  probe point (pi/2, pi), on the same three states, validated, and at
+  n = 10 and 16 on the GHZ-Werner state;
+- ``normalization_check`` of the Wigner kernel on the GHZ-Werner state
+  at n = 3, 7 and 16;
 - ``grid_values`` of the Wigner kernel at n = 1..7 on the 91 x 181
   equal-angle grid, on the GHZ-Werner and the dense state, and at
   n = 8..10 on the GHZ-Werner state alone (an X state built from its
@@ -27,8 +32,10 @@ calls lasting at least ``BATCH_S``.  The layers are
 - ``cli._csv_text`` of one 91 x 181 Wigner surface;
 - ``probe_sweep`` of the 51 x 51 nu x r Wigner map at the probe point
   with three accelerated qubits (the fig4c data), the same map of a
-  7-qubit register with all seven accelerated, and the three sweeps of
-  the fig5 r curves (4 nu x 50 r, one per k = 1, 2, 3).
+  7-qubit register with all seven accelerated, a 5 x 5 map of a 16-qubit
+  register with all sixteen accelerated (51 x 51 would stack about
+  200 MB), and the three sweeps of the fig5 r curves (4 nu x 50 r, one
+  per k = 1, 2, 3).
 
 The ``--parent`` revision is extracted and the sides alternate as
 ``paired.py`` describes, over ``ROUNDS`` rounds; each layer's samples are
@@ -65,8 +72,9 @@ def time_per_call(fn, repeats: int) -> list[float]:
     fn()
     single = time.perf_counter() - start
     number = max(1, math.ceil(BATCH_S / max(single, 1e-9)))
-    samples = []
-    for _ in range(repeats):
+    # a call that lasts a whole batch was already timed as one
+    samples = [single] if number == 1 else []
+    while len(samples) < repeats:
         start = time.perf_counter()
         for _ in range(number):
             fn()
@@ -91,6 +99,7 @@ def layer_samples(repeats: int) -> dict[str, list[float]]:
         grid_scan,
         grid_values,
         kernel_grid,
+        normalization_check,
         probe_sweep,
         sphere_grid,
         validate_density,
@@ -134,6 +143,19 @@ def layer_samples(repeats: int) -> dict[str, list[float]]:
         rho = ghz_werner(GhzWernerParams(nu=0.5, n_qubits=n))
         samples[f"grid_values.ghz_werner.n{n}"] = time_per_call(
             lambda rho=rho: grid_values(rho, DistributionKind.WIGNER, thetas, phis), repeats)
+    for n in (10, 16):
+        rho = ghz_werner(GhzWernerParams(nu=0.5, n_qubits=n))
+        config = AccelerationConfig(r=0.5, accelerated=tuple(range(n)))
+        samples[f"ghz_werner.n{n}"] = time_per_call(
+            lambda n=n: ghz_werner(GhzWernerParams(nu=0.5, n_qubits=n)), repeats)
+        samples[f"accelerate.ghz_werner.n{n}"] = time_per_call(
+            lambda rho=rho, config=config: accelerate(rho, config), repeats)
+        samples[f"evaluate.ghz_werner.n{n}"] = time_per_call(
+            lambda rho=rho, points=(probe,) * n: evaluate(rho, DistributionKind.WIGNER, points), repeats)
+    for n in (3, 7, 16):
+        samples[f"normalization_check.ghz_werner.n{n}"] = time_per_call(
+            lambda rho=ghz_werner(GhzWernerParams(nu=0.5, n_qubits=n)): normalization_check(
+                rho, DistributionKind.WIGNER), repeats)
     samples["kernel_grid.91x181"] = time_per_call(
         lambda: kernel_grid(DistributionKind.WIGNER, thetas[:, None], phis), repeats)
     table = cli._grid_table(1.0, 0.0, 0, DistributionKind.WIGNER, thetas, phis)
@@ -144,6 +166,9 @@ def layer_samples(repeats: int) -> dict[str, list[float]]:
         lambda: probe_sweep(nus, rs, 3, DistributionKind.WIGNER, probe), repeats)
     samples["probe_sweep.51x51.n7k7"] = time_per_call(
         lambda: probe_sweep(nus, rs, 7, DistributionKind.WIGNER, probe, n_qubits=7), repeats)
+    samples["probe_sweep.5x5.n16k16"] = time_per_call(
+        lambda: probe_sweep(np.linspace(0.0, 1.0, 5), np.linspace(0.0, R_MAX, 5), 16, DistributionKind.WIGNER,
+                            probe, n_qubits=16), repeats)
     curve_nus = (0.2, 0.5, 0.7, 1.0)
     r_curve = np.linspace(0.0, R_MAX, cli.R_CURVE_STEPS)
     samples["probe_sweep.fig5"] = time_per_call(
