@@ -27,6 +27,11 @@ PSD_FLOOR = -1e-10
 # Most qubits whose dense matrix an X state builds from its stack on
 # request: at n = 12 the 4^n complex entries alone take 256 MiB.
 DENSE_MAX_QUBITS = 12
+# Digit tables of the layouts of _entries.  Qubit q of rho[x, y] holds the
+# digit 2 y_q + x_q, the flat position of the op[y_q, x_q] it meets in a 2x2
+# operator: by row bit for an X state's two rows, by itself for a dense row.
+_X_PAIRS = np.array([[0, 3], [2, 1]])
+_DENSE_PAIRS = np.array([[0, 1, 2, 3]])
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -42,9 +47,10 @@ class DensityMatrix:
     - for an X matrix, whose exact support lies on the diagonal and the
       anti-diagonal (such as every GHZ-Werner state, accelerated or not),
       the read-only (2, 2^n) stack of its entries rho[x, x] and
-      rho[x, 2^n-1-x], by row x, on which the channel and the contraction
-      work.  It is not a constructor argument: only validation sets it,
-      so an instance built directly has none and takes the dense paths.
+      rho[x, 2^n-1-x], by row x.  The channel works on it, and
+      :func:`_entries` hands it to every evaluator.  It is not a
+      constructor argument: only validation sets it, so an instance built
+      directly has none and takes the dense paths.
 
     An X state that validation built from its stack alone has no dense
     array until ``matrix`` is first read: then the 4^n matrix is scattered
@@ -239,6 +245,21 @@ def _scatter(stack: np.ndarray, n_qubits: int) -> np.ndarray:
     arr.ravel()[_x_diagonals(dim)] = stack
     arr.setflags(write=False)
     return arr
+
+
+def _entries(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of ``rho`` and their digit table: the one choice of
+    layout under every evaluator.  The entry at index sum_q j_q b^q of
+    row s, b the table's width, has the digit ``digits[s, j_q]`` on qubit
+    q.  An X state gives its (2, 2^n) stack with ``_X_PAIRS``, any other
+    state its matrix as one contiguous (1, 4^n) row with ``_DENSE_PAIRS``,
+    rho[x, y] at sum_q (2 y_q + x_q) 4^q."""
+    if rho.x_shaped:
+        return rho._x_stack, _X_PAIRS
+    n = rho.n_qubits
+    # the (2,)*2n view runs x_{n-1}..x_0 then y_{n-1}..y_0; pair y_q with x_q
+    bits = rho.matrix.reshape((2,) * (2 * n)).transpose([axis for i in range(n) for axis in (n + i, i)])
+    return bits.reshape(1, -1), _DENSE_PAIRS
 
 
 def _certified(

@@ -6,17 +6,18 @@ comparisons against the published closed-form expressions for the
 (accelerated) GHZ-Werner family.
 
 A point value or quadrature is the trace of the state against a tensor
-product of 2x2 operators.  An X state's entries meet one operator entry
-per qubit, so its stack is summed against their products
-(:func:`_trace_x`); any other state is contracted one qubit axis pair at
-a time (:func:`_contract`).  An independent-angle scan contracts the
-state's matrix with the Pauli basis once and the real correlation tensor
-with the kernel's Pauli coefficients on each qubit's grid.  An
-equal-angle surface needs no
-tensor: with every qubit at one point, an entry of the state meets a
-monomial fixed by three bit counts of its row and column, so the entries
-are summed by those counts (:func:`_pair_sums`) and the surface is one
-matrix product of a theta factor and the 2n + 1 harmonics of phi.
+product of 2x2 operators.  Every state is read as its entries indexed by
+per-qubit pair digits (:func:`~spinwigner.linalg._entries`): an X
+state's stack or any other state's matrix, each entry meeting one
+operator entry per qubit.  So one trace sums the entries against the
+products of those operator entries (:func:`_trace`), whatever the
+layout.  An independent-angle scan contracts the entries with the Pauli
+basis once and the real correlation tensor with the kernel's Pauli
+coefficients on each qubit's grid.  An equal-angle surface needs no
+tensor: with every qubit at one point, an entry meets a monomial fixed by
+its per-qubit digits, so the entries are summed by that monomial
+(:func:`_pair_sums`) and the surface is one matrix product of a theta
+factor and the 2n + 1 harmonics of phi.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionError, NonRealResult
-from .linalg import DensityMatrix, _certify_x
+from .linalg import _X_PAIRS, DensityMatrix, _certify_x, _entries
 from .rindler import MATCH_TOL, AccelerationConfig, _accelerated_qubits, _check_r, _x_channel, accelerate
 from .states import GhzWernerParams, ghz_werner
 from .su2kernel import (
@@ -52,9 +53,6 @@ SPLIT_SCAN_MAX_CELLS = 4_000_000
 # Gauss-Legendre nodes in cos(theta) of normalization_check; twice as many
 # trapezoid points in phi.
 QUAD_ORDER = 32
-# Flat (y, x) positions of op[b, b] and op[1 - b, b] in a 2x2 operator, by
-# column bit b: what a diagonal and an anti-diagonal entry of an X state meet.
-_X_PAIRS = np.array([[0, 3], [2, 1]])
 
 
 @dataclass(frozen=True)
@@ -84,63 +82,43 @@ def _real(values: np.ndarray, context: str) -> np.ndarray:
     return values.real.copy()
 
 
-def _contract(rho: DensityMatrix, ops: Sequence[np.ndarray]) -> np.ndarray:
-    """Tr[rho ops[0] x ... x ops[n-1]], complex, of shape g_0 + ... + g_{n-1}.
-
-    ``ops[q]`` has shape (2, 2) + g_q and belongs to qubit q, the basis
-    bit of weight 2^q.  The state's matrix (an X state's is scattered) is
-    viewed as a (2,)*2n tensor whose row and column factors run
-    msb-first, and each qubit, lowest first, is one tensordot of its row
-    and column axes with its operator, appending g_q to the trailing axes.
-    """
-    n = rho.n_qubits
-    t = rho.matrix.reshape((2,) * (2 * n))
-    for q, op in enumerate(ops):
-        m = n - q  # qubits left; the lowest one's axes end each half
-        # sum_{x, y} rho[.., x, .., y, ..] op[y, x, g]
-        t = np.tensordot(t, op, axes=([m - 1, 2 * m - 1], [1, 0]))
-    return t
+def _per_entry(per_qubit: Sequence[np.ndarray], digits: np.ndarray, ufunc: np.ufunc) -> np.ndarray:
+    """``ufunc`` over the qubits of per_qubit[q].flat[d_q], for every entry
+    of the layout of ``digits`` (:func:`~spinwigner.linalg._entries`), as
+    one Kronecker factor per qubit of m >= 1: shape (rows, b^m)."""
+    out = per_qubit[0].reshape(-1)[digits]
+    for values in per_qubit[1:]:
+        out = ufunc(values.reshape(-1)[digits][:, :, None], out[:, None, :]).reshape(len(digits), -1)
+    return out
 
 
-def _x_weights(ops: Sequence[np.ndarray]) -> np.ndarray:
-    """The (2, 2^m) weights an X state's stack meets under the 2x2
-    operators ``ops`` of m qubits: row 0 the product of op_q[x_q, x_q] and
-    row 1 that of op_q[1 - x_q, x_q], by x, one Kronecker factor per qubit."""
-    weights = np.ones((2, 1))
-    for op in ops:
-        weights = (op.reshape(4)[_X_PAIRS][:, :, None] * weights[:, None, :]).reshape(2, -1)
-    return weights
+def _trace(entries: np.ndarray, digits: np.ndarray, ops: Sequence[np.ndarray]) -> np.ndarray:
+    """Tr[rho ops[0] x ... x ops[n-1]], for 2x2 ``ops``, of every state in
+    ``entries``, of shape (..., rows, b^n) in the layout of ``digits``:
+    each entry meets the product of its operator entries, one per qubit
+    (:func:`_per_entry`).  The result has shape entries.shape[:-2].
 
-
-def _trace_x(stack: np.ndarray, ops: Sequence[np.ndarray]) -> np.ndarray:
-    """Tr[rho ops[0] x ... x ops[n-1]], for 2x2 ``ops``, of every X state
-    in ``stack``, of shape (..., 2, 2^n): per state its diagonal entries
-    rho[x, x] and anti-diagonal entries rho[x, x~], x~ = 2^n - 1 - x, by
-    row x.  The result has shape stack.shape[:-2].
-
-    The weights (:func:`_x_weights`) are the Kronecker product of those of
-    the low and the high half of the qubits, so the stack is summed
-    against the one, then the other: O(2^n) work, each state as alone.
+    The weights are the Kronecker product of those of the low and the
+    high half of the qubits, so each state is summed against the one,
+    then the other: O(b^n) work, each state as alone.  ``entries`` must be
+    contiguous, or the sums may differ in the last bit.
     """
     half = len(ops) // 2
-    low, high = _x_weights(ops[:half]), _x_weights(ops[half:])
-    t = stack.reshape(stack.shape[:-1] + (high.shape[1], low.shape[1]))
-    return np.einsum("...sh,sh->...", np.einsum("...shl,sl->...sh", t, low), high)
-
-
-def _trace(rho: DensityMatrix, ops: Sequence[np.ndarray]) -> np.ndarray:
-    """Tr[rho ops[0] x ... x ops[n-1]] for 2x2 operators: from the stack
-    of a state validation certified as an X matrix, else by :func:`_contract`."""
-    return _trace_x(rho._x_stack, ops) if rho.x_shaped else _contract(rho, ops)
+    high = _per_entry(ops[half:], digits, np.multiply)
+    if half:
+        low = _per_entry(ops[:half], digits, np.multiply)
+        t = entries.reshape(entries.shape[:-1] + (high.shape[1], low.shape[1]))
+        entries = np.einsum("...shl,sl->...sh", t, low)
+    return np.einsum("...sh,sh->...", entries, high)
 
 
 def _each_qubit(t: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Sum each axis of the (4,)*n tensor ``t``, one per qubit, against
-    the first axis of the (4, k) matrix ``m``, lowest qubit first.  Each
+    """Sum each axis of the (b,)*n tensor ``t``, one per qubit, against
+    the first axis of the (b, k) matrix ``m``, lowest qubit first.  Each
     step drops the leading axis and appends a k-long one, so the result,
     of shape (k^(n-1), k), holds the new axes in qubit order."""
     for _ in range(t.ndim):
-        t = t.reshape(4, -1).T @ m
+        t = t.reshape(len(m), -1).T @ m
     return t
 
 
@@ -148,24 +126,16 @@ def _pair_sums(rho: DensityMatrix) -> np.ndarray:
     """The entries of ``rho`` summed by the monomial they meet when every
     qubit sits at one point, complex, of shape (n + 1, n + 1, 2n + 1).
 
-    An entry rho[x, y] whose qubits hold k bit pairs (x_q, y_q) = (1, 1),
-    u pairs (1, 0) and d pairs (0, 1) lands in S[k, u + d, n + u - d].
-    With |x| the number of set bits of x, k = |x & y|, u + d = |x ^ y|
-    and u - d = |x| - |y|.  Only the entries and their (x, y) depend on
-    the layout: an X state's stack sits at (x, x) and (x, 2^n - 1 - x),
-    any other state's matrix everywhere.
+    An entry whose qubits hold k bit pairs (x_q, y_q) = (1, 1), u pairs
+    (1, 0) and d pairs (0, 1) lands in S[k, u + d, n + u - d], at the flat
+    slot n plus one step per qubit, by its digit: 0 for (0, 0), H + 1 for
+    u, H - 1 for d and (n + 1) H for k, with H = 2n + 1.
     """
     n = rho.n_qubits
-    ones = np.zeros(1, dtype=np.intp)  # ones[x] = |x|
-    for _ in range(n):
-        ones = np.concatenate([ones, ones + 1])
+    entries, digits = _entries(rho)
     harmonics = 2 * n + 1
-    x = np.arange(2 ** n)
-    if rho.x_shaped:
-        entries, row, col = rho._x_stack, x, np.stack([x, x[::-1]])
-    else:
-        entries, row, col = rho.matrix, x[:, None], x
-    slots = ((ones[row & col] * (n + 1) + ones[row ^ col]) * harmonics + n + ones[row] - ones[col]).ravel()
+    steps = np.array([0, harmonics + 1, harmonics - 1, (n + 1) * harmonics])
+    slots = (_per_entry([steps] * n, digits, np.add) + n).ravel()
     size = (n + 1) ** 2 * harmonics
     sums = np.bincount(slots, entries.real.ravel(), size) + 1j * np.bincount(slots, entries.imag.ravel(), size)
     return sums.reshape(n + 1, n + 1, harmonics)
@@ -177,7 +147,7 @@ def evaluate(rho: DensityMatrix, kind: DistributionKind, points: Sequence[Spheri
     if len(pts) != rho.n_qubits:
         raise DimensionError(f"expected {rho.n_qubits} points, got {len(pts)}")
     k = kernel_grid(kind, [p.theta for p in pts], [p.phi for p in pts])
-    value = float(_real(_trace(rho, [k[..., q] for q in range(len(pts))]), "evaluate"))
+    value = float(_real(_trace(*_entries(rho), [k[..., q] for q in range(len(pts))]), "evaluate"))
     return QuasiProbSample(points=pts, kind=DistributionKind(kind), value=value)
 
 
@@ -270,14 +240,14 @@ def grid_scan(
     of :func:`grid_values`.  Otherwise each qubit runs over its own copy
     of the grid, which multiplies the sample count by itself n times: the
     real Pauli correlation tensor T_mu = Tr[rho sigma_mu_0 x ... x
-    sigma_mu_{n-1}] is contracted with the kernel's Pauli coefficients on
-    each qubit's grid, one matrix product per qubit.  A scan of more than
-    ``SPLIT_SCAN_MAX_CELLS`` cells is refused with :class:`DimensionError`
-    before anything is allocated.  An X state's matrix is scattered for
-    this contraction and kept on the state: with at least 4^n cells the
-    limit allows n <= 10, within ``DENSE_MAX_QUBITS``.  The equal-angle
-    scan checks the pair sums for realness and the independent-angle scan
-    checks T, not W.
+    sigma_mu_{n-1}] is taken from the state's entries, one matrix product
+    per qubit and row of the layout, and contracted with the kernel's
+    Pauli coefficients on each qubit's grid, one matrix product per
+    qubit.  An X state's T comes from its stack: no dense matrix is
+    built.  A scan of more than ``SPLIT_SCAN_MAX_CELLS`` cells is refused
+    with :class:`DimensionError` before anything is allocated.  The
+    equal-angle scan checks the pair sums for realness and the
+    independent-angle scan checks T, not W.
     """
     thetas, phis = sphere_grid(theta_steps, phi_steps)
     n = rho.n_qubits
@@ -295,7 +265,11 @@ def grid_scan(
     if equal_angles:
         values = grid_values(rho, kind, thetas, phis)
     else:
-        corr = _real(_contract(rho, [_PAULIS] * n), "grid scan")
+        entries, digits = _entries(rho)
+        paulis = _PAULIS.reshape(4, 4)  # sigma_mu[y, x] by the digit 2 y + x
+        # each row of the layout meets the Pauli basis through its own digits
+        corr = sum(_each_qubit(row.reshape((len(d),) * n).T, paulis[d]) for row, d in zip(entries, digits))
+        corr = _real(corr, "grid scan").reshape((4,) * n)
         v = _pauli_coefficients(kind, thetas[:, None], phis[None, :]).reshape(4, -1)
         values = _each_qubit(corr, v).reshape((theta_steps, phi_steps) * n)
 
@@ -345,7 +319,7 @@ def normalization_check(rho: DensityMatrix, kind: DistributionKind) -> float:
     operator is contracted with the state.
     """
     op = _quadrature_mean(DistributionKind(kind))
-    return float(_real(_trace(rho, [op] * rho.n_qubits), "normalization_check"))
+    return float(_real(_trace(*_entries(rho), [op] * rho.n_qubits), "normalization_check"))
 
 
 @lru_cache(maxsize=None)
@@ -487,8 +461,8 @@ def probe_sweep(
     (:func:`~spinwigner.rindler._x_channel`), the (R, endpoints, 2, 2^n)
     output is certified state by state in one call of
     :func:`~spinwigner.linalg._certify_x`, which raises for the first
-    failing (r, endpoint) state, and one :func:`_trace_x` takes every
-    point value: each state goes through the same arithmetic as
+    failing (r, endpoint) state, and one :func:`_trace` of the stacks
+    with the X digits takes every point value: each state goes through the same arithmetic as
     ``accelerate`` then ``evaluate`` would give it alone.  Every nu and r,
     then the register size and the accelerated set, is checked before the
     first state is built, also when an axis is empty.
@@ -510,7 +484,7 @@ def probe_sweep(
         stack = _x_channel(stack, rs, indices)  # (r, endpoint, 2, 2^n)
         _certify_x(stack)
     k = kernel_grid(kind, [point.theta] * n_qubits, [point.phi] * n_qubits)
-    w = _real(_trace_x(stack, [k[..., q] for q in range(n_qubits)]), "probe_sweep")
+    w = _real(_trace(stack, _X_PAIRS, [k[..., q] for q in range(n_qubits)]), "probe_sweep")
     w = np.broadcast_to(w, (rs.size, len(ends)))
     return (1.0 - t) * w[:, 0] + t * w[:, -1]
 

@@ -25,8 +25,8 @@ from spinwigner import (
     sphere_grid,
     validate_density,
 )
-from spinwigner.linalg import _certified
-from spinwigner.quasiprob import _contract, _pair_sums, _trace_x
+from spinwigner.linalg import _X_PAIRS, _certified, _entries
+from spinwigner.quasiprob import _each_qubit, _pair_sums, _trace
 from spinwigner.su2kernel import _PAULIS
 
 import dense_oracle
@@ -119,19 +119,29 @@ class TestXLayout:
         dense = DensityMatrix(matrix=rho.matrix, n_qubits=n)
         assert rho.x_shaped and not dense.x_shaped
         ops = [np.arange(4.0).reshape(2, 2) + 1j] * n
-        np.testing.assert_allclose(_trace_x(rho._x_stack, ops), _contract(dense, ops), rtol=1e-14, atol=1e-14)
+        np.testing.assert_allclose(_trace(*_entries(rho), ops), _trace(*_entries(dense), ops), rtol=1e-14, atol=1e-14)
         # the stack and the matrix land every entry in the same slot
         np.testing.assert_allclose(_pair_sums(rho), _pair_sums(dense), rtol=0, atol=1e-15)
+
+
+def test_split_scan_of_an_x_state_reads_its_stack():
+    # the correlation tensor comes from the stack, so no dense matrix is scattered
+    rho = accelerated_ghz(0.7, 3, 0.5)
+    assert rho.x_shaped and rho._matrix is None
+    report = grid_scan(rho, DistributionKind.WIGNER, 3, 4, equal_angles=False)
+    assert rho._matrix is None
+    want = dense_oracle.split_surface(rho.matrix, DistributionKind.WIGNER, report.thetas, report.phis)
+    assert np.abs(report.values - want).max() <= ORACLE_TOL
 
 
 @pytest.mark.parametrize("n", [1, 3, 7])
 def test_x_trace_of_a_batch_is_each_state_traced_alone(rng, n):
     stack = rng.standard_normal((4, 3, 2, 2**n)) + 1j * rng.standard_normal((4, 3, 2, 2**n))
     ops = list(rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2)))
-    got = _trace_x(stack, ops)
+    got = _trace(stack, _X_PAIRS, ops)
     assert got.shape == (4, 3)
     for i, j in np.ndindex(4, 3):
-        assert got[i, j] == _trace_x(stack[i, j], ops)
+        assert got[i, j] == _trace(stack[i, j], _X_PAIRS, ops)
 
 
 class TestEqualAngleSurface:
@@ -217,8 +227,10 @@ def test_normalization_matches_kronecker_quadrature(rng, n):
 
 
 def test_pauli_correlation_tensor(rng):
+    # T as the split scan takes it: the dense entries, lowest qubit leading
     rho = random_density(3, rng)
-    corr = _contract(rho, [_PAULIS] * 3)
+    entries, _ = _entries(rho)
+    corr = _each_qubit(entries.reshape(4, 4, 4).T, _PAULIS.reshape(4, 4)).reshape(4, 4, 4)
     assert corr.shape == (4, 4, 4)
     for mu in [(0, 0, 0), (3, 0, 0), (1, 2, 3), (2, 2, 1), (0, 3, 1)]:
         # qubit 0 is the last Kronecker factor

@@ -20,7 +20,8 @@ LAYERS = {
 } | {f"grid_values.ghz_werner.n{n}" for n in range(8, 11)} | {
     f"{layer}.n{n}" for layer in ("ghz_werner", "accelerate.ghz_werner", "evaluate.ghz_werner") for n in (10, 16)
 } | {f"normalization_check.ghz_werner.n{n}" for n in (3, 7, 16)} | {
-    "grid_scan.split.n3", "kernel_grid.91x181", "cli._csv_text.91x181", "probe_sweep.51x51.k3",
+    f"normalization_check.dense.n{n}" for n in (3, 5, 7)
+} | {"grid_scan.split.n2", "grid_scan.split.n3", "kernel_grid.91x181", "cli._csv_text.91x181", "probe_sweep.51x51.k3",
     "probe_sweep.51x51.n7k7", "probe_sweep.5x5.n16k16", "probe_sweep.fig5"}
 
 
@@ -35,14 +36,14 @@ def test_one_repeat_writes_every_layer_of_both_sides(tmp_path):
     record = json.loads(out.read_text(encoding="utf-8"))
     assert set(record) == {"method", "numpy", "platform", "python", "sides"}
     assert set(record["sides"]) == {"parent", "change"}
-    timings = {"median_s", "quartiles_s", "samples"}
+    timings = {"min_s", "median_s", "quartiles_s", "samples"}
     assert set(record["sides"]["parent"]) == {"revision", "commit"} | timings
     assert set(record["sides"]["change"]) == {"commit", "uncommitted"} | timings
     for side in record["sides"].values():
-        assert set(side["median_s"]) == set(side["quartiles_s"]) == LAYERS
+        assert set(side["min_s"]) == set(side["median_s"]) == set(side["quartiles_s"]) == LAYERS
         assert all(isinstance(t, float) and t > 0.0 for t in side["median_s"].values())
         for name, (q1, q3) in side["quartiles_s"].items():
-            assert 0.0 < q1 <= side["median_s"][name] <= q3
+            assert 0.0 < side["min_s"][name] <= q1 <= side["median_s"][name] <= q3
         assert side["samples"] == dict.fromkeys(LAYERS, layer_times.ROUNDS)
 
 

@@ -373,6 +373,35 @@ class TestXState:
         assert str(got.value) == str(error)
 
 
+class TestEntries:
+    """``linalg._entries``: which entry of the matrix sits where, in both layouts."""
+
+    @staticmethod
+    def position(digits):
+        """Flat index of the per-qubit digits, lowest qubit first, in the dense row."""
+        return sum(int(d) * 4**q for q, d in enumerate(digits))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_dense_entry_sits_at_its_pair_digits(self, rng, n):
+        # built directly: validation would certify every 2x2 state as X
+        rho = DensityMatrix(matrix=random_density(n, rng).matrix, n_qubits=n)
+        entries, digits = linalg._entries(rho)
+        assert entries.shape == (1, 4**n) and entries.flags.c_contiguous
+        np.testing.assert_array_equal(digits, [[0, 1, 2, 3]])
+        for x, y in np.ndindex(2**n, 2**n):
+            index = self.position(2 * (y >> q & 1) + (x >> q & 1) for q in range(n))
+            assert entries[0, index] == rho.matrix[x, y]
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_x_digits_name_the_stack_in_the_dense_entries(self, rng, n):
+        rho = validate_density(random_x_density(n, rng), n)
+        stack, digits = linalg._entries(rho)
+        assert stack is rho._x_stack
+        dense, _ = linalg._entries(DensityMatrix(matrix=rho.matrix, n_qubits=n))
+        for s, x in np.ndindex(2, 2**n):
+            assert dense[0, self.position(digits[s, x >> q & 1] for q in range(n))] == stack[s, x]
+
+
 class TestLazyMatrix:
     """A certified X state built from its stack has no dense matrix until
     ``.matrix`` is read, and never one above ``DENSE_MAX_QUBITS``."""

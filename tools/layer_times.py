@@ -4,9 +4,11 @@ Run from the repository root:
 
     python3 tools/layer_times.py --parent HEAD --repeats 15 --out LAYERS_12.json
 
-Each layer is timed in seconds per call: the median and the inclusive
-quartiles over ``--repeats`` samples, each sample the mean of a batch of
-calls lasting at least ``BATCH_S``.  The layers are
+Each layer is timed in seconds per call: the minimum, the median and the
+inclusive quartiles over ``--repeats`` samples, each sample the mean of a
+batch of calls lasting at least ``BATCH_S``.  The minimum tells apart
+sub-millisecond rows whose quartiles overlap on a noisy host.  The
+layers are
 
 - ``ghz_werner`` at n = 1..7, 10 and 16 and nu = 0.5, its validation
   included;
@@ -21,13 +23,14 @@ calls lasting at least ``BATCH_S``.  The layers are
   probe point (pi/2, pi), on the same three states, validated, and at
   n = 10 and 16 on the GHZ-Werner state;
 - ``normalization_check`` of the Wigner kernel on the GHZ-Werner state
-  at n = 3, 7 and 16;
+  at n = 3, 7 and 16, and on the dense state at n = 3, 5 and 7;
 - ``grid_values`` of the Wigner kernel at n = 1..7 on the 91 x 181
   equal-angle grid, on the GHZ-Werner and the dense state, and at
   n = 8..10 on the GHZ-Werner state alone (an X state built from its
   stack, with no dense matrix);
-- ``grid_scan`` of the Wigner kernel with independent angles on a 7 x 12
-  grid per qubit, on the dense 3-qubit state;
+- ``grid_scan`` with independent angles: of the Wigner kernel on a
+  7 x 12 grid per qubit, on the dense 3-qubit state, and of the Husimi
+  kernel on a 13 x 25 grid per qubit, on the dense 2-qubit state;
 - ``kernel_grid`` of the Wigner kernel on the 91 x 181 equal-angle grid;
 - ``cli._csv_text`` of one 91 x 181 Wigner surface;
 - ``probe_sweep`` of the 51 x 51 nu x r Wigner map at the probe point
@@ -135,10 +138,17 @@ def layer_samples(repeats: int) -> dict[str, list[float]]:
         for name in ("ghz_werner", "dense"):
             samples[f"grid_values.{name}.n{n}"] = time_per_call(
                 lambda rho=validated[name]: grid_values(rho, DistributionKind.WIGNER, thetas, phis), repeats)
+        if n == 2:
+            samples["grid_scan.split.n2"] = time_per_call(
+                lambda rho=validated["dense"]: grid_scan(rho, DistributionKind.Q, 13, 25, equal_angles=False),
+                repeats)
         if n == 3:
             samples["grid_scan.split.n3"] = time_per_call(
                 lambda rho=validated["dense"]: grid_scan(rho, DistributionKind.WIGNER, 7, 12, equal_angles=False),
                 repeats)
+        if n in (3, 5, 7):
+            samples[f"normalization_check.dense.n{n}"] = time_per_call(
+                lambda rho=validated["dense"]: normalization_check(rho, DistributionKind.WIGNER), repeats)
     for n in range(8, 11):
         rho = ghz_werner(GhzWernerParams(nu=0.5, n_qubits=n))
         samples[f"grid_values.ghz_werner.n{n}"] = time_per_call(
@@ -231,12 +241,13 @@ def main(argv=None) -> int:
                     pooled[side].setdefault(name, []).extend(values)
                 print(f"round {i + 1}/{ROUNDS} {side} done", file=sys.stderr)
     for side, layers in pooled.items():
+        sides[side]["min_s"] = {name: min(v) for name, v in sorted(layers.items())}
         sides[side]["median_s"] = {name: statistics.median(v) for name, v in sorted(layers.items())}
         sides[side]["quartiles_s"] = {
             name: statistics.quantiles(v, n=4, method="inclusive")[::2] for name, v in sorted(layers.items())}
         sides[side]["samples"] = {name: len(v) for name, v in sorted(layers.items())}
     record = {
-        "method": (f"seconds per call, median and inclusive quartiles [q1, q3] over {args.repeats} samples "
+        "method": (f"seconds per call, minimum, median and inclusive quartiles [q1, q3] over {args.repeats} samples "
                    f"x {ROUNDS} rounds per side, "
                    f"each sample a batch of calls lasting at least {BATCH_S:g} s; one subprocess per side "
                    "and round, pinned to one CPU with BLAS on one thread, sides alternating"),
