@@ -38,25 +38,27 @@ _DENSE_PAIRS = np.array([[0, 1, 2, 3]])
 class DensityMatrix:
     """Validated quantum state: unit trace, Hermitian, positive semidefinite.
 
-    Instances come out of :func:`validate_density`; the wrapped array is
-    frozen (non-writeable) so values can be shared freely.  Validation
+    Instances come out of :func:`validate_density`, which certifies a
+    dense matrix, or of :func:`_x_state`, which certifies an X state from
+    its two diagonals; the wrapped array is frozen (non-writeable) so
+    values can be shared freely.  The builder fixes the layout, and
     leaves two facts on the state:
 
     - ``min_eigenvalue``, the smallest eigenvalue of the Hermitian part
       that it certified (NaN for an instance built directly);
-    - for an X matrix, whose exact support lies on the diagonal and the
-      anti-diagonal (such as every GHZ-Werner state, accelerated or not),
-      the read-only (2, 2^n) stack of its entries rho[x, x] and
+    - for an X state (every GHZ-Werner state, accelerated or not), the
+      read-only (2, 2^n) stack of its entries rho[x, x] and
       rho[x, 2^n-1-x], by row x.  The channel works on it, and
       :func:`_entries` hands it to every evaluator.  It is not a
-      constructor argument: only validation sets it, so an instance built
-      directly has none and takes the dense paths.
+      constructor argument: only :func:`_x_state` sets it, so a
+      validated matrix, even one with X support, and an instance built
+      directly have none and take the dense paths.
 
-    An X state that validation built from its stack alone has no dense
-    array until ``matrix`` is first read: then the 4^n matrix is scattered
-    from the stack, frozen and kept.  Above ``DENSE_MAX_QUBITS`` qubits
-    that read raises :class:`DimensionError` before allocating; the
-    single entries of :meth:`entry` stay available at any size.
+    An X state has no dense array until ``matrix`` is first read: then
+    the 4^n matrix is scattered from the stack, frozen and kept.  Above
+    ``DENSE_MAX_QUBITS`` qubits that read raises :class:`DimensionError`
+    before allocating; the single entries of :meth:`entry` stay available
+    at any size.
     """
 
     n_qubits: int
@@ -83,7 +85,7 @@ class DensityMatrix:
 
     @property
     def x_shaped(self) -> bool:
-        """True when validation certified ``matrix`` as an X matrix."""
+        """True when the library built the state from an X stack."""
         return self._x_stack is not None
 
     def entry(self, row: int, col: int) -> complex:
@@ -149,13 +151,12 @@ def validate_density(m: np.ndarray, n_qubits: int) -> DensityMatrix:
     After the register size and the shape, a matrix with a NaN or infinite
     entry is refused, with a ValidationError naming the first such index.
     Otherwise all violated invariants are reported together in the message
-    of the first failure, each with its measured magnitude.  An X matrix
-    (the exact support test: every nonzero real and imaginary part lies on
-    the diagonal or the anti-diagonal) is certified from those two, as by
-    :func:`_x_state`, and keeps them as its stack; any other matrix goes
-    through :func:`_hermiticity_and_min_eigenvalue`.  The state holds a
-    copy of ``m``: the caller's array stays writeable and later edits to
-    it do not reach the state.
+    of the first failure, each with its measured magnitude.  Every matrix
+    is certified densely, through :func:`_hermiticity_and_min_eigenvalue`,
+    and the state keeps the dense layout whatever its support: this is
+    the independent reference that :func:`_certify_x` is tested against.
+    The state holds a copy of ``m``: the caller's array stays writeable
+    and later edits to it do not reach the state.
     """
     _check_n_qubits(n_qubits)
     arr = np.array(m, dtype=complex)
@@ -168,26 +169,20 @@ def validate_density(m: np.ndarray, n_qubits: int) -> DensityMatrix:
     if not finite.all():
         i, j = (int(x) for x in np.argwhere(~finite)[0])
         raise ValidationError(f"non-finite entry {arr[i, j]} at index ({i}, {j})")
-    flat = arr.ravel()
-    stack = flat[_x_diagonals(dim)]
-    if np.count_nonzero(flat.view(float)) == np.count_nonzero(stack.view(float)):
-        min_eig = float(_certify_x(stack))
-        arr.setflags(write=False)
-        return _certified(arr, n_qubits, min_eig, stack)
     herm_err, min_eig = _hermiticity_and_min_eigenvalue(arr)
     _raise_problems(abs(complex(arr.trace()) - 1.0), herm_err, min_eig)
     arr.setflags(write=False)
-    return _certified(arr, n_qubits, min_eig, None)
+    return DensityMatrix(matrix=arr, n_qubits=n_qubits, min_eigenvalue=min_eig)
 
 
 def _x_state(stack: np.ndarray, n_qubits: int) -> DensityMatrix:
     """The validated X state with ``stack``, a complex (2, 2^n) array that
     nothing else holds, as its diagonal and anti-diagonal by row.
 
-    Every check of :func:`validate_density` runs on the stack, through
-    :func:`_certify_x`, with the same errors and magnitudes, but no
-    support test: the support holds by construction.  No dense matrix is
-    built; ``.matrix`` scatters it on first read.
+    The one builder of X states.  Every check of :func:`validate_density`
+    runs on the stack, through :func:`_certify_x`, with the same errors
+    and magnitudes in O(2^n): the support holds by construction.  No
+    dense matrix is built; ``.matrix`` scatters it on first read.
     """
     return _certified(None, n_qubits, float(_certify_x(stack)), stack)
 

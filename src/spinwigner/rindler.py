@@ -61,6 +61,9 @@ class AccelerationConfig:
 
     Qubit indices refer to basis bits (qubit 0 = least significant), checked
     by :func:`_accelerated_qubits`, against the register in :meth:`check_register`.
+    ``accelerated`` takes named qubit indices only: a count k needs the
+    register size, which the config does not know, so an integer raises
+    TypeError.
     """
 
     r: float
@@ -140,23 +143,23 @@ def accelerate(rho: DensityMatrix, config: AccelerationConfig) -> DensityMatrix:
     """Apply the acceleration channel to every qubit named in ``config``.
 
     The Kraus pair of :func:`unruh_isometry` gives one 4x4 transfer map
-    on the (row bit, column bit) pair of a qubit, applied in one of two
-    layouts:
+    on the (row bit, column bit) pair of a qubit, applied in the layout
+    the input was built in, which the output keeps:
 
-    - a state that validation certified as an X matrix (every nonzero on
-      the diagonal or the anti-diagonal, as for every GHZ-Werner state,
-      accelerated or not) keeps its shape.  Its (2, 2^n) stack goes
-      through :func:`_x_channel` as a batch of one state at one r, the
-      code that runs a whole r sweep of ``probe_sweep`` at once, and the
-      output is certified from its stack: O(k 2^n) work for k qubits,
-      and no dense matrix;
-    - any other matrix, and any instance built without validation, gets
-      the transfer on its dense (row bit, column bit) axes of each
-      accelerated qubit, O(k 4^n), and its output is validated.
+    - an X state (``x_shaped``: built by the library from its stack, as
+      every GHZ-Werner state is, accelerated or not) has its (2, 2^n)
+      stack go through :func:`_x_channel` as a batch of one state at one
+      r, the code that runs a whole r sweep of ``probe_sweep`` at once,
+      and the output is certified from its stack by :func:`_x_state`:
+      O(k 2^n) work for k qubits, and no dense matrix;
+    - any other state, a validated matrix or an instance built without
+      validation, gets the transfer on its dense (row bit, column bit)
+      axes of each accelerated qubit, O(k 4^n), and its output is
+      validated densely by :func:`validate_density`.
 
     The steps commute, so they run in ascending index order for
-    determinism.  With no qubit named, an X-certified state is returned
-    as it is, and any other is validated.
+    determinism.  With no qubit named, an X state is returned as it is,
+    and any other is validated.
     """
     n = rho.n_qubits
     config.check_register(n)

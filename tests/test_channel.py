@@ -10,9 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spinwigner import R_MAX, AccelerationConfig, accelerate, unruh_isometry, validate_density
+from spinwigner.linalg import _x_state
 from spinwigner.rindler import _kraus_pair
 
-from conftest import off_x, random_density, random_x_density
+from conftest import off_x, random_density, random_x_density, x_stack
 
 CHANNEL_TOL = 1e-14
 R_VALUES = [0.0, 0.3, 0.6, R_MAX]
@@ -70,9 +71,11 @@ def test_matches_dense_isometry_and_partial_trace(n, seed, r, data):
     data=st.data(),
 )
 def test_x_state_matches_dense_isometry_and_partial_trace(n, seed, r, data):
-    rho = validate_density(random_x_density(n, np.random.default_rng(seed)), n)
+    rho = _x_state(x_stack(random_x_density(n, np.random.default_rng(seed))), n)
     accelerated = tuple(data.draw(st.lists(st.integers(0, n - 1), unique=True), label="accelerated"))
-    got = accelerate(rho, AccelerationConfig(r=r, accelerated=accelerated)).matrix
+    out = accelerate(rho, AccelerationConfig(r=r, accelerated=accelerated))
+    assert out.x_shaped
+    got = out.matrix
     want = dense_channel(rho.matrix, n, accelerated, r)
     assert np.abs(got - want).max() <= CHANNEL_TOL
     assert not got[off_x(got)].any()

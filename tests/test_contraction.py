@@ -25,7 +25,7 @@ from spinwigner import (
     sphere_grid,
     validate_density,
 )
-from spinwigner.linalg import _X_PAIRS, _certified, _entries
+from spinwigner.linalg import _X_PAIRS, _certified, _entries, _x_state
 from spinwigner.quasiprob import _each_qubit, _pair_sums, _trace
 from spinwigner.su2kernel import _PAULIS
 
@@ -76,13 +76,13 @@ def assert_every_evaluator_matches(rho, points, thetas, phis, split_steps=None):
 
 
 class TestXLayout:
-    """States validated as X-shaped take the (diagonal, anti-diagonal) layout."""
+    """States built from an X stack take the (diagonal, anti-diagonal) layout."""
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 7), seed=st.integers(0, 2 ** 32 - 1), data=st.data())
     def test_random_x_states_match_the_oracle(self, n, seed, data):
         rng = np.random.default_rng(seed)
-        rho = validate_density(random_x_density(n, rng), n)
+        rho = _x_state(x_stack(random_x_density(n, rng)), n)
         assert rho.x_shaped
         points = {
             kind: [SphericalPoint(t, p) for t, p in data.draw(st.lists(angles, min_size=n, max_size=n), label=kind.name)]
@@ -116,7 +116,7 @@ class TestXLayout:
     @pytest.mark.parametrize("n", [1, 3, 7])
     def test_both_layouts_agree_on_ghz_werner(self, n):
         rho = accelerated_ghz(0.7, n // 2, 0.6, n_qubits=n)
-        dense = DensityMatrix(matrix=rho.matrix, n_qubits=n)
+        dense = validate_density(rho.matrix, n)
         assert rho.x_shaped and not dense.x_shaped
         ops = [np.arange(4.0).reshape(2, 2) + 1j] * n
         np.testing.assert_allclose(_trace(*_entries(rho), ops), _trace(*_entries(dense), ops), rtol=1e-14, atol=1e-14)
@@ -170,7 +170,7 @@ class TestEqualAngleSurface:
             if layout == "dense":
                 rho = random_density(n, rng)
             else:
-                rho = validate_density(random_x_density(n, rng), n)
+                rho = _x_state(x_stack(random_x_density(n, rng)), n)
             assert rho.x_shaped == (layout == "x")
             row = grid_values(rho, kind, THETAS[:3], PHIS)[0]
             assert np.array_equal(row, np.full_like(row, row[0])), n
@@ -178,7 +178,7 @@ class TestEqualAngleSurface:
     @pytest.mark.parametrize("n", [8, 9])
     def test_large_x_states_match_evaluate(self, rng, n):
         # evaluate is an O(2^n) path of its own: one 2x2 kernel per qubit
-        rho = validate_density(random_x_density(n, rng), n)
+        rho = _x_state(x_stack(random_x_density(n, rng)), n)
         assert rho.x_shaped
         thetas, phis = np.sort(rng.uniform(0.0, math.pi, 7)), rng.uniform(0.0, 2.0 * math.pi, 9)
         for kind in DistributionKind:

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ sys.path.insert(0, str(TOOL.parent))  # for layer_times' own import of tools/pai
 _spec = importlib.util.spec_from_file_location("layer_times", TOOL)
 layer_times = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(layer_times)
+import paired  # noqa: E402
 LAYERS = {
     f"validate_density.{state}.n{n}" for state in ("ghz_werner", "accelerated", "dense") for n in range(1, 8)
 } | {f"accelerate.{state}.n{n}" for state in ("ghz_werner", "dense") for n in range(1, 8)} | {
@@ -29,22 +31,48 @@ def run_tool(*args):
     return subprocess.run([sys.executable, str(TOOL), *args], capture_output=True, text=True, timeout=300)
 
 
-def test_one_repeat_writes_every_layer_of_both_sides(tmp_path):
+def test_the_worker_times_every_layer():
+    # one real worker subprocess, on the parent's extracted sources
+    with paired.checkouts("HEAD") as dirs:
+        samples = layer_times.run_worker(dirs["parent"], 1)
+    assert set(samples) == LAYERS
+    for values in samples.values():
+        assert len(values) == 1 and all(isinstance(t, float) and t > 0.0 for t in values)
+
+
+def test_one_repeat_writes_every_layer_of_both_sides(monkeypatch, tmp_path):
+    # the rounds, the side order, the pooling and the JSON, with each worker
+    # call returning one sample per layer: 1, 2, 3, ... ms in call order
+    calls = []
+
+    def run_worker(checkout, repeats):
+        calls.append((checkout, repeats, (checkout / "src" / "spinwigner").is_dir()))
+        return {name: [1e-3 * len(calls)] for name in LAYERS}
+
+    monkeypatch.setattr(layer_times, "run_worker", run_worker)
     out = tmp_path / "LAYERS.json"
-    proc = run_tool("--parent", "HEAD", "--repeats", "1", "--out", str(out))
-    assert proc.returncode == 0, proc.stderr
+    assert layer_times.main(["--parent", "HEAD", "--repeats", "1", "--out", str(out)]) == 0
+    parent = calls[0][0]
+    assert parent != paired.ROOT
+    sides = {"parent": parent, "change": paired.ROOT}
+    order = [side for i in range(layer_times.ROUNDS) for side in paired.side_order(i)]
+    assert calls == [(sides[side], 1, True) for side in order]
     record = json.loads(out.read_text(encoding="utf-8"))
     assert set(record) == {"method", "numpy", "platform", "python", "sides"}
     assert set(record["sides"]) == {"parent", "change"}
     timings = {"min_s", "median_s", "quartiles_s", "samples"}
     assert set(record["sides"]["parent"]) == {"revision", "commit"} | timings
     assert set(record["sides"]["change"]) == {"commit", "uncommitted"} | timings
-    for side in record["sides"].values():
+    for name, side in record["sides"].items():
         assert set(side["min_s"]) == set(side["median_s"]) == set(side["quartiles_s"]) == LAYERS
         assert all(isinstance(t, float) and t > 0.0 for t in side["median_s"].values())
-        for name, (q1, q3) in side["quartiles_s"].items():
-            assert 0.0 < side["min_s"][name] <= q1 <= side["median_s"][name] <= q3
+        for layer, (q1, q3) in side["quartiles_s"].items():
+            assert 0.0 < side["min_s"][layer] <= q1 <= side["median_s"][layer] <= q3
         assert side["samples"] == dict.fromkeys(LAYERS, layer_times.ROUNDS)
+        # the samples of the calls of this side, pooled over the rounds
+        pooled = sorted(1e-3 * (i + 1) for i, s in enumerate(order) if s == name)
+        assert set(side["min_s"].values()) == {pooled[0]}
+        assert set(side["median_s"].values()) == {statistics.median(pooled)}
 
 
 def test_rejects_zero_repeats(tmp_path):

@@ -161,9 +161,13 @@ class TestPositivityCertificate:
         m[0, 0], m[-1, -1] = 1.9 / dim, 0.1 / dim  # sqrt(a*b) < 0.22 < |c| in block 0
         m[0, -1], m[-1, 0] = corner, np.conj(corner)
         with counted_eigvalsh() as spy, pytest.raises(NegativityViolation) as exc:
-            validate_density(m, n)
+            linalg._x_state(x_stack(m), n)
         assert spy.call_count == 0
         assert abs(exc.value.magnitude - (-eigvalsh_min(m))) <= CERTIFICATE_TOL
+        with pytest.raises(ValidationError) as dense:
+            validate_density(m, n)
+        assert type(dense.value) is type(exc.value)
+        assert abs(exc.value.magnitude - dense.value.magnitude) <= CERTIFICATE_TOL
 
     @pytest.mark.parametrize(
         "edits",
@@ -179,9 +183,13 @@ class TestPositivityCertificate:
         for index, value in edits.items():
             m[index] = value
         with counted_eigvalsh() as spy, pytest.raises(HermiticityViolation) as exc:
-            validate_density(m, 3)
+            linalg._x_state(x_stack(m), 3)
         assert spy.call_count == 0
         assert exc.value.magnitude == float(np.abs(m - m.conj().T).max())
+        with pytest.raises(ValidationError) as dense:
+            validate_density(m, 3)
+        assert type(dense.value) is type(exc.value)
+        assert dense.value.magnitude == exc.value.magnitude
 
     def test_dense_state_takes_eigvalsh(self, rng):
         m = random_density(4, rng).matrix
@@ -206,10 +214,12 @@ class TestPositivityCertificate:
 
 
 class TestXFlag:
-    """``x_shaped`` records the one X-support test that validation makes."""
+    """``x_shaped`` records that the library built the state from an X stack."""
 
     def test_validated_states(self, rng):
-        assert validate_density(random_x_density(4, rng), 4).x_shaped
+        # the builder fixes the layout: validation keeps any matrix dense
+        assert not validate_density(random_x_density(4, rng), 4).x_shaped
+        assert not validate_density(ghz_werner(GhzWernerParams(nu=0.4)).matrix, 3).x_shaped
         assert ghz_werner(GhzWernerParams(nu=0.0, n_qubits=2)).x_shaped  # diagonal only
         assert accelerated_ghz(0.6, 2, 0.4).x_shaped
         assert not random_density(3, rng).x_shaped
@@ -260,8 +270,7 @@ class TestXFlag:
 
     @pytest.mark.parametrize("n, k", [(1, 1), (3, 2), (7, 7)])
     def test_flagged_states_are_read_on_the_two_diagonals_only(self, n, k):
-        # NaN on every entry off the X of a certified state: a support test
-        # would see them (and send the state to a dense path), a dense read
+        # NaN on every entry off the X of a certified state: a dense read
         # would carry them into the value
         clean = accelerated_ghz(0.6, 1, 0.3, n_qubits=n)
         m = np.array(clean.matrix)
@@ -305,19 +314,22 @@ def break_stack(stack, defect, rng):
 
 class TestXState:
     """``linalg._x_state`` of a stack agrees with ``validate_density`` of the
-    matrix it scatters into: the same state, or the same refusal."""
+    matrix it scatters into, the dense reference: the same state, or the
+    same refusal."""
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
     def test_valid_stacks(self, n, seed):
         m = random_x_density(n, np.random.default_rng(seed))
-        want = validate_density(m, n)
+        with counted_eigvalsh() as spy:
+            want = validate_density(m, n)
+        assert spy.call_count == 1
         got = linalg._x_state(x_stack(m), n)
         assert got.matrix.dtype == want.matrix.dtype and got.matrix.shape == want.matrix.shape
         assert got.matrix.tobytes() == want.matrix.tobytes()
-        assert got.min_eigenvalue == want.min_eigenvalue
-        assert got.x_shaped and want.x_shaped
-        assert np.array_equal(got._x_stack, want._x_stack)
+        assert abs(got.min_eigenvalue - want.min_eigenvalue) <= CERTIFICATE_TOL
+        assert got.x_shaped and not want.x_shaped
+        assert np.array_equal(got._x_stack, x_stack(m))
         assert not got.matrix.flags.writeable and not got._x_stack.flags.writeable
 
     @settings(max_examples=120, deadline=None)
@@ -383,8 +395,7 @@ class TestEntries:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_dense_entry_sits_at_its_pair_digits(self, rng, n):
-        # built directly: validation would certify every 2x2 state as X
-        rho = DensityMatrix(matrix=random_density(n, rng).matrix, n_qubits=n)
+        rho = random_density(n, rng)
         entries, digits = linalg._entries(rho)
         assert entries.shape == (1, 4**n) and entries.flags.c_contiguous
         np.testing.assert_array_equal(digits, [[0, 1, 2, 3]])
@@ -394,10 +405,10 @@ class TestEntries:
 
     @pytest.mark.parametrize("n", [1, 3, 5])
     def test_x_digits_name_the_stack_in_the_dense_entries(self, rng, n):
-        rho = validate_density(random_x_density(n, rng), n)
+        rho = linalg._x_state(x_stack(random_x_density(n, rng)), n)
         stack, digits = linalg._entries(rho)
         assert stack is rho._x_stack
-        dense, _ = linalg._entries(DensityMatrix(matrix=rho.matrix, n_qubits=n))
+        dense, _ = linalg._entries(validate_density(rho.matrix, n))
         for s, x in np.ndindex(2, 2**n):
             assert dense[0, self.position(digits[s, x >> q & 1] for q in range(n))] == stack[s, x]
 

@@ -69,6 +69,12 @@ class TestAccelerationConfig:
         with pytest.raises(IndexOutOfRange):
             AccelerationConfig(r=0.1, accelerated=(-1,))
 
+    @pytest.mark.parametrize("count", [0, 2, np.int64(2)])
+    def test_rejects_a_count(self, count):
+        # a count k means qubits 0..k-1 of a register the config does not know
+        with pytest.raises(TypeError, match="not iterable"):
+            AccelerationConfig(r=0.5, accelerated=count)
+
     def test_check_register(self):
         config = AccelerationConfig(r=0.1, accelerated=(0, 2))
         config.check_register(3)

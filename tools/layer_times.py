@@ -12,16 +12,19 @@ layers are
 
 - ``ghz_werner`` at n = 1..7, 10 and 16 and nu = 0.5, its validation
   included;
-- ``validate_density`` at n = 1..7 on three matrices built beforehand:
-  the GHZ-Werner state at nu = 0.5, the same state with every qubit
-  accelerated at r = 0.5, and a dense (Ginibre) state;
+- ``validate_density`` at n = 1..7 on the matrices of three states:
+  the GHZ-Werner state at nu = 0.5 from ``ghz_werner``, the same state
+  with every qubit accelerated at r = 0.5 from ``accelerated_ghz``, and
+  a dense (Ginibre) state.  Validation certifies every matrix densely,
+  through ``eigvalsh``, so all three rows time the dense certificate;
 - ``accelerate`` at n = 1..7 with every qubit accelerated at r = 0.5,
   on the GHZ-Werner state (the X-shaped layout) and on the dense state
   (the dense per-qubit transfer), and at n = 10 and 16 on the GHZ-Werner
   state alone;
 - ``evaluate`` of the Wigner kernel at n = 1..7 with every qubit at the
-  probe point (pi/2, pi), on the same three states, validated, and at
-  n = 10 and 16 on the GHZ-Werner state;
+  probe point (pi/2, pi), on the same three states as built (the first
+  two X states, the last dense), and at n = 10 and 16 on the GHZ-Werner
+  state;
 - ``normalization_check`` of the Wigner kernel on the GHZ-Werner state
   at n = 3, 7 and 16, and on the dense state at n = 3, 5 and 7;
 - ``grid_values`` of the Wigner kernel at n = 1..7 on the 91 x 181
@@ -117,15 +120,14 @@ def layer_samples(repeats: int) -> dict[str, list[float]]:
         dim = 2**n
         g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         dense = g @ g.conj().T
-        states = {
-            "ghz_werner": np.array(ghz_werner(GhzWernerParams(nu=0.5, n_qubits=n)).matrix),
-            "accelerated": np.array(accelerated_ghz(0.5, n, 0.5, n_qubits=n).matrix),
-            "dense": dense / np.trace(dense).real,
+        validated = {
+            "ghz_werner": ghz_werner(GhzWernerParams(nu=0.5, n_qubits=n)),
+            "accelerated": accelerated_ghz(0.5, n, 0.5, n_qubits=n),
+            "dense": validate_density(dense / np.trace(dense).real, n),
         }
-        for name, m in states.items():
+        for name, rho in validated.items():
             samples[f"validate_density.{name}.n{n}"] = time_per_call(
-                lambda m=m, n=n: validate_density(m, n), repeats)
-        validated = {name: validate_density(m, n) for name, m in states.items()}
+                lambda m=np.array(rho.matrix), n=n: validate_density(m, n), repeats)
         config = AccelerationConfig(r=0.5, accelerated=tuple(range(n)))
         for name in ("ghz_werner", "dense"):
             samples[f"accelerate.{name}.n{n}"] = time_per_call(
