@@ -27,11 +27,10 @@ from .errors import (
 )
 from .quasiprob import (
     ClosedFormVariant,
+    _sweep,
     accelerated_ghz,
     compare_closed_form,
     evaluate,
-    grid_values,
-    probe_sweep,
     sphere_grid,
 )
 from .rindler import R_MAX, _accelerated_qubits, coefficient_report
@@ -90,12 +89,6 @@ def _parse_accelerated(text: str) -> int | tuple[int, ...]:
         raise UsageError(f"cannot parse --accelerated {text!r}") from exc
 
 
-def _table(theta, phi, nu, r, k, kind, w) -> np.ndarray:
-    """The seven columns broadcast against each other as one (rows, 7)
-    float array, one row per element in row-major order."""
-    return np.stack(np.broadcast_arrays(theta, phi, nu, r, k, kind, w), axis=-1).reshape(-1, 7)
-
-
 def _csv_chunks(table: np.ndarray) -> Iterator[str]:
     """CSV text of a (rows, 7) table: the header, then ``_CHUNK_ROWS`` rows
     per piece.
@@ -148,11 +141,13 @@ def _emit_rows(args, table: np.ndarray, meta: dict) -> None:
         _emit(args, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
 
 
-def _grid_table(nu, r, accelerated, kind, thetas, phis) -> np.ndarray:
-    """Equal-angle surface over thetas x phis (theta-major)."""
-    values = grid_values(accelerated_ghz(nu, accelerated, r), kind, thetas, phis)
+def _sweep_table(nus, rs, accelerated, kind, thetas, phis) -> np.ndarray:
+    """The equal-angle values over nus x rs x thetas x phis as one (rows, 7)
+    float table of the CSV columns, one row per value in that order."""
+    values = _sweep(nus, rs, accelerated, kind, thetas, phis, _N_QUBITS)
     k = len(_accelerated_qubits(accelerated, _N_QUBITS))
-    return _table(thetas[:, None], phis, nu, r, k, kind, values)
+    nu, r, theta, phi = np.ix_(nus, rs, thetas, phis)
+    return np.stack(np.broadcast_arrays(theta, phi, nu, r, k, kind, values), axis=-1).reshape(-1, 7)
 
 
 def _cmd_eval(args) -> int:
@@ -167,7 +162,7 @@ def _cmd_eval(args) -> int:
 def _cmd_grid(args) -> int:
     accelerated = _parse_accelerated(args.accelerated)
     thetas, phis = sphere_grid(args.theta_steps, args.phi_steps)
-    table = _grid_table(args.nu, args.r, accelerated, args.kind, thetas, phis)
+    table = _sweep_table([args.nu], [args.r], accelerated, args.kind, thetas, phis)
     indices = _accelerated_qubits(accelerated, _N_QUBITS)
     meta = {
         "command": "grid",
@@ -183,14 +178,6 @@ def _cmd_grid(args) -> int:
     return EXIT_OK
 
 
-def _probe_table(nus, rs, accelerated, kind, theta, phi) -> np.ndarray:
-    """Point values over nus x rs (nu-major), every qubit at (theta, phi)."""
-    values = probe_sweep(nus, rs, accelerated, kind, SphericalPoint(theta, phi))
-    nu_col = np.asarray(nus, dtype=float)[:, None]
-    k = len(_accelerated_qubits(accelerated, _N_QUBITS))
-    return _table(theta, phi, nu_col, rs, k, kind, values)
-
-
 def _cmd_scan(args) -> int:
     """scan-r (r over [0, pi/4] at fixed nu) and scan-nu (nu over [0, 1] at fixed r)."""
     accelerated = _parse_accelerated(args.accelerated)
@@ -202,7 +189,7 @@ def _cmd_scan(args) -> int:
         nus, rs = [args.nu], np.linspace(0.0, R_MAX, args.steps)
     else:
         nus, rs = np.linspace(0.0, 1.0, args.steps), [args.r]
-    table = _probe_table(nus, rs, accelerated, args.kind, args.theta, args.phi)
+    table = _sweep_table(nus, rs, accelerated, args.kind, [args.theta], [args.phi])
     _emit_rows(args, table, {"command": args.command})
     return EXIT_OK
 
@@ -272,51 +259,34 @@ def _figure_specs():
     rs = np.linspace(0.0, R_MAX, MAP_STEPS)
     r_curve = np.linspace(0.0, R_MAX, R_CURVE_STEPS)
     curve_nus = (0.2, 0.5, 0.7, 1.0)  # the nu of fig5d, c, b and a
-    probe_theta, probe_phi = math.pi / 2.0, math.pi
+    probe_theta, probe_phi = [math.pi / 2.0], [math.pi]
     wigner = DistributionKind.WIGNER
 
     def surface(nu, r, k):
-        return _grid_table(nu, r, k, wigner, thetas, phis)
-
-    def nu_theta_map():
-        # W is affine in nu: interpolate the theta column between the nu = 0
-        # and nu = 1 states, in the form probe_sweep uses
-        w_0, w_1 = (
-            grid_values(accelerated_ghz(nu, 0, 0.0), wigner, thetas, np.array([probe_phi]))[:, 0]
-            for nu in (0.0, 1.0)
-        )
-        nu_col = nus[:, None]
-        values = (1.0 - nu_col) * w_0 + nu_col * w_1
-        return _table(thetas, probe_phi, nu_col, 0.0, 0, wigner, values)
-
-    def nu_r_map(k):
-        return _probe_table(nus, rs, k, wigner, probe_theta, probe_phi)
+        return _sweep_table([nu], [r], k, wigner, thetas, phis)
 
     @functools.cache
     def r_sweeps():
         # one sweep per k for all four curves: 2 states per (k, r)
-        point = SphericalPoint(probe_theta, probe_phi)
-        return {k: probe_sweep(curve_nus, r_curve, k, wigner, point) for k in (1, 2, 3)}
+        return [_sweep_table(curve_nus, r_curve, k, wigner, probe_theta, probe_phi) for k in (1, 2, 3)]
 
     def r_curves(nu):
         i = curve_nus.index(nu)
-        return np.concatenate(
-            [_table(probe_theta, probe_phi, nu, r_curve, k, wigner, w[i]) for k, w in r_sweeps().items()]
-        )
+        return np.concatenate([table.reshape(len(curve_nus), -1, 7)[i] for table in r_sweeps()])
 
     specs = [
         ("fig1a.csv", lambda: surface(1.0, 0.0, 0)),
         ("fig1b.csv", lambda: surface(0.3, 0.0, 0)),
-        ("fig1c.csv", nu_theta_map),
+        ("fig1c.csv", lambda: _sweep_table(nus, [0.0], 0, wigner, thetas, probe_phi)),
         ("fig2a.csv", lambda: surface(1.0, 0.6, 1)),
         ("fig2b.csv", lambda: surface(0.3, 0.6, 1)),
-        ("fig2c.csv", lambda: nu_r_map(1)),
+        ("fig2c.csv", lambda: _sweep_table(nus, rs, 1, wigner, probe_theta, probe_phi)),
         ("fig3a.csv", lambda: surface(1.0, 0.6, 2)),
         ("fig3b.csv", lambda: surface(0.3, 0.6, 2)),
-        ("fig3c.csv", lambda: nu_r_map(2)),
+        ("fig3c.csv", lambda: _sweep_table(nus, rs, 2, wigner, probe_theta, probe_phi)),
         ("fig4a.csv", lambda: surface(1.0, 0.6, 3)),
         ("fig4b.csv", lambda: surface(0.3, 0.6, 3)),
-        ("fig4c.csv", lambda: nu_r_map(3)),
+        ("fig4c.csv", lambda: _sweep_table(nus, rs, 3, wigner, probe_theta, probe_phi)),
         ("fig5a.csv", lambda: r_curves(1.0)),
         ("fig5b.csv", lambda: r_curves(0.7)),
         ("fig5c.csv", lambda: r_curves(0.5)),

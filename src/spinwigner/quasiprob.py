@@ -1,9 +1,9 @@
 """Evaluation of the s-parametrized distributions for multi-qubit states.
 
 Point evaluation against the kernel product, vectorized grid scans with
-negativity diagnostics, a quadrature normalization functional, and
-comparisons against the published closed-form expressions for the
-(accelerated) GHZ-Werner family.
+negativity diagnostics, a quadrature normalization functional, sweeps of
+the (accelerated) GHZ-Werner family, and comparisons against its
+published closed-form expressions.
 
 A point value or quadrature is the trace of the state against a tensor
 product of 2x2 operators.  Every state is read as its entries indexed by
@@ -15,9 +15,10 @@ layout.  An independent-angle scan contracts the entries with the Pauli
 basis once and the real correlation tensor with the kernel's Pauli
 coefficients on each qubit's grid.  An equal-angle surface needs no
 tensor: with every qubit at one point, an entry meets a monomial fixed by
-its per-qubit digits, so the entries are summed by that monomial
-(:func:`_pair_sums`) and the surface is one matrix product of a theta
-factor and the 2n + 1 harmonics of phi.
+its per-qubit digits, so the entries of a stack of states are summed by
+that monomial (:func:`_pair_sums`) and each surface is one matrix product
+of a theta factor and the 2n + 1 harmonics of phi (:func:`_surfaces`):
+also in every sweep over nu, r, theta and phi (:func:`_sweep`).
 """
 
 from __future__ import annotations
@@ -122,23 +123,27 @@ def _each_qubit(t: np.ndarray, m: np.ndarray) -> np.ndarray:
     return t
 
 
-def _pair_sums(rho: DensityMatrix) -> np.ndarray:
-    """The entries of ``rho`` summed by the monomial they meet when every
-    qubit sits at one point, complex, of shape (n + 1, n + 1, 2n + 1).
+def _pair_sums(entries: np.ndarray, digits: np.ndarray, n: int) -> np.ndarray:
+    """The entries of each n-qubit state in ``entries``, (..., rows, b^n) in
+    the layout of ``digits``, summed by the monomial they meet when every
+    qubit sits at one point: complex, of shape (..., n + 1, n + 1, 2n + 1).
 
     An entry whose qubits hold k bit pairs (x_q, y_q) = (1, 1), u pairs
     (1, 0) and d pairs (0, 1) lands in S[k, u + d, n + u - d], at the flat
     slot n plus one step per qubit, by its digit: 0 for (0, 0), H + 1 for
-    u, H - 1 for d and (n + 1) H for k, with H = 2n + 1.
+    u, H - 1 for d and (n + 1) H for k, with H = 2n + 1.  Each state's
+    slots are offset by its place in the batch, so one bincount sums
+    every state as if alone.
     """
-    n = rho.n_qubits
-    entries, digits = _entries(rho)
     harmonics = 2 * n + 1
     steps = np.array([0, harmonics + 1, harmonics - 1, (n + 1) * harmonics])
-    slots = (_per_entry([steps] * n, digits, np.add) + n).ravel()
     size = (n + 1) ** 2 * harmonics
-    sums = np.bincount(slots, entries.real.ravel(), size) + 1j * np.bincount(slots, entries.imag.ravel(), size)
-    return sums.reshape(n + 1, n + 1, harmonics)
+    batch = entries.shape[:-2]
+    count = math.prod(batch)
+    slots = (_per_entry([steps] * n, digits, np.add) + n + size * np.arange(count)[:, None, None]).ravel()
+    total = count * size
+    sums = np.bincount(slots, entries.real.ravel(), total) + 1j * np.bincount(slots, entries.imag.ravel(), total)
+    return sums.reshape(batch + (n + 1, n + 1, harmonics))
 
 
 def evaluate(rho: DensityMatrix, kind: DistributionKind, points: Sequence[SphericalPoint]) -> QuasiProbSample:
@@ -159,21 +164,8 @@ def sphere_grid(theta_steps: int, phi_steps: int) -> tuple[np.ndarray, np.ndarra
     return np.linspace(0.0, math.pi, theta_steps), np.arange(phi_steps) * (2.0 * math.pi / phi_steps)
 
 
-def grid_values(rho: DensityMatrix, kind: DistributionKind, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Equal-angle values W(theta_i, phi_j) as a (len(thetas), len(phis)) array.
-
-    Same kernel as :func:`evaluate`.  At one point (theta, phi) the kernel
-    has K[0, 0] = a, K[1, 1] = b and K[0, 1] = conj(K[1, 0]) = c e^(i phi)
-    with a, b and c real functions of theta, so an entry in the slot
-    S[k, m, n + D] of :func:`_pair_sums` meets a^(n-k-m) b^k c^m e^(i D phi)
-    and W is the real part of one matrix product over the 2n + 1 harmonics
-    D = -n..n: with F[i] the pair sums contracted with the monomials at
-    theta_i, W[i, j] = sum_D Re F[i, D] cos D phi_j - Im F[i, D] sin D phi_j.
-    The realness check is made on the pair sums: half the largest
-    |S[k, m, D] - conj(S[k, m, -D])| is the imaginary residue.
-
-    ``thetas`` and ``phis`` must be non-empty 1-D axes (DimensionError).
-    """
+def _check_axes(thetas, phis) -> tuple[np.ndarray, np.ndarray]:
+    """``thetas`` and ``phis`` as float axes: non-empty and 1-D (DimensionError), finite (ValueError)."""
     thetas = np.asarray(thetas, dtype=float)
     phis = np.asarray(phis, dtype=float)
     if thetas.ndim != 1 or phis.ndim != 1 or thetas.size == 0 or phis.size == 0:
@@ -181,9 +173,24 @@ def grid_values(rho: DensityMatrix, kind: DistributionKind, thetas: np.ndarray, 
             f"thetas and phis must be non-empty 1-D axes, got shapes {thetas.shape} and {phis.shape}"
         )
     _check_angles(thetas, phis)
-    n = rho.n_qubits
-    sums = _pair_sums(rho)
-    _check_residue(0.5 * float(np.abs(sums - sums[..., ::-1].conj()).max()), "grid values")
+    return thetas, phis
+
+
+def _surfaces(sums: np.ndarray, kind: DistributionKind, thetas, phis, context: str) -> np.ndarray:
+    """Equal-angle values W(theta_i, phi_j) of the pair sums ``sums``: shape (..., len(thetas), len(phis)).
+
+    At one point (theta, phi) the kernel has K[0, 0] = a, K[1, 1] = b and
+    K[0, 1] = conj(K[1, 0]) = c e^(i phi) with a, b and c real functions
+    of theta, so an entry in the slot S[k, m, n + D] meets
+    a^(n-k-m) b^k c^m e^(i D phi) and W is the real part of one matrix
+    product over the 2n + 1 harmonics D = -n..n: with F[i] the pair sums
+    contracted with the monomials at theta_i,
+    W[i, j] = sum_D Re F[i, D] cos D phi_j - Im F[i, D] sin D phi_j.
+    The realness check is made on the pair sums: half the largest
+    |S[k, m, D] - conj(S[k, m, -D])| is the imaginary residue.
+    """
+    n = sums.shape[-1] // 2
+    _check_residue(0.5 * float(np.abs(sums - sums[..., ::-1].conj()).max()), context)
     # The one condition on the kind's table: it maps sin theta cos phi only
     # to v_X and sin theta sin phi only to v_Y, with opposite signs, and
     # nothing else to either.  Then K[0, 1] = v_X - i v_Y is proportional to
@@ -196,9 +203,20 @@ def grid_values(rho: DensityMatrix, kind: DistributionKind, thetas: np.ndarray, 
     exponents = np.maximum(n - powers[:, None] - powers, 0)
     monomials = a[:, exponents] * b[:, :, None] * c[:, None, :]
     # F's real and imaginary parts interleaved by harmonic, as E's (cos, -sin)
-    f = monomials.reshape(thetas.size, -1) @ sums.reshape((n + 1) ** 2, -1).view(float)
+    f = monomials.reshape(thetas.size, -1) @ sums.reshape(sums.shape[:-3] + ((n + 1) ** 2, -1)).view(float)
     angles = phis[:, None] * (np.arange(2 * n + 1) - n)
     return f @ np.stack([np.cos(angles), -np.sin(angles)], axis=-1).reshape(phis.size, -1).T
+
+
+def grid_values(rho: DensityMatrix, kind: DistributionKind, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
+    """Equal-angle values W(theta_i, phi_j) as a (len(thetas), len(phis)) array.
+
+    Same kernel as :func:`evaluate`, read from the state's pair sums
+    (:func:`_surfaces`).  ``thetas`` and ``phis`` must be non-empty 1-D
+    axes (DimensionError) of finite angles (ValueError).
+    """
+    thetas, phis = _check_axes(thetas, phis)
+    return _surfaces(_pair_sums(*_entries(rho), rho.n_qubits), kind, thetas, phis, "grid values")
 
 
 @dataclass(frozen=True, eq=False)
@@ -443,6 +461,49 @@ def accelerated_ghz(nu: float, k_accelerated: int | Sequence[int], r: float, n_q
     return accelerate(ghz_werner(GhzWernerParams(nu=nu, n_qubits=n_qubits)), config)
 
 
+def _sweep(
+    nus: Sequence[float],
+    rs: Sequence[float],
+    accelerated: int | Sequence[int],
+    kind: DistributionKind,
+    thetas: Sequence[float],
+    phis: Sequence[float],
+    n_qubits: int = 3,
+) -> np.ndarray:
+    """Equal-angle values W[i, j, a, b] of ``accelerated_ghz(nus[i],
+    accelerated, rs[j], n_qubits)`` with every qubit at (thetas[a], phis[b]).
+
+    W is affine in nu, so only the validated states at min(nus) and
+    max(nus) are built (one when equal) and the rest is interpolated.  One
+    :func:`~spinwigner.rindler._x_channel` takes them to every r, one
+    :func:`~spinwigner.linalg._certify_x` certifies the (R, endpoints)
+    batch, and one :func:`_pair_sums` feeds :func:`_surfaces`: each state
+    gets the values :func:`grid_values` gives it alone, bitwise.  The
+    angles, then every nu and r, the register size and the accelerated set
+    are checked before the first state is built, also for an empty axis.
+    """
+    thetas, phis = _check_axes(thetas, phis)
+    nus = np.asarray(nus, dtype=float)
+    rs = np.asarray(rs, dtype=float)
+    for nu in nus:
+        GhzWernerParams(nu=float(nu), n_qubits=n_qubits)
+    for r in rs:
+        _check_r(float(r))
+    indices = _accelerated_qubits(accelerated, n_qubits)
+    if nus.size == 0 or rs.size == 0:
+        return np.empty((nus.size, rs.size, thetas.size, phis.size))
+    lo, hi = float(nus.min()), float(nus.max())
+    t = ((nus - lo) / (hi - lo) if hi > lo else np.zeros_like(nus))[:, None, None, None]
+    ends = [ghz_werner(GhzWernerParams(nu=nu, n_qubits=n_qubits)) for nu in ((lo, hi) if hi > lo else (lo,))]
+    stack = np.stack([rho._x_stack for rho in ends])  # (endpoint, 2, 2^n)
+    if indices:
+        stack = _x_channel(stack, rs, indices)  # (r, endpoint, 2, 2^n)
+        _certify_x(stack)
+    w = _surfaces(_pair_sums(stack, _X_PAIRS, n_qubits), kind, thetas, phis, "sweep")
+    w = np.broadcast_to(w, (rs.size, len(ends), thetas.size, phis.size))
+    return (1.0 - t) * w[:, 0] + t * w[:, -1]
+
+
 def probe_sweep(
     nus: Sequence[float],
     rs: Sequence[float],
@@ -452,41 +513,8 @@ def probe_sweep(
     n_qubits: int = 3,
 ) -> np.ndarray:
     """Point values W[i, j] of ``accelerated_ghz(nus[i], accelerated, rs[j],
-    n_qubits)`` with every qubit at ``point``.
-
-    W is affine in nu (so is the state; the channel and the trace are
-    linear), so only the validated states at min(nus) and max(nus) are
-    built, one when they are equal, and the rest is interpolated.  Their
-    X stacks go through the channel at every r at once
-    (:func:`~spinwigner.rindler._x_channel`), the (R, endpoints, 2, 2^n)
-    output is certified state by state in one call of
-    :func:`~spinwigner.linalg._certify_x`, which raises for the first
-    failing (r, endpoint) state, and one :func:`_trace` of the stacks
-    with the X digits takes every point value: each state goes through the same arithmetic as
-    ``accelerate`` then ``evaluate`` would give it alone.  Every nu and r,
-    then the register size and the accelerated set, is checked before the
-    first state is built, also when an axis is empty.
-    """
-    nus = np.asarray(nus, dtype=float)
-    rs = np.asarray(rs, dtype=float)
-    for nu in nus:
-        GhzWernerParams(nu=float(nu), n_qubits=n_qubits)
-    for r in rs:
-        _check_r(float(r))
-    indices = _accelerated_qubits(accelerated, n_qubits)
-    if nus.size == 0 or rs.size == 0:
-        return np.empty((nus.size, rs.size))
-    lo, hi = float(nus.min()), float(nus.max())
-    t = ((nus - lo) / (hi - lo) if hi > lo else np.zeros_like(nus))[:, None]
-    ends = [ghz_werner(GhzWernerParams(nu=nu, n_qubits=n_qubits)) for nu in ((lo, hi) if hi > lo else (lo,))]
-    stack = np.stack([rho._x_stack for rho in ends])  # (endpoint, 2, 2^n)
-    if indices:
-        stack = _x_channel(stack, rs, indices)  # (r, endpoint, 2, 2^n)
-        _certify_x(stack)
-    k = kernel_grid(kind, [point.theta] * n_qubits, [point.phi] * n_qubits)
-    w = _real(_trace(stack, _X_PAIRS, [k[..., q] for q in range(n_qubits)]), "probe_sweep")
-    w = np.broadcast_to(w, (rs.size, len(ends)))
-    return (1.0 - t) * w[:, 0] + t * w[:, -1]
+    n_qubits)`` with every qubit at ``point``: :func:`_sweep` at one point."""
+    return _sweep(nus, rs, accelerated, kind, [point.theta], [point.phi], n_qubits)[..., 0, 0]
 
 
 @dataclass(frozen=True)

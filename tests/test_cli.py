@@ -223,6 +223,16 @@ class TestScanCommands:
         assert rows[0][6] == pytest.approx(0.125)
         assert rows[-1][6] == pytest.approx((1 - 3 * SQRT3) / 8, abs=1e-12)
 
+    @pytest.mark.parametrize("angle", [["--theta", "nan"], ["--phi", "inf"]], ids=["theta-nan", "phi-inf"])
+    @pytest.mark.parametrize(
+        "argv", [["scan-r", "--nu", "0.5", "--accelerated", "1"], ["scan-nu", "--r", "0.5"]], ids=["scan-r", "scan-nu"]
+    )
+    def test_non_finite_angle_exits_2(self, capsys, argv, angle):
+        code, out, err = run_cli(capsys, *argv, *angle)
+        assert code == 2
+        assert out == ""
+        assert err == "error: theta and phi must be finite\n"
+
 
 # options the subcommand does not read, each a prefix of one it does, and
 # an abbreviation of an option it reads; the refused pair comes last

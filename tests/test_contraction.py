@@ -121,7 +121,7 @@ class TestXLayout:
         ops = [np.arange(4.0).reshape(2, 2) + 1j] * n
         np.testing.assert_allclose(_trace(*_entries(rho), ops), _trace(*_entries(dense), ops), rtol=1e-14, atol=1e-14)
         # the stack and the matrix land every entry in the same slot
-        np.testing.assert_allclose(_pair_sums(rho), _pair_sums(dense), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(_pair_sums(*_entries(rho), n), _pair_sums(*_entries(dense), n), rtol=0, atol=1e-15)
 
 
 def test_split_scan_of_an_x_state_reads_its_stack():
@@ -142,6 +142,15 @@ def test_x_trace_of_a_batch_is_each_state_traced_alone(rng, n):
     assert got.shape == (4, 3)
     for i, j in np.ndindex(4, 3):
         assert got[i, j] == _trace(stack[i, j], _X_PAIRS, ops)
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_pair_sums_of_a_batch_are_each_state_alone(rng, n):
+    stack = rng.standard_normal((4, 3, 2, 2**n)) + 1j * rng.standard_normal((4, 3, 2, 2**n))
+    got = _pair_sums(stack, _X_PAIRS, n)
+    assert got.shape == (4, 3, n + 1, n + 1, 2 * n + 1)
+    for i, j in np.ndindex(4, 3):
+        np.testing.assert_array_equal(got[i, j], _pair_sums(stack[i, j], _X_PAIRS, n))
 
 
 class TestEqualAngleSurface:

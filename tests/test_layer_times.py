@@ -24,7 +24,7 @@ LAYERS = {
 } | {f"normalization_check.ghz_werner.n{n}" for n in (3, 7, 16)} | {
     f"normalization_check.dense.n{n}" for n in (3, 5, 7)
 } | {"grid_scan.split.n2", "grid_scan.split.n3", "kernel_grid.91x181", "cli._csv_text.91x181", "probe_sweep.51x51.k3",
-    "probe_sweep.51x51.n7k7", "probe_sweep.5x5.n16k16", "probe_sweep.fig5"}
+    "probe_sweep.51x51.n7k7", "probe_sweep.51x51.n10k10", "probe_sweep.5x5.n16k16", "probe_sweep.fig5"}
 
 
 def run_tool(*args):

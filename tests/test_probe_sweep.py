@@ -23,6 +23,7 @@ from spinwigner import (
     coefficient_table,
     evaluate,
     ghz_werner,
+    grid_values,
     negativity_threshold,
     probe_sweep,
     quasiprob,
@@ -45,6 +46,15 @@ def oracle(nus, rs, accelerated, kind, point, n_qubits=3):
             rho = accelerated_ghz(float(nu), accelerated, float(r), n_qubits)
             out[i, j] = evaluate(rho, kind, (point,) * n_qubits).value
     return out
+
+
+def per_state(nus, rs, accelerated, kind, point):
+    """One validated state and one 1 x 1 grid_values per (nu, r) point."""
+    return np.array([
+        [grid_values(accelerated_ghz(float(nu), accelerated, float(r)), kind, [point.theta], [point.phi])[0, 0]
+         for r in rs]
+        for nu in nus
+    ])
 
 
 @pytest.fixture
@@ -135,14 +145,23 @@ class TestAgainstOracle:
     def test_single_nu_is_evaluated_not_interpolated(self):
         rs = np.linspace(0.0, R_MAX, 5)
         got = probe_sweep([0.6], rs, 3, DistributionKind.Q, PROBE)
-        want = oracle([0.6], rs, 3, DistributionKind.Q, PROBE)
-        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, per_state([0.6], rs, 3, DistributionKind.Q, PROBE))
+        assert np.abs(got - oracle([0.6], rs, 3, DistributionKind.Q, PROBE)).max() <= SWEEP_TOL
 
     def test_endpoints_are_exact(self, sweep_axes):
         nus, rs = sweep_axes
         got = probe_sweep(nus, rs, 1, DistributionKind.WIGNER, PROBE)
         ends = [int(np.argmin(nus)), int(np.argmax(nus))]
-        np.testing.assert_array_equal(got[ends], oracle(nus[ends], rs, 1, DistributionKind.WIGNER, PROBE))
+        np.testing.assert_array_equal(got[ends], per_state(nus[ends], rs, 1, DistributionKind.WIGNER, PROBE))
+        assert np.abs(got[ends] - oracle(nus[ends], rs, 1, DistributionKind.WIGNER, PROBE)).max() <= SWEEP_TOL
+
+    @pytest.mark.parametrize("kind", list(DistributionKind))
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_sweep_of_one_state_is_its_grid_values(self, kind, k):
+        thetas, phis = np.linspace(0.0, math.pi, 7), np.linspace(0.0, 6.0, 9)
+        got = quasiprob._sweep([0.4], [0.5], k, kind, thetas, phis)
+        assert got.shape == (1, 1, 7, 9)
+        np.testing.assert_array_equal(got[0, 0], grid_values(accelerated_ghz(0.4, k, 0.5), kind, thetas, phis))
 
     def test_empty_axes(self):
         assert probe_sweep([], [0.1, 0.2], 1, DistributionKind.WIGNER, PROBE).shape == (0, 2)

@@ -35,13 +35,14 @@ layers are
   7 x 12 grid per qubit, on the dense 3-qubit state, and of the Husimi
   kernel on a 13 x 25 grid per qubit, on the dense 2-qubit state;
 - ``kernel_grid`` of the Wigner kernel on the 91 x 181 equal-angle grid;
-- ``cli._csv_text`` of one 91 x 181 Wigner surface;
+- ``cli._csv_text`` of one 91 x 181 Wigner surface (the fig1a table,
+  built here from ``grid_values`` so that both sides time one table);
 - ``probe_sweep`` of the 51 x 51 nu x r Wigner map at the probe point
   with three accelerated qubits (the fig4c data), the same map of a
-  7-qubit register with all seven accelerated, a 5 x 5 map of a 16-qubit
-  register with all sixteen accelerated (51 x 51 would stack about
-  200 MB), and the three sweeps of the fig5 r curves (4 nu x 50 r, one
-  per k = 1, 2, 3).
+  7-qubit and of a 10-qubit register with every qubit accelerated, a
+  5 x 5 map of a 16-qubit register with all sixteen accelerated
+  (51 x 51 would stack about 200 MB), and the three sweeps of the fig5
+  r curves (4 nu x 50 r, one per k = 1, 2, 3).
 
 The ``--parent`` revision is extracted and the sides alternate as
 ``paired.py`` describes, over ``ROUNDS`` rounds; each layer's samples are
@@ -170,7 +171,9 @@ def layer_samples(repeats: int) -> dict[str, list[float]]:
                 rho, DistributionKind.WIGNER), repeats)
     samples["kernel_grid.91x181"] = time_per_call(
         lambda: kernel_grid(DistributionKind.WIGNER, thetas[:, None], phis), repeats)
-    table = cli._grid_table(1.0, 0.0, 0, DistributionKind.WIGNER, thetas, phis)
+    wigner = grid_values(accelerated_ghz(1.0, 0, 0.0), DistributionKind.WIGNER, thetas, phis)
+    columns = (thetas[:, None], phis, 1.0, 0.0, 0, int(DistributionKind.WIGNER), wigner)
+    table = np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, 7)
     samples["cli._csv_text.91x181"] = time_per_call(lambda: cli._csv_text(table), repeats)
     nus = np.linspace(0.0, 1.0, cli.MAP_STEPS)
     rs = np.linspace(0.0, R_MAX, cli.MAP_STEPS)
@@ -178,6 +181,8 @@ def layer_samples(repeats: int) -> dict[str, list[float]]:
         lambda: probe_sweep(nus, rs, 3, DistributionKind.WIGNER, probe), repeats)
     samples["probe_sweep.51x51.n7k7"] = time_per_call(
         lambda: probe_sweep(nus, rs, 7, DistributionKind.WIGNER, probe, n_qubits=7), repeats)
+    samples["probe_sweep.51x51.n10k10"] = time_per_call(
+        lambda: probe_sweep(nus, rs, 10, DistributionKind.WIGNER, probe, n_qubits=10), repeats)
     samples["probe_sweep.5x5.n16k16"] = time_per_call(
         lambda: probe_sweep(np.linspace(0.0, 1.0, 5), np.linspace(0.0, R_MAX, 5), 16, DistributionKind.WIGNER,
                             probe, n_qubits=16), repeats)
