@@ -15,6 +15,7 @@ import math
 import sys
 from collections.abc import Iterable, Iterator
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,9 +43,8 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 CSV_HEADER = "theta,phi,nu,r,k,s,W"
-# k and s sit in the float table too: '%.12g' prints 3.0 as 3, as for an int
 _CELL = "%.12g"
-# rows per piece of CSV text: a piece holds 7 Python strings per row
+# rows per piece of CSV text: one piece's text is held at a time
 _CHUNK_ROWS = 4096
 _KIND_BY_LETTER = {
     "q": DistributionKind.Q,
@@ -89,29 +89,65 @@ def _parse_accelerated(text: str) -> int | tuple[int, ...]:
         raise UsageError(f"cannot parse --accelerated {text!r}") from exc
 
 
-def _csv_chunks(table: np.ndarray) -> Iterator[str]:
-    """CSV text of a (rows, 7) table: the header, then ``_CHUNK_ROWS`` rows
-    per piece.
+class _Sweep(NamedTuple):
+    """One equal-angle sweep: ``values[i, j, a, b]`` at (nus[i], rs[j],
+    thetas[a], phis[b]), with k accelerated qubits and distribution s.  A
+    table is a list of sweeps: its rows run through the sweeps in turn,
+    each in the C order of (nu, r, theta, phi)."""
 
-    Each column is deduplicated on its float64 bit pattern (-0.0 and 0.0
-    print as -0 and 0), so every distinct cell is formatted once; a piece
-    then only gathers the formatted cells.  Only one piece's cells exist
-    as Python strings at a time.
+    nus: np.ndarray
+    rs: np.ndarray
+    thetas: np.ndarray
+    phis: np.ndarray
+    k: int
+    s: int
+    values: np.ndarray
+
+
+def _float_rows(table: list[_Sweep]) -> np.ndarray:
+    """The table as (rows, 7) floats, in the CSV's column and row order."""
+    rows = []
+    for sweep in table:
+        nu, r, theta, phi = np.ix_(sweep.nus, sweep.rs, sweep.thetas, sweep.phis)
+        columns = np.broadcast_arrays(theta, phi, nu, r, sweep.k, sweep.s, sweep.values)
+        rows.append(np.stack(columns, axis=-1).reshape(-1, 7))
+    return np.concatenate(rows)
+
+
+def _csv_chunks(table: list[_Sweep]) -> Iterator[str]:
+    """CSV text of a table: the header, then ``_CHUNK_ROWS`` rows per piece.
+
+    Each axis value is formatted once.  For each (nu, r) the row tails
+    ``phi,nu,r,k,s,%.12g`` are built once, and each theta line joins them
+    behind ``theta,``; a piece's row templates then take its W values in
+    one ``%``.  Only one piece's text exists at a time.
     """
     yield CSV_HEADER + "\n"
-    columns = []
-    for j, col in enumerate(table.T):
-        bits, rows = np.unique(col.view(np.int64), return_inverse=True)
-        end = "\n" if j == table.shape[1] - 1 else ","
-        cells = [_CELL % v + end for v in bits.view(np.float64).tolist()]
-        columns.append((np.array(cells, dtype=object), rows))
-    for start in range(0, len(table), _CHUNK_ROWS):
-        piece = np.stack([cells[rows[start:start + _CHUNK_ROWS]] for cells, rows in columns], axis=1)
-        yield "".join(piece.ravel().tolist())
-
-
-def _csv_text(table: np.ndarray) -> str:
-    return "".join(_csv_chunks(table))
+    values = np.concatenate([sweep.values.ravel() for sweep in table])
+    parts, room, done = [], _CHUNK_ROWS, 0
+    for sweep in table:
+        thetas = [_CELL % v + "," for v in sweep.thetas.tolist()]
+        phis = [_CELL % v + "," for v in sweep.phis.tolist()]
+        rs = [_CELL % v + "," for v in sweep.rs.tolist()]
+        # every prefix cell is '%.12g' output, which never holds a '%', so
+        # W's is the only conversion in a row template
+        ksw = f"{_CELL % sweep.k},{_CELL % sweep.s},{_CELL}\n"
+        for nu in sweep.nus.tolist():
+            nu = _CELL % nu + ","
+            for r in rs:
+                tails = [phi + nu + r + ksw for phi in phis]
+                for theta in thetas:
+                    line = tails
+                    while len(line) >= room:
+                        parts.append(theta + theta.join(line[:room]))
+                        line = line[room:]
+                        yield "".join(parts) % tuple(values[done:done + _CHUNK_ROWS].tolist())
+                        parts, room, done = [], _CHUNK_ROWS, done + _CHUNK_ROWS
+                    if line:
+                        parts.append(theta + theta.join(line))
+                        room -= len(line)
+    if parts:
+        yield "".join(parts) % tuple(values[done:].tolist())
 
 
 def _write_chunks(path: str | Path, chunks: Iterable[str]) -> None:
@@ -126,28 +162,27 @@ def _emit(args, chunks: Iterable[str]) -> None:
         sys.stdout.writelines(chunks)
 
 
-def _emit_rows(args, table: np.ndarray, meta: dict) -> None:
+def _emit_rows(args, table: list[_Sweep], meta: dict) -> None:
     """A table as CSV, or as JSON samples (k and s as integers) under
     ``meta`` plus the column names."""
     if args.format == "csv":
         _emit(args, _csv_chunks(table))
     else:
         samples = []
-        for row in table:
-            theta, phi, nu, r, k, s, w = row.tolist()
+        for theta, phi, nu, r, k, s, w in _float_rows(table).tolist():
             samples.append([theta, phi, nu, r, int(k), int(s), w])
         meta = {**meta, "columns": CSV_HEADER.split(",")}
         payload = {"meta": meta, "samples": samples}
         _emit(args, [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
 
 
-def _sweep_table(nus, rs, accelerated, kind, thetas, phis) -> np.ndarray:
-    """The equal-angle values over nus x rs x thetas x phis as one (rows, 7)
-    float table of the CSV columns, one row per value in that order."""
+def _sweep_table(nus, rs, accelerated, kind, thetas, phis) -> _Sweep:
+    """The equal-angle values over nus x rs x thetas x phis, with the axes
+    and the k and s of the CSV columns."""
     values = _sweep(nus, rs, accelerated, kind, thetas, phis, _N_QUBITS)
     k = len(_accelerated_qubits(accelerated, _N_QUBITS))
-    nu, r, theta, phi = np.ix_(nus, rs, thetas, phis)
-    return np.stack(np.broadcast_arrays(theta, phi, nu, r, k, kind, values), axis=-1).reshape(-1, 7)
+    axes = [np.asarray(axis, dtype=float) for axis in (nus, rs, thetas, phis)]
+    return _Sweep(*axes, k, int(kind), values)
 
 
 def _cmd_eval(args) -> int:
@@ -162,7 +197,7 @@ def _cmd_eval(args) -> int:
 def _cmd_grid(args) -> int:
     accelerated = _parse_accelerated(args.accelerated)
     thetas, phis = sphere_grid(args.theta_steps, args.phi_steps)
-    table = _sweep_table([args.nu], [args.r], accelerated, args.kind, thetas, phis)
+    table = [_sweep_table([args.nu], [args.r], accelerated, args.kind, thetas, phis)]
     indices = _accelerated_qubits(accelerated, _N_QUBITS)
     meta = {
         "command": "grid",
@@ -189,7 +224,7 @@ def _cmd_scan(args) -> int:
         nus, rs = [args.nu], np.linspace(0.0, R_MAX, args.steps)
     else:
         nus, rs = np.linspace(0.0, 1.0, args.steps), [args.r]
-    table = _sweep_table(nus, rs, accelerated, args.kind, [args.theta], [args.phi])
+    table = [_sweep_table(nus, rs, accelerated, args.kind, [args.theta], [args.phi])]
     _emit_rows(args, table, {"command": args.command})
     return EXIT_OK
 
@@ -253,7 +288,8 @@ def _cmd_verify(args) -> int:
 
 
 def _figure_specs():
-    """(filename, table builder) pairs for the canonical figure exports."""
+    """(filename, table builder) pairs for the canonical figure exports; a
+    builder returns a list of :class:`_Sweep`."""
     thetas, phis = sphere_grid(SURFACE_THETA_STEPS, SURFACE_PHI_STEPS)
     nus = np.linspace(0.0, 1.0, MAP_STEPS)
     rs = np.linspace(0.0, R_MAX, MAP_STEPS)
@@ -263,7 +299,7 @@ def _figure_specs():
     wigner = DistributionKind.WIGNER
 
     def surface(nu, r, k):
-        return _sweep_table([nu], [r], k, wigner, thetas, phis)
+        return [_sweep_table([nu], [r], k, wigner, thetas, phis)]
 
     @functools.cache
     def r_sweeps():
@@ -272,21 +308,21 @@ def _figure_specs():
 
     def r_curves(nu):
         i = curve_nus.index(nu)
-        return np.concatenate([table.reshape(len(curve_nus), -1, 7)[i] for table in r_sweeps()])
+        return [sweep._replace(nus=sweep.nus[i:i + 1], values=sweep.values[i:i + 1]) for sweep in r_sweeps()]
 
     specs = [
         ("fig1a.csv", lambda: surface(1.0, 0.0, 0)),
         ("fig1b.csv", lambda: surface(0.3, 0.0, 0)),
-        ("fig1c.csv", lambda: _sweep_table(nus, [0.0], 0, wigner, thetas, probe_phi)),
+        ("fig1c.csv", lambda: [_sweep_table(nus, [0.0], 0, wigner, thetas, probe_phi)]),
         ("fig2a.csv", lambda: surface(1.0, 0.6, 1)),
         ("fig2b.csv", lambda: surface(0.3, 0.6, 1)),
-        ("fig2c.csv", lambda: _sweep_table(nus, rs, 1, wigner, probe_theta, probe_phi)),
+        ("fig2c.csv", lambda: [_sweep_table(nus, rs, 1, wigner, probe_theta, probe_phi)]),
         ("fig3a.csv", lambda: surface(1.0, 0.6, 2)),
         ("fig3b.csv", lambda: surface(0.3, 0.6, 2)),
-        ("fig3c.csv", lambda: _sweep_table(nus, rs, 2, wigner, probe_theta, probe_phi)),
+        ("fig3c.csv", lambda: [_sweep_table(nus, rs, 2, wigner, probe_theta, probe_phi)]),
         ("fig4a.csv", lambda: surface(1.0, 0.6, 3)),
         ("fig4b.csv", lambda: surface(0.3, 0.6, 3)),
-        ("fig4c.csv", lambda: _sweep_table(nus, rs, 3, wigner, probe_theta, probe_phi)),
+        ("fig4c.csv", lambda: [_sweep_table(nus, rs, 3, wigner, probe_theta, probe_phi)]),
         ("fig5a.csv", lambda: r_curves(1.0)),
         ("fig5b.csv", lambda: r_curves(0.7)),
         ("fig5c.csv", lambda: r_curves(0.5)),

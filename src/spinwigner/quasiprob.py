@@ -474,7 +474,8 @@ def _sweep(
     accelerated, rs[j], n_qubits)`` with every qubit at (thetas[a], phis[b]).
 
     W is affine in nu, so only the validated states at min(nus) and
-    max(nus) are built (one when equal) and the rest is interpolated.  One
+    max(nus) are built and the rest is interpolated; when they are equal,
+    the one state's values are every nu's, with no interpolation.  One
     :func:`~spinwigner.rindler._x_channel` takes them to every r, one
     :func:`~spinwigner.linalg._certify_x` certifies the (R, endpoints)
     batch, and one :func:`_pair_sums` feeds :func:`_surfaces`: each state
@@ -493,7 +494,6 @@ def _sweep(
     if nus.size == 0 or rs.size == 0:
         return np.empty((nus.size, rs.size, thetas.size, phis.size))
     lo, hi = float(nus.min()), float(nus.max())
-    t = ((nus - lo) / (hi - lo) if hi > lo else np.zeros_like(nus))[:, None, None, None]
     ends = [ghz_werner(GhzWernerParams(nu=nu, n_qubits=n_qubits)) for nu in ((lo, hi) if hi > lo else (lo,))]
     stack = np.stack([rho._x_stack for rho in ends])  # (endpoint, 2, 2^n)
     if indices:
@@ -501,6 +501,9 @@ def _sweep(
         _certify_x(stack)
     w = _surfaces(_pair_sums(stack, _X_PAIRS, n_qubits), kind, thetas, phis, "sweep")
     w = np.broadcast_to(w, (rs.size, len(ends), thetas.size, phis.size))
+    if hi == lo:
+        return np.broadcast_to(w[:, 0], (nus.size, *w[:, 0].shape)).copy()
+    t = ((nus - lo) / (hi - lo))[:, None, None, None]
     return (1.0 - t) * w[:, 0] + t * w[:, -1]
 
 

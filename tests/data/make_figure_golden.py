@@ -33,7 +33,7 @@ def main() -> None:
     arrays = {}
     for name, build in cli._figure_specs():
         stem = name.removesuffix(".csv")
-        rows = np.array(build(), dtype=float)
+        rows = cli._float_rows(build())
         if stem in PROBE_FIGURES:
             index = np.arange(len(rows))
         else:

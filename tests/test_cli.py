@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import itertools
 import json
 import math
 import re
@@ -345,23 +346,60 @@ def reference_csv(table):
     return "\n".join(lines) + "\n"
 
 
+def loop_rows(table):
+    """The (rows, 7) floats of a list of sweeps, one row per loop step."""
+    rows = [
+        [theta, phi, nu, r, sweep.k, sweep.s, sweep.values[i, j, a, b]]
+        for sweep in table
+        for (i, nu), (j, r), (a, theta), (b, phi) in itertools.product(
+            *map(enumerate, (sweep.nus, sweep.rs, sweep.thetas, sweep.phis)))
+    ]
+    return np.array(rows, dtype=float).reshape(-1, 7)
+
+
+def random_shape(size, rng):
+    """A random (nu, r, theta, phi) shape holding ``size`` values."""
+    if size == 0:
+        shape = rng.integers(0, 4, size=4)
+        shape[rng.integers(4)] = 0
+        return shape.tolist()
+    shape = []
+    for _ in range(3):
+        shape.append(int(rng.choice([d for d in range(1, size + 1) if size % d == 0])))
+        size //= shape[-1]
+    return shape + [size]
+
+
 class TestCsvWriter:
     @settings(max_examples=30, deadline=None)
     @given(
         pool=st.lists(st.one_of(st.sampled_from(SPECIAL_CELLS), st.floats()), min_size=1, max_size=6),
         rows=st.sampled_from([0, 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 17]),
+        sweeps=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_few_distinct_cells_match_the_per_row_reference(self, pool, rows, seed):
-        pool = [-0.0, 0.0] + pool  # equal values with different bit patterns in every column
-        table = np.array(pool)[np.random.default_rng(seed).integers(len(pool), size=(rows, 7))]
+    def test_few_distinct_cells_match_the_per_row_reference(self, pool, rows, sweeps, seed):
+        pool = np.array([-0.0, 0.0] + pool)  # equal values with different bit patterns on every axis
+        rng = np.random.default_rng(seed)
+        cuts = np.sort(rng.integers(0, rows + 1, size=sweeps - 1))
+        table = []
+        for size in np.diff([0, *cuts, rows]).tolist():
+            shape = random_shape(size, rng)
+            axes = [rng.choice(pool, n) for n in shape]
+            table.append(cli._Sweep(*axes, int(rng.integers(4)), int(rng.integers(-1, 2)), rng.choice(pool, shape)))
+        want = loop_rows(table)
+        assert np.array_equal(cli._float_rows(table).view(np.int64), want.view(np.int64))
         chunks = list(cli._csv_chunks(table))
         assert len(chunks) == 1 + math.ceil(rows / CHUNK_ROWS)
-        assert cli._csv_text(table) == "".join(chunks) == reference_csv(table)
+        # lines, not one string: pytest's diff of two long texts takes minutes
+        assert "".join(chunks).split("\n") == reference_csv(want).split("\n")
 
     def test_signed_zeros_stay_apart(self):
-        table = np.array([[-0.0] * 7, [0.0] * 7, [-0.0] * 7])
-        assert cli._csv_text(table) == "\n".join([CSV_HEADER] + ["-0," * 6 + "-0", "0," * 6 + "0", "-0," * 6 + "-0"]) + "\n"
+        zeros = np.array([-0.0, 0.0])
+        values = np.array([[-0.0, 0.0], [0.0, -0.0]]).reshape(1, 1, 2, 2)
+        table = [cli._Sweep(zeros[:1], zeros[1:], zeros, zeros[::-1], 0, 0, values)]
+        rows = ["-0,0,-0,0,0,0,-0", "-0,-0,-0,0,0,0,0", "0,0,-0,0,0,0,0", "0,-0,-0,0,0,0,-0"]
+        assert "".join(cli._csv_chunks(table)) == "\n".join([CSV_HEADER] + rows) + "\n"
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize(
@@ -475,6 +513,11 @@ class TestFigures:
         capsys.readouterr()
         for name in self.EXPECTED:
             assert (again / name).read_bytes() == (fig_dir / name).read_bytes()
+
+    def test_each_file_is_its_table_row_by_row(self, fig_dir):
+        for name, build in cli._figure_specs():
+            want = reference_csv(cli._float_rows(build()))
+            assert (fig_dir / name).read_bytes().decode().split("\n") == want.split("\n")
 
     def test_blocked_directory_exits_3(self, capsys, tmp_path):
         blocker = tmp_path / "blocker"

@@ -29,7 +29,7 @@ def golden():
 @pytest.fixture(scope="module")
 def fresh():
     return {
-        name.removesuffix(".csv"): np.array(build(), dtype=float)
+        name.removesuffix(".csv"): cli._float_rows(build())
         for name, build in cli._figure_specs()
     }
 

@@ -216,13 +216,13 @@ class TestStateBudget:
         assert len(count_states) == 2
 
     def test_figure_nu_theta_map_builds_two_states(self, count_states):
-        rows = dict(cli._figure_specs())["fig1c.csv"]()
+        rows = cli._float_rows(dict(cli._figure_specs())["fig1c.csv"]())
         assert len(rows) == cli.MAP_STEPS * cli.SURFACE_THETA_STEPS
         assert count_states == [0.0, 1.0]
 
     def test_figures_fig5_shares_one_sweep_per_k(self, count_states, count_channels, count_certificates):
         builders = dict(cli._figure_specs())
-        tables = [builders[f"fig5{letter}.csv"]() for letter in "abcd"]
+        tables = [cli._float_rows(builders[f"fig5{letter}.csv"]()) for letter in "abcd"]
         # per k = 1, 2, 3: the nu = 0.2 and nu = 1 states, both through one channel call at every r
         assert sorted(count_states) == [0.2] * 3 + [1.0] * 3
         r_curve = np.linspace(0.0, R_MAX, cli.R_CURVE_STEPS)

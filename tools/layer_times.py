@@ -35,8 +35,9 @@ layers are
   7 x 12 grid per qubit, on the dense 3-qubit state, and of the Husimi
   kernel on a 13 x 25 grid per qubit, on the dense 2-qubit state;
 - ``kernel_grid`` of the Wigner kernel on the 91 x 181 equal-angle grid;
-- ``cli._csv_text`` of one 91 x 181 Wigner surface (the fig1a table,
-  built here from ``grid_values`` so that both sides time one table);
+- ``cli._csv_chunks`` of the fig1a table (one 91 x 181 Wigner surface),
+  each side's table from its own ``cli._figure_specs`` builder, joined
+  into one string;
 - ``probe_sweep`` of the 51 x 51 nu x r Wigner map at the probe point
   with three accelerated qubits (the fig4c data), the same map of a
   7-qubit and of a 10-qubit register with every qubit accelerated, a
@@ -171,10 +172,8 @@ def layer_samples(repeats: int) -> dict[str, list[float]]:
                 rho, DistributionKind.WIGNER), repeats)
     samples["kernel_grid.91x181"] = time_per_call(
         lambda: kernel_grid(DistributionKind.WIGNER, thetas[:, None], phis), repeats)
-    wigner = grid_values(accelerated_ghz(1.0, 0, 0.0), DistributionKind.WIGNER, thetas, phis)
-    columns = (thetas[:, None], phis, 1.0, 0.0, 0, int(DistributionKind.WIGNER), wigner)
-    table = np.stack(np.broadcast_arrays(*columns), axis=-1).reshape(-1, 7)
-    samples["cli._csv_text.91x181"] = time_per_call(lambda: cli._csv_text(table), repeats)
+    fig1a = dict(cli._figure_specs())["fig1a.csv"]()
+    samples["cli._csv_chunks.fig1a"] = time_per_call(lambda: "".join(cli._csv_chunks(fig1a)), repeats)
     nus = np.linspace(0.0, 1.0, cli.MAP_STEPS)
     rs = np.linspace(0.0, R_MAX, cli.MAP_STEPS)
     samples["probe_sweep.51x51.k3"] = time_per_call(
