@@ -159,7 +159,13 @@ def validate_density(m: np.ndarray, n_qubits: int) -> DensityMatrix:
     and later edits to it do not reach the state.
     """
     _check_n_qubits(n_qubits)
-    arr = np.array(m, dtype=complex)
+    return _dense_state(np.array(m, dtype=complex), n_qubits)
+
+
+def _dense_state(arr: np.ndarray, n_qubits: int) -> DensityMatrix:
+    """The checks of :func:`validate_density` on ``arr``, a complex array
+    that nothing else holds: the state takes it over, frozen, uncopied.
+    ``n_qubits`` must already be checked."""
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise NotSquareError(f"expected a square matrix, got shape {arr.shape}")
     dim = arr.shape[0]

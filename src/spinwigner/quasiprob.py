@@ -42,6 +42,7 @@ from .su2kernel import (
     SphericalPoint,
     _check_angles,
     _pauli_coefficients,
+    _point_kernels,
     kernel_grid,
 )
 
@@ -60,9 +61,9 @@ QUAD_ORDER = 32
 class QuasiProbSample:
     """One distribution value, with the per-qubit points it was taken at.
 
-    The dataclass itself checks nothing: the evaluators that build it pass
-    the trace through ``_real``, which raises NonRealResult for an
-    imaginary residue above IMAG_TOL (1e-10).
+    The dataclass itself checks nothing: :func:`evaluate`, which builds it,
+    passes the trace's imaginary part to ``_check_residue``, which raises
+    NonRealResult for a residue above IMAG_TOL (1e-10).
     """
 
     points: tuple[SphericalPoint, ...]
@@ -147,13 +148,20 @@ def _pair_sums(entries: np.ndarray, digits: np.ndarray, n: int) -> np.ndarray:
 
 
 def evaluate(rho: DensityMatrix, kind: DistributionKind, points: Sequence[SphericalPoint]) -> QuasiProbSample:
-    """Distribution value Tr[rho K(p_0) x ... x K(p_{n-1})], one point per qubit."""
+    """Distribution value Tr[rho K(p_0) x ... x K(p_{n-1})], one point per qubit.
+
+    The kernels come from :func:`~spinwigner.su2kernel._point_kernels`, one
+    per distinct point (the same as :func:`kernel_grid` gives), and meet
+    the state's entries in :func:`_trace`.  A wrong number of points raises
+    DimensionError, an unknown ``kind`` or a non-finite angle ValueError,
+    and an imaginary residue above IMAG_TOL NonRealResult.
+    """
     pts = tuple(points)
     if len(pts) != rho.n_qubits:
         raise DimensionError(f"expected {rho.n_qubits} points, got {len(pts)}")
-    k = kernel_grid(kind, [p.theta for p in pts], [p.phi for p in pts])
-    value = float(_real(_trace(*_entries(rho), [k[..., q] for q in range(len(pts))]), "evaluate"))
-    return QuasiProbSample(points=pts, kind=DistributionKind(kind), value=value)
+    value = _trace(*_entries(rho), _point_kernels(kind, [(p.theta, p.phi) for p in pts]))
+    _check_residue(abs(float(value.imag)), "evaluate")
+    return QuasiProbSample(points=pts, kind=DistributionKind(kind), value=float(value.real))
 
 
 def sphere_grid(theta_steps: int, phi_steps: int) -> tuple[np.ndarray, np.ndarray]:

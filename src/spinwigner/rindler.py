@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IndexOutOfRange, ROutOfRange
-from .linalg import DensityMatrix, _check_n_qubits, _x_state, validate_density
+from .linalg import DensityMatrix, _check_n_qubits, _dense_state, _x_state, validate_density
 from .states import GhzWernerParams, ghz_werner
 
 R_MAX = math.pi / 4.0
@@ -136,7 +136,10 @@ def _x_channel(stack: np.ndarray, rs, qubits: tuple[int, ...]) -> np.ndarray:
         diag = populations @ diag.reshape(view)
         anti = anti.reshape(view) * coherences
         lead = diag.shape[:-3]
-    return np.stack([diag.reshape(lead + (-1,)), anti.reshape(lead + (-1,))], axis=-2)
+    out = np.empty(lead + stack.shape[-2:], dtype=complex)
+    out[..., 0, :] = diag.reshape(lead + (-1,))
+    out[..., 1, :] = anti.reshape(lead + (-1,))
+    return out
 
 
 def accelerate(rho: DensityMatrix, config: AccelerationConfig) -> DensityMatrix:
@@ -155,7 +158,7 @@ def accelerate(rho: DensityMatrix, config: AccelerationConfig) -> DensityMatrix:
     - any other state, a validated matrix or an instance built without
       validation, gets the transfer on its dense (row bit, column bit)
       axes of each accelerated qubit, O(k 4^n), and its output is
-      validated densely by :func:`validate_density`.
+      validated densely, in place, by :func:`~spinwigner.linalg._dense_state`.
 
     The steps commute, so they run in ascending index order for
     determinism.  With no qubit named, an X state is returned as it is,
@@ -174,7 +177,7 @@ def accelerate(rho: DensityMatrix, config: AccelerationConfig) -> DensityMatrix:
         axes = (n - 1 - q, 2 * n - 1 - q)  # row and column bit of qubit q; factors run msb-first
         front = np.moveaxis(t, axes, (0, 1)).reshape(4, -1)
         t = np.moveaxis((transfer @ front).reshape(shape), (0, 1), axes)
-    return validate_density(t.reshape(2 ** n, 2 ** n), n)
+    return _dense_state(t.reshape(2 ** n, 2 ** n), n)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,6 @@ def ghz_werner(params: GhzWernerParams) -> DensityMatrix:
     noise = (1.0 - params.nu) / dim
     stack = np.zeros((2, dim), dtype=complex)  # diagonal and anti-diagonal by row
     stack[0] = noise
-    stack[0, [0, -1]] = coherence + noise
-    stack[1, [0, -1]] = coherence
+    stack[0, :: dim - 1] = coherence + noise  # the corners: rows 0 and dim - 1
+    stack[1, :: dim - 1] = coherence
     return _x_state(stack, params.n_qubits)

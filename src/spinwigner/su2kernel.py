@@ -240,15 +240,17 @@ def _pauli_coefficients(kind: DistributionKind, theta, phi) -> np.ndarray:
     Returns the stack (v_I, v_X, v_Y, v_Z) of shape (4,) +
     broadcast(theta, phi).shape: the table of ``kind``, which must be a
     DistributionKind value, applied to the angular basis (1, cos theta,
-    sin theta cos phi, sin theta sin phi).  The one builder under every
-    kernel, and so the angle gate of each: every angle finite (ValueError).
+    sin theta cos phi, sin theta sin phi).  The builder under every kernel
+    on angle arrays, and so their angle gate: every angle finite
+    (ValueError).  Point values take their kernels from
+    :func:`_point_kernels`, which applies the same table to the same basis.
     """
     table = _pauli_table(DistributionKind(kind))
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     _check_angles(theta, phi)
     sin_theta = np.sin(theta)
-    basis = np.empty((4,) + np.broadcast_shapes(theta.shape, phi.shape))
+    basis = np.empty((4,) + np.broadcast(theta, phi).shape)
     basis[0] = 1.0
     basis[1] = np.cos(theta)
     basis[2] = sin_theta * np.cos(phi)
@@ -256,6 +258,34 @@ def _pauli_coefficients(kind: DistributionKind, theta, phi) -> np.ndarray:
     # matmul on the flattened grid: tensordot's set-up dominates a
     # point evaluation's few angles
     return (table @ basis.reshape(4, -1)).reshape(basis.shape)
+
+
+def _point_kernels(kind: DistributionKind, angles) -> list[np.ndarray]:
+    """The 2x2 kernel of ``kind`` at each scalar (theta, phi) of ``angles``.
+
+    A point value puts each qubit at one point, and often every qubit at
+    the same one, so each distinct pair is built once: its angular basis
+    is taken with ``math``, not numpy's set-up for arrays, and goes
+    through the table and the Pauli matrices as in
+    :func:`_pauli_coefficients` and :func:`kernel_grid`: the kernels are
+    theirs, bitwise where ``math`` and numpy agree on sin and cos.
+    ``kind`` must be a DistributionKind value, and each distinct pair
+    passes the angle gate (ValueError).  Repeated pairs share one
+    read-only matrix.
+    """
+    table = _pauli_table(DistributionKind(kind))
+    angles = [(float(theta), float(phi)) for theta, phi in angles]
+    distinct = dict.fromkeys(angles)
+    basis = np.empty((4, len(distinct)))
+    for i, (theta, phi) in enumerate(distinct):
+        _check_angles(theta, phi)
+        sin_theta = math.sin(theta)
+        basis[:, i] = 1.0, math.cos(theta), sin_theta * math.cos(phi), sin_theta * math.sin(phi)
+        distinct[theta, phi] = i
+    kernels = (_PAULIS.reshape(4, 4) @ (table @ basis)).T.reshape(-1, 2, 2)
+    kernels.setflags(write=False)
+    views = list(kernels)
+    return [views[distinct[pair]] for pair in angles]
 
 
 def kernel_grid(kind: DistributionKind, theta, phi) -> np.ndarray:

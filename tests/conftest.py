@@ -47,6 +47,27 @@ def pytest_terminal_summary(terminalreporter):
         )
 
 
+def assert_same_bytes(got: bytes, want: bytes, what: str) -> None:
+    """Fail unless ``got`` is ``want`` byte for byte, naming the first line
+    where they part.  A whole-file ``==`` would hand pytest two long
+    strings to diff on a failure, which can take minutes."""
+    if got == want:
+        return
+    got_lines, want_lines = got.split(b"\n"), want.split(b"\n")
+    line = next(
+        (i for i, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w), min(len(got_lines), len(want_lines))
+    )
+
+    def at(lines):
+        return repr(lines[line]) if line < len(lines) else "<end of file>"
+
+    pytest.fail(
+        f"{what}: {len(got)} bytes, want {len(want)}; first difference on line {line + 1}: "
+        f"{at(got_lines)}, want {at(want_lines)}",
+        pytrace=False,
+    )
+
+
 def random_density(n_qubits, rng):
     """Random full-rank density matrix from the Ginibre ensemble."""
     dim = 2**n_qubits

@@ -28,6 +28,8 @@ from spinwigner import (
 )
 from spinwigner.cli import CSV_HEADER, main
 
+from conftest import assert_same_bytes
+
 SQRT3 = math.sqrt(3.0)
 NU_R_SET = [(nu, r) for nu in (0.0, 0.3, 0.7, 1.0) for r in (0.0, 0.3, 0.6, math.pi / 4)]
 TEN_STATES = [
@@ -161,6 +163,6 @@ def test_criterion_10_figure_determinism(tmp_path, capsys):
     for name in names:
         blob_a = (dir_a / name).read_bytes()
         blob_b = (dir_b / name).read_bytes()
-        assert blob_a == blob_b, name
+        assert_same_bytes(blob_a, blob_b, name)
         first_line = blob_a.split(b"\n", 1)[0].decode("utf-8")
         assert first_line == CSV_HEADER, name

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from spinwigner import R_MAX, AccelerationConfig, accelerate, unruh_isometry, validate_density
 from spinwigner.linalg import _x_state
-from spinwigner.rindler import _kraus_pair
+from spinwigner.rindler import _kraus_pair, _x_channel
 
 from conftest import off_x, random_density, random_x_density, x_stack
 
@@ -119,3 +119,14 @@ def test_choi_output_trace_is_identity(r):
     choi = one_qubit_choi(r).reshape(2, 2, 2, 2)
     np.testing.assert_allclose(np.trace(choi, axis1=1, axis2=3), np.eye(2), rtol=0, atol=CHANNEL_TOL)
 
+
+
+@pytest.mark.parametrize("n, qubits", [(1, (0,)), (3, (0, 2)), (5, (4, 1, 2)), (7, tuple(range(7)))])
+def test_x_channel_of_a_batch_is_each_state_alone(rng, n, qubits):
+    stack = rng.standard_normal((3, 2, 2**n)) + 1j * rng.standard_normal((3, 2, 2**n))
+    got = _x_channel(stack, R_VALUES, qubits)
+    assert got.shape == (len(R_VALUES), 3, 2, 2**n) and got.flags.c_contiguous
+    for j, e in np.ndindex(len(R_VALUES), 3):
+        alone = _x_channel(stack[e], (R_VALUES[j],), qubits)
+        assert alone.shape == (1, 2, 2**n)
+        np.testing.assert_array_equal(got[j, e], alone[0])

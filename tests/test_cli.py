@@ -25,7 +25,32 @@ from spinwigner import (
 )
 from spinwigner.cli import CSV_HEADER, main
 
+from conftest import assert_same_bytes
+
 SQRT3 = math.sqrt(3.0)
+
+
+class TestSameBytes:
+    """The whole-file comparison of the tests below: exact, and quick to fail."""
+
+    BLOB = b"".join(b"%d,0.5\n" % i for i in range(200_000))
+
+    def test_equal_bytes_pass(self):
+        assert_same_bytes(self.BLOB, bytes(self.BLOB), "blob")
+
+    @pytest.mark.parametrize(
+        "got, message",
+        [
+            (BLOB.replace(b"3,0.5", b"3,0.4", 1), r"line 4: b'3,0\.4', want b'3,0\.5'"),
+            (BLOB.replace(b"\n", b"\r\n", 1), r"line 1: b'0,0\.5\\r', want b'0,0\.5'"),
+            (BLOB + b"x", r"line 200001: b'x', want b''"),
+            (BLOB[:-1], r"line 200001: <end of file>, want b''"),
+        ],
+        ids=["changed", "carriage_return", "longer", "shorter"],
+    )
+    def test_names_the_first_differing_line(self, got, message):
+        with pytest.raises(pytest.fail.Exception, match=message):
+            assert_same_bytes(got, self.BLOB, "blob")
 
 
 def run_cli(capsys, *argv):
@@ -416,7 +441,7 @@ class TestCsvWriter:
         code_out, out, _ = run_cli(capsys, *argv, "--format", fmt)
         code_file, printed, _ = run_cli(capsys, *argv, "--format", fmt, "-o", str(target))
         assert code_out == code_file == 0 and printed == ""
-        assert target.read_bytes() == out.encode("utf-8")
+        assert_same_bytes(target.read_bytes(), out.encode("utf-8"), str(target))
 
 
 class TestVerify:
@@ -512,12 +537,12 @@ class TestFigures:
         assert main(["figures", "--output-dir", str(again)]) == 0
         capsys.readouterr()
         for name in self.EXPECTED:
-            assert (again / name).read_bytes() == (fig_dir / name).read_bytes()
+            assert_same_bytes((again / name).read_bytes(), (fig_dir / name).read_bytes(), name)
 
     def test_each_file_is_its_table_row_by_row(self, fig_dir):
         for name, build in cli._figure_specs():
             want = reference_csv(cli._float_rows(build()))
-            assert (fig_dir / name).read_bytes().decode().split("\n") == want.split("\n")
+            assert_same_bytes((fig_dir / name).read_bytes(), want.encode("utf-8"), name)
 
     def test_blocked_directory_exits_3(self, capsys, tmp_path):
         blocker = tmp_path / "blocker"

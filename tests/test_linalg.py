@@ -476,6 +476,13 @@ class TestValidationOwnership:
         assert rho.matrix[0, 0] == 0.25 and rho.matrix[1, 1] == 0.25
         assert not rho.matrix.flags.writeable
 
+    def test_private_entry_takes_the_array_over(self):
+        # the dense channel's fresh output is frozen in place, not copied again
+        m = np.eye(4, dtype=complex) / 4.0
+        rho = linalg._dense_state(m, 2)
+        assert rho.matrix is m and not m.flags.writeable
+        assert rho.min_eigenvalue == 0.25 and not rho.x_shaped
+
     @pytest.mark.parametrize(
         "build",
         [

@@ -2,6 +2,7 @@
 
 import math
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from spinwigner import (
     ghz_werner,
     grid_scan,
     grid_values,
+    kernel_grid,
     linalg,
     negativity_threshold,
     normalization_check,
@@ -89,6 +91,27 @@ class TestEvaluate:
         rho = random_density(2, rng)
         with pytest.raises(DimensionError):
             evaluate(rho, DistributionKind.WIGNER, (PROBE,))
+
+    @pytest.mark.parametrize("kind", list(DistributionKind))
+    def test_repeated_and_distinct_points_match_the_kernel_grid_trace(self, rng, kind):
+        a, b, c = (SphericalPoint(*rng.uniform(0.0, math.pi, 2)) for _ in range(3))
+        for rho in (random_density(5, rng), accelerated_ghz(0.4, (0, 3), 0.5, n_qubits=5)):
+            for pts in ((a, b, a, c, a), (b,) * 5, (a, b, c, PROBE, SphericalPoint(0.0, 0.0))):
+                ops = [kernel_grid(kind, p.theta, p.phi) for p in pts]
+                want = quasiprob._trace(*linalg._entries(rho), ops).real
+                assert abs(evaluate(rho, kind, pts).value - want) <= 1e-15, pts
+
+    @pytest.mark.parametrize("theta, phi", [(math.nan, 1.0), (1.0, np.array(math.nan))])
+    def test_duck_typed_point_with_a_nan_angle_is_refused(self, theta, phi):
+        rho = ghz_werner(GhzWernerParams(nu=0.5))
+        pts = (PROBE, SimpleNamespace(theta=theta, phi=phi), PROBE)
+        with pytest.raises(ValueError, match="theta and phi must be finite"):
+            evaluate(rho, DistributionKind.WIGNER, pts)
+
+    @pytest.mark.parametrize("kind", [7, 2, -2, "wigner"])
+    def test_unknown_kind_is_refused(self, kind):
+        with pytest.raises(ValueError):
+            evaluate(ghz_werner(GhzWernerParams(nu=0.5)), kind, (PROBE,) * 3)
 
     @settings(max_examples=25, deadline=None)
     @given(

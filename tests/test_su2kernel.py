@@ -24,7 +24,7 @@ from spinwigner import (
     su2kernel,
     validate_density,
 )
-from spinwigner.su2kernel import _PAULIS, _pauli_coefficients, _pauli_table
+from spinwigner.su2kernel import _PAULIS, _pauli_coefficients, _pauli_table, _point_kernels
 
 from dense_oracle import closed_form_kernel
 
@@ -394,3 +394,32 @@ class TestPauliCoefficients:
         assert np.array_equal(op.matrix, single) and not op.matrix.flags.writeable
         grid = kernel_grid(kind, np.zeros((3, 1)), np.zeros((1, 4)))
         assert grid.shape == (2, 2, 3, 4) and grid.dtype == np.complex128
+
+
+class TestPointKernels:
+    """The kernels of point values, one per distinct point, against kernel_grid."""
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_matches_kernel_grid(self, kind, rng):
+        angles = [(float(t), float(p)) for t, p in zip(rng.uniform(0.0, math.pi, 20), rng.uniform(0.0, 2 * math.pi, 20))]
+        angles += [(0.0, 0.0), (math.pi, 0.0), (0.0, 1.3), (math.pi, 4.0)]  # the poles
+        angles += [(0.7, np.nextafter(2 * math.pi, 0.0)), (2.1, 2 * math.pi - 1e-9), (1.0, 2 * math.pi)]
+        for (theta, phi), got in zip(angles, _point_kernels(kind, angles), strict=True):
+            assert got.shape == (2, 2) and got.dtype == np.complex128
+            assert np.abs(got - kernel_grid(kind, theta, phi)).max() <= 1e-15, (theta, phi)
+
+    def test_repeated_points_share_one_read_only_matrix(self):
+        a, b = (0.3, 1.2), (0.3, 1.3)
+        ks = _point_kernels(DistributionKind.WIGNER, [a, b, a, a])
+        assert ks[0] is ks[2] is ks[3] and ks[1] is not ks[0]
+        assert not any(k.flags.writeable for k in ks)
+
+    @pytest.mark.parametrize("theta, phi", [(math.nan, 0.0), (0.1, math.inf), (np.float64(-math.inf), 0.0)])
+    def test_rejects_a_non_finite_distinct_point(self, theta, phi):
+        with pytest.raises(ValueError, match="theta and phi must be finite"):
+            _point_kernels(DistributionKind.WIGNER, [(0.1, 0.2), (theta, phi), (0.1, 0.2)])
+
+    @pytest.mark.parametrize("kind", [7, 2, -2])
+    def test_rejects_unknown_kind(self, kind):
+        with pytest.raises(ValueError):
+            _point_kernels(kind, [(0.1, 0.2)])

@@ -24,7 +24,8 @@ layers are
 - ``evaluate`` of the Wigner kernel at n = 1..7 with every qubit at the
   probe point (pi/2, pi), on the same three states as built (the first
   two X states, the last dense), and at n = 10 and 16 on the GHZ-Werner
-  state;
+  state; and at n = 3 (GHZ-Werner) and 7 (GHZ-Werner and dense) with each
+  qubit at its own point (``.distinct``), which builds n kernels;
 - ``normalization_check`` of the Wigner kernel on the GHZ-Werner state
   at n = 3, 7 and 16, and on the dense state at n = 3, 5 and 7;
 - ``grid_values`` of the Wigner kernel at n = 1..7 on the 91 x 181
@@ -139,6 +140,10 @@ def layer_samples(repeats: int) -> dict[str, list[float]]:
         for name, rho in validated.items():
             samples[f"evaluate.{name}.n{n}"] = time_per_call(
                 lambda rho=rho, points=(probe,) * n: evaluate(rho, DistributionKind.WIGNER, points), repeats)
+        distinct = tuple(SphericalPoint(math.pi * (q + 1) / (n + 1), 2.0 * math.pi * q / n) for q in range(n))
+        for name in {3: ("ghz_werner",), 7: ("ghz_werner", "dense")}.get(n, ()):
+            samples[f"evaluate.{name}.n{n}.distinct"] = time_per_call(
+                lambda rho=validated[name], points=distinct: evaluate(rho, DistributionKind.WIGNER, points), repeats)
         for name in ("ghz_werner", "dense"):
             samples[f"grid_values.{name}.n{n}"] = time_per_call(
                 lambda rho=validated[name]: grid_values(rho, DistributionKind.WIGNER, thetas, phis), repeats)
