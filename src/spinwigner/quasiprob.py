@@ -10,15 +10,17 @@ product of 2x2 operators.  Every state is read as its entries indexed by
 per-qubit pair digits (:func:`~spinwigner.linalg._entries`): an X
 state's stack or any other state's matrix, each entry meeting one
 operator entry per qubit.  So one trace sums the entries against the
-products of those operator entries (:func:`_trace`), whatever the
-layout.  An independent-angle scan contracts the entries with the Pauli
-basis once and the real correlation tensor with the kernel's Pauli
-coefficients on each qubit's grid.  An equal-angle surface needs no
-tensor: with every qubit at one point, an entry meets a monomial fixed by
-its per-qubit digits, so the entries of a stack of states are summed by
-that monomial (:func:`_pair_sums`) and each surface is one matrix product
-of a theta factor and the 2n + 1 harmonics of phi (:func:`_surfaces`):
-also in every sweep over nu, r, theta and phi (:func:`_sweep`).
+products of those operator entries (:func:`_weights`, :func:`_trace`),
+whatever the layout; a point value keeps those products per kind,
+points and layout (:func:`_point_weights`).  An independent-angle scan
+contracts the entries with the Pauli basis once and the real correlation
+tensor with the kernel's Pauli coefficients on each qubit's grid.  An
+equal-angle surface needs no tensor: with every qubit at one point, an
+entry meets a monomial fixed by its per-qubit digits, so the entries of
+a stack of states are summed by that monomial (:func:`_pair_sums`) and
+each surface is one matrix product of a theta factor and the 2n + 1
+harmonics of phi (:func:`_surfaces`): also in every sweep over nu, r,
+theta and phi (:func:`_sweep`).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DimensionError, NonRealResult
-from .linalg import _X_PAIRS, DensityMatrix, _certify_x, _entries
+from .linalg import _DENSE_PAIRS, _X_PAIRS, DensityMatrix, _certify_x, _entries
 from .rindler import MATCH_TOL, AccelerationConfig, _accelerated_qubits, _check_r, _x_channel, accelerate
 from .states import GhzWernerParams, ghz_werner
 from .su2kernel import (
@@ -55,6 +57,10 @@ SPLIT_SCAN_MAX_CELLS = 4_000_000
 # Gauss-Legendre nodes in cos(theta) of normalization_check; twice as many
 # trapezoid points in phi.
 QUAD_ORDER = 32
+# Most (kind, per-qubit angles, layout) keys whose trace weights a point
+# value keeps (_point_weights).  Each holds O(2^(n/2)) entries for an X
+# state and O(4^(n/2)) for a dense one, a square root of the state.
+POINT_WEIGHTS_CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -94,21 +100,29 @@ def _per_entry(per_qubit: Sequence[np.ndarray], digits: np.ndarray, ufunc: np.uf
     return out
 
 
-def _trace(entries: np.ndarray, digits: np.ndarray, ops: Sequence[np.ndarray]) -> np.ndarray:
-    """Tr[rho ops[0] x ... x ops[n-1]], for 2x2 ``ops``, of every state in
-    ``entries``, of shape (..., rows, b^n) in the layout of ``digits``:
-    each entry meets the product of its operator entries, one per qubit
-    (:func:`_per_entry`).  The result has shape entries.shape[:-2].
+def _weights(ops: Sequence[np.ndarray], digits: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """The weights of :func:`_trace` for the 2x2 ``ops``, one per qubit, in
+    the layout of ``digits``: the products of the operator entries that
+    each entry meets (:func:`_per_entry`), as the Kronecker factors of the
+    low and the high half of the qubits.  The low half is None for one
+    qubit."""
+    half = len(ops) // 2
+    low = _per_entry(ops[:half], digits, np.multiply) if half else None
+    return low, _per_entry(ops[half:], digits, np.multiply)
 
-    The weights are the Kronecker product of those of the low and the
-    high half of the qubits, so each state is summed against the one,
-    then the other: O(b^n) work, each state as alone.  ``entries`` must be
+
+def _trace(entries: np.ndarray, weights: tuple[np.ndarray | None, np.ndarray]) -> np.ndarray:
+    """Tr[rho ops[0] x ... x ops[n-1]] of every state in ``entries``, of
+    shape (..., rows, b^n) in the layout that ``weights``, from
+    :func:`_weights` of the ops, were built in.  The result has shape
+    entries.shape[:-2].
+
+    Each state is summed against the low half's weights, then the high
+    half's: O(b^n) work, each state as alone.  ``entries`` must be
     contiguous, or the sums may differ in the last bit.
     """
-    half = len(ops) // 2
-    high = _per_entry(ops[half:], digits, np.multiply)
-    if half:
-        low = _per_entry(ops[:half], digits, np.multiply)
+    low, high = weights
+    if low is not None:
         t = entries.reshape(entries.shape[:-1] + (high.shape[1], low.shape[1]))
         entries = np.einsum("...shl,sl->...sh", t, low)
     return np.einsum("...sh,sh->...", entries, high)
@@ -147,21 +161,48 @@ def _pair_sums(entries: np.ndarray, digits: np.ndarray, n: int) -> np.ndarray:
     return sums.reshape(batch + (n + 1, n + 1, harmonics))
 
 
+@lru_cache(maxsize=POINT_WEIGHTS_CACHE_SIZE)
+def _point_weights(
+    kind: DistributionKind, angles: tuple[tuple[float, float], ...], x_shaped: bool
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """The :func:`_weights` of the kernels of ``kind`` at the per-qubit
+    (theta, phi) ``angles``, in the X layout or the dense one
+    (:func:`~spinwigner.linalg._entries`), built by
+    :func:`~spinwigner.su2kernel._point_kernels` and its checks on a miss.
+
+    Memoized on (kind, angles, x_shaped), at most
+    POINT_WEIGHTS_CACHE_SIZE keys: the halves are read-only, since every
+    caller with the same key shares them.  A refused key raises and
+    stores nothing.
+    """
+    weights = _weights(_point_kernels(kind, angles), _X_PAIRS if x_shaped else _DENSE_PAIRS)
+    for half in weights:
+        if half is not None:
+            half.setflags(write=False)
+    return weights
+
+
 def evaluate(rho: DensityMatrix, kind: DistributionKind, points: Sequence[SphericalPoint]) -> QuasiProbSample:
     """Distribution value Tr[rho K(p_0) x ... x K(p_{n-1})], one point per qubit.
 
     The kernels come from :func:`~spinwigner.su2kernel._point_kernels`, one
-    per distinct point (the same as :func:`kernel_grid` gives), and meet
-    the state's entries in :func:`_trace`.  A wrong number of points raises
-    DimensionError, an unknown ``kind`` or a non-finite angle ValueError,
-    and an imaginary residue above IMAG_TOL NonRealResult.
+    per distinct point (the same as :func:`kernel_grid` gives), and their
+    :func:`_trace` weights from :func:`_point_weights`, memoized on
+    (kind, the per-qubit (theta, phi) floats, the state's layout) for at
+    most POINT_WEIGHTS_CACHE_SIZE keys; the shared weights are read-only.
+    The state is never cached: its entries meet the weights on every
+    call.  A wrong number of points raises DimensionError, an unknown
+    ``kind`` or a non-finite angle ValueError, on every call, and an
+    imaginary residue above IMAG_TOL NonRealResult.
     """
     pts = tuple(points)
     if len(pts) != rho.n_qubits:
         raise DimensionError(f"expected {rho.n_qubits} points, got {len(pts)}")
-    value = _trace(*_entries(rho), _point_kernels(kind, [(p.theta, p.phi) for p in pts]))
+    kind = DistributionKind(kind)
+    angles = tuple((float(p.theta), float(p.phi)) for p in pts)
+    value = _trace(_entries(rho)[0], _point_weights(kind, angles, rho.x_shaped))
     _check_residue(abs(float(value.imag)), "evaluate")
-    return QuasiProbSample(points=pts, kind=DistributionKind(kind), value=float(value.real))
+    return QuasiProbSample(points=pts, kind=kind, value=float(value.real))
 
 
 def sphere_grid(theta_steps: int, phi_steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -345,7 +386,8 @@ def normalization_check(rho: DensityMatrix, kind: DistributionKind) -> float:
     operator is contracted with the state.
     """
     op = _quadrature_mean(DistributionKind(kind))
-    return float(_real(_trace(*_entries(rho), [op] * rho.n_qubits), "normalization_check"))
+    entries, digits = _entries(rho)
+    return float(_real(_trace(entries, _weights([op] * rho.n_qubits, digits)), "normalization_check"))
 
 
 @lru_cache(maxsize=None)

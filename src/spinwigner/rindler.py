@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,6 +25,9 @@ from .states import GhzWernerParams, ghz_werner
 
 R_MAX = math.pi / 4.0
 MATCH_TOL = 1e-12
+# Most tuples of r whose transfer maps _transfer keeps: each is 16 complex
+# entries per r.
+TRANSFER_CACHE_SIZE = 64
 
 COEFFICIENT_VARIANTS = ("A", "B", "C")
 _K_FOR_VARIANT = {"A": 1, "B": 2, "C": 3}
@@ -102,13 +106,22 @@ def _kraus_pair(r: float) -> np.ndarray:
     return unruh_isometry(r).reshape(2, 2, 2).transpose(1, 0, 2)
 
 
-def _transfer(rs) -> np.ndarray:
+@lru_cache(maxsize=TRANSFER_CACHE_SIZE)
+def _transfer(rs: tuple[float, ...]) -> np.ndarray:
     """The channel on one qubit at each r of ``rs``, shape (R, 4, 4): the
     map of the Kraus pair of :func:`_kraus_pair` on the qubit's (row bit,
-    column bit) pair, (a, c) by (b, d) with the row bit first."""
-    kraus = np.array([_kraus_pair(float(r)) for r in rs])
+    column bit) pair, (a, c) by (b, d) with the row bit first.
+
+    A pure function of r, so it is memoized on the tuple of float rs, at
+    most TRANSFER_CACHE_SIZE tuples, and read-only, since callers with
+    the same tuple share it.  Each r passes :func:`_check_r` on a miss;
+    a refused r raises and stores nothing.  No state is cached.
+    """
+    kraus = np.array([_kraus_pair(r) for r in rs])
     # rho'[a, c] = sum_j K_j[a, b] rho[b, d] conj(K_j[c, d])
-    return np.einsum("rjab,rjcd->racbd", kraus, kraus.conj()).reshape(-1, 4, 4)
+    transfer = np.einsum("rjab,rjcd->racbd", kraus, kraus.conj()).reshape(-1, 4, 4)
+    transfer.setflags(write=False)
+    return transfer
 
 
 def _x_channel(stack: np.ndarray, rs, qubits: tuple[int, ...]) -> np.ndarray:
@@ -125,7 +138,8 @@ def _x_channel(stack: np.ndarray, rs, qubits: tuple[int, ...]) -> np.ndarray:
     column bit 1 - b, are scaled by the transfer's (b, 1-b) coherence
     entry.  The qubits run in ascending order; the steps commute.
     """
-    transfer = _transfer(rs).reshape((-1,) + (1,) * (stack.ndim - 1) + (4, 4))  # r ahead of the batch and high bits
+    transfer = _transfer(tuple(map(float, rs)))
+    transfer = transfer.reshape((-1,) + (1,) * (stack.ndim - 1) + (4, 4))  # r ahead of the batch and high bits
     populations = transfer[..., ::3, ::3]  # among (0, 0) and (1, 1)
     coherences = transfer.diagonal(axis1=-2, axis2=-1)[..., 1:3, None]  # (0, 1) and (1, 0), by row bit
     n = stack.shape[-1].bit_length() - 1
@@ -163,6 +177,11 @@ def accelerate(rho: DensityMatrix, config: AccelerationConfig) -> DensityMatrix:
     The steps commute, so they run in ascending index order for
     determinism.  With no qubit named, an X state is returned as it is,
     and any other is validated.
+
+    The transfer map at r is memoized by :func:`_transfer` (key: the
+    tuple of float rs; at most TRANSFER_CACHE_SIZE keys; the shared map
+    is read-only).  States are never cached: every output is computed
+    and certified on every call.
     """
     n = rho.n_qubits
     config.check_register(n)
@@ -170,7 +189,7 @@ def accelerate(rho: DensityMatrix, config: AccelerationConfig) -> DensityMatrix:
         return rho if rho.x_shaped else validate_density(rho.matrix, n)
     if rho.x_shaped:
         return _x_state(_x_channel(rho._x_stack, (config.r,), config.accelerated)[0], n)
-    transfer = _transfer((config.r,))[0]
+    transfer = _transfer((float(config.r),))[0]
     shape = (2,) * (2 * n)
     t = rho.matrix.reshape(shape)
     for q in sorted(config.accelerated):

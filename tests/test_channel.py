@@ -9,8 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinwigner import R_MAX, AccelerationConfig, accelerate, unruh_isometry, validate_density
-from spinwigner.linalg import _x_state
+from spinwigner import (
+    R_MAX,
+    AccelerationConfig,
+    GhzWernerParams,
+    ROutOfRange,
+    accelerate,
+    ghz_werner,
+    rindler,
+    unruh_isometry,
+    validate_density,
+)
+from spinwigner.linalg import _entries, _x_state
 from spinwigner.rindler import _kraus_pair, _x_channel
 
 from conftest import off_x, random_density, random_x_density, x_stack
@@ -130,3 +140,55 @@ def test_x_channel_of_a_batch_is_each_state_alone(rng, n, qubits):
         alone = _x_channel(stack[e], (R_VALUES[j],), qubits)
         assert alone.shape == (1, 2, 2**n)
         np.testing.assert_array_equal(got[j, e], alone[0])
+
+
+def transfer_info():
+    return rindler._transfer.cache_info()
+
+
+class TestTransferCache:
+    """The transfer map is memoized per tuple of float rs; states are not."""
+
+    def test_repeated_calls_are_bitwise_the_uncached_outputs(self, monkeypatch, rng):
+        states = (ghz_werner(GhzWernerParams(nu=0.6, n_qubits=4)), random_density(4, rng))
+        repeated_and_distinct = ((0.3, (0, 2)), (0.6, (1,)), (0.3, (0, 2)), (0.3, (3,)))
+        configs = [AccelerationConfig(r=r, accelerated=q) for r, q in repeated_and_distinct]
+        stack = x_stack(random_x_density(4, rng))
+        rs = [0.1, 0.3, 0.1]
+
+        def outputs():
+            channelled = [_entries(accelerate(rho, config))[0].tobytes() for rho in states for config in configs]
+            return channelled + [_x_channel(stack, rs, (0, 3)).tobytes()]
+
+        cached = [outputs(), outputs()]
+        monkeypatch.setattr(rindler, "_transfer", rindler._transfer.__wrapped__)
+        assert cached == [outputs(), outputs()]
+
+    def test_cached_transfer_is_read_only_and_bitwise_a_fresh_build(self):
+        rs = (0.2, 0.5, 0.2)
+        transfer = rindler._transfer(rs)
+        assert rindler._transfer(rs) is transfer
+        assert transfer.shape == (3, 4, 4)
+        assert transfer.tobytes() == rindler._transfer.__wrapped__(rs).tobytes()
+        assert not transfer.flags.writeable
+        with pytest.raises(ValueError):
+            transfer[0, 0, 0] = 0.0
+
+    @pytest.mark.parametrize("rs", [(0.1, 1.0), (-0.1,), (math.nan,), (0.2, R_MAX + 1e-12)])
+    def test_refused_r_raises_on_every_call_and_stores_nothing(self, rng, rs):
+        stack = x_stack(random_x_density(2, rng))
+        rindler._transfer.cache_clear()
+        for _ in range(3):
+            with pytest.raises(ROutOfRange):
+                rindler._transfer(rs)
+            with pytest.raises(ROutOfRange):
+                _x_channel(stack, rs, (0,))
+            assert transfer_info().currsize == 0
+
+    def test_filling_past_maxsize_keeps_maxsize_keys(self):
+        size = rindler.TRANSFER_CACHE_SIZE
+        rindler._transfer.cache_clear()
+        for i in range(size + 10):
+            rindler._transfer((R_MAX * i / (size + 10),))
+            assert transfer_info().currsize == min(i + 1, size)
+        assert transfer_info().maxsize == size

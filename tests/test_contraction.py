@@ -26,7 +26,7 @@ from spinwigner import (
     validate_density,
 )
 from spinwigner.linalg import _X_PAIRS, _certified, _entries, _x_state
-from spinwigner.quasiprob import _each_qubit, _pair_sums, _trace
+from spinwigner.quasiprob import _each_qubit, _pair_sums, _trace, _weights
 from spinwigner.su2kernel import _PAULIS
 
 import dense_oracle
@@ -119,7 +119,8 @@ class TestXLayout:
         dense = validate_density(rho.matrix, n)
         assert rho.x_shaped and not dense.x_shaped
         ops = [np.arange(4.0).reshape(2, 2) + 1j] * n
-        np.testing.assert_allclose(_trace(*_entries(rho), ops), _trace(*_entries(dense), ops), rtol=1e-14, atol=1e-14)
+        x, dense_rows = (_trace(e, _weights(ops, digits)) for e, digits in (_entries(rho), _entries(dense)))
+        np.testing.assert_allclose(x, dense_rows, rtol=1e-14, atol=1e-14)
         # the stack and the matrix land every entry in the same slot
         np.testing.assert_allclose(_pair_sums(*_entries(rho), n), _pair_sums(*_entries(dense), n), rtol=0, atol=1e-15)
 
@@ -138,10 +139,11 @@ def test_split_scan_of_an_x_state_reads_its_stack():
 def test_x_trace_of_a_batch_is_each_state_traced_alone(rng, n):
     stack = rng.standard_normal((4, 3, 2, 2**n)) + 1j * rng.standard_normal((4, 3, 2, 2**n))
     ops = list(rng.standard_normal((n, 2, 2)) + 1j * rng.standard_normal((n, 2, 2)))
-    got = _trace(stack, _X_PAIRS, ops)
+    weights = _weights(ops, _X_PAIRS)
+    got = _trace(stack, weights)
     assert got.shape == (4, 3)
     for i, j in np.ndindex(4, 3):
-        assert got[i, j] == _trace(stack[i, j], _X_PAIRS, ops)
+        assert got[i, j] == _trace(stack[i, j], weights)
 
 
 @pytest.mark.parametrize("n", [1, 3, 7])

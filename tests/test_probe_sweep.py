@@ -257,6 +257,17 @@ def broken_kraus_pair(defects):
     return kraus_pair
 
 
+@pytest.fixture
+def break_kraus_pair(monkeypatch):
+    """Patch ``rindler._kraus_pair`` with ``broken_kraus_pair(defects)``
+    through ``monkeypatch``, on an empty transfer cache: a cached transfer
+    would bypass the broken pair, and one built from it would outlive the
+    patch, so the cache is cleared before the patch and after the test."""
+    rindler._transfer.cache_clear()
+    yield lambda defects: monkeypatch.setattr(rindler, "_kraus_pair", broken_kraus_pair(defects))
+    rindler._transfer.cache_clear()
+
+
 class TestErrorEquivalence:
     """probe_sweep raises what the per-(r, endpoint) loop of accelerate
     that it replaces would raise first: the same class, message and
@@ -268,8 +279,8 @@ class TestErrorEquivalence:
         ids=["trace", "nan", "trace_then_nan", "nan_then_trace"],
     )
     @pytest.mark.parametrize("accelerated", [1, (0, 2), 3])
-    def test_first_failing_state(self, monkeypatch, defects, accelerated):
-        monkeypatch.setattr(rindler, "_kraus_pair", broken_kraus_pair(defects))
+    def test_first_failing_state(self, break_kraus_pair, defects, accelerated):
+        break_kraus_pair(defects)
         nus = [0.5, 0.1, 0.95]
         rs = np.linspace(0.0, R_MAX, 9)
         indices = rindler._accelerated_qubits(accelerated, 3)

@@ -98,7 +98,8 @@ class TestEvaluate:
         for rho in (random_density(5, rng), accelerated_ghz(0.4, (0, 3), 0.5, n_qubits=5)):
             for pts in ((a, b, a, c, a), (b,) * 5, (a, b, c, PROBE, SphericalPoint(0.0, 0.0))):
                 ops = [kernel_grid(kind, p.theta, p.phi) for p in pts]
-                want = quasiprob._trace(*linalg._entries(rho), ops).real
+                entries, digits = linalg._entries(rho)
+                want = quasiprob._trace(entries, quasiprob._weights(ops, digits)).real
                 assert abs(evaluate(rho, kind, pts).value - want) <= 1e-15, pts
 
     @pytest.mark.parametrize("theta, phi", [(math.nan, 1.0), (1.0, np.array(math.nan))])
@@ -125,6 +126,90 @@ class TestEvaluate:
         got = evaluate(rho, DistributionKind.WIGNER, (pt,) * 3).value
         want = closed_form(ClosedFormVariant.GHZ, theta, phi, nu)
         assert got == pytest.approx(want, abs=1e-12)
+
+
+def weights_info():
+    return quasiprob._point_weights.cache_info()
+
+
+class TestPointWeightsCache:
+    """evaluate memoizes the trace weights of its kernels per (kind,
+    per-qubit angles, layout), never the state."""
+
+    @pytest.mark.parametrize("kind", list(DistributionKind))
+    def test_repeated_calls_are_bitwise_the_uncached_values(self, monkeypatch, rng, kind):
+        a, b, c = (SphericalPoint(*rng.uniform(0.0, math.pi, 2)) for _ in range(3))
+        cases = [
+            (rho, pts)
+            for rho in (random_density(4, rng), accelerated_ghz(0.4, (0, 2), 0.5, n_qubits=4))
+            for pts in ((a, b, a, c), (b,) * 4, (a, b, a, c), (c, a, b, a), (b,) * 4)
+        ]
+        cached = [[evaluate(rho, kind, pts).value for rho, pts in cases] for _ in range(2)]
+        monkeypatch.setattr(quasiprob, "_point_weights", quasiprob._point_weights.__wrapped__)
+        fresh = [evaluate(rho, kind, pts).value for rho, pts in cases]
+        assert np.array(cached).tobytes() == np.array([fresh, fresh]).tobytes()
+
+    @pytest.mark.parametrize("angles", [((0.3, 1.2),), ((0.3, 1.2), (0.3, 1.2), (2.0, 4.0))])
+    @pytest.mark.parametrize("x_shaped", [True, False])
+    def test_cached_weights_are_read_only_and_bitwise_a_fresh_build(self, angles, x_shaped):
+        key = (DistributionKind.WIGNER, angles, x_shaped)
+        weights = quasiprob._point_weights(*key)
+        assert quasiprob._point_weights(*key) is weights
+        assert (weights[0] is None) == (len(angles) == 1)
+        for half, fresh in zip(weights, quasiprob._point_weights.__wrapped__(*key)):
+            if half is None:
+                continue
+            assert half.tobytes() == fresh.tobytes()
+            assert not half.flags.writeable
+            with pytest.raises(ValueError):
+                half[0, 0] = 0.0
+
+    @pytest.mark.parametrize("kind, theta", [(DistributionKind.WIGNER, math.nan), (7, 1.0), ("wigner", 1.0)])
+    def test_refused_input_raises_on_every_call_and_stores_nothing(self, kind, theta):
+        rho = ghz_werner(GhzWernerParams(nu=0.5))
+        pts = (PROBE, SimpleNamespace(theta=theta, phi=0.5), PROBE)
+        quasiprob._point_weights.cache_clear()
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                evaluate(rho, kind, pts)
+            assert weights_info().currsize == 0
+
+    def test_x_and_dense_layouts_are_separate_keys(self):
+        rho = accelerated_ghz(0.7, 2, 0.4, n_qubits=5)
+        dense = validate_density(rho.matrix, 5)
+        pts = [SphericalPoint(0.4 + 0.3 * q, 1.1 * q) for q in range(5)]
+        quasiprob._point_weights.cache_clear()
+        x_value = evaluate(rho, DistributionKind.WIGNER, pts).value
+        dense_value = evaluate(dense, DistributionKind.WIGNER, pts).value
+        assert weights_info().currsize == 2
+        assert abs(x_value - dense_value) <= 1e-15
+
+    def test_filling_past_maxsize_keeps_maxsize_keys(self):
+        rho = ghz_werner(GhzWernerParams(nu=0.5, n_qubits=1))
+        size = quasiprob.POINT_WEIGHTS_CACHE_SIZE
+        quasiprob._point_weights.cache_clear()
+        for i in range(size + 10):
+            evaluate(rho, DistributionKind.WIGNER, (SphericalPoint(1.0, 0.01 * i),))
+            assert weights_info().currsize == min(i + 1, size)
+        assert weights_info().maxsize == size
+
+    @pytest.mark.parametrize("kind", list(DistributionKind))
+    def test_signed_zero_angles_share_one_key(self, kind):
+        # -0.0 == 0.0 with one hash, so (theta, -0.0) and (theta, 0.0) are one
+        # key here and one kernel in _point_kernels: the kernels agree bitwise
+        rho = ghz_werner(GhzWernerParams(nu=0.5, n_qubits=2))
+        for (theta, phi), signed in (
+            ((1.1, 0.0), [(1.1, -0.0)]),
+            ((0.0, 2.3), [(-0.0, 2.3)]),
+            ((0.0, 0.0), [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)]),
+        ):
+            want = kernel_grid(kind, theta, phi).tobytes()
+            value = evaluate(rho, kind, (SphericalPoint(theta, phi),) * 2).value
+            misses = weights_info().misses
+            for t, p in signed:
+                assert kernel_grid(kind, t, p).tobytes() == want, (t, p)
+                assert evaluate(rho, kind, (SphericalPoint(t, p),) * 2).value == value
+            assert weights_info().misses == misses
 
 
 class TestGridValues:
@@ -296,7 +381,8 @@ class TestNormalization:
         for kind in DistributionKind:
             v = su2kernel._pauli_coefficients(kind, np.arccos(nodes)[:, None], phis[None, :])
             op = su2kernel._PAULIS @ ((v * weights[:, None]).sum(axis=(1, 2)) / n_phi)
-            want = float(quasiprob._trace(*linalg._entries(rho), [op] * n).real)
+            entries, digits = linalg._entries(rho)
+            want = float(quasiprob._trace(entries, quasiprob._weights([op] * n, digits)).real)
             for _ in range(2):  # the first call may fill the cache, the second reads it
                 assert normalization_check(rho, kind) == want
             cached = quasiprob._quadrature_mean(kind)

@@ -21,6 +21,12 @@ layers are
   on the GHZ-Werner state (the X-shaped layout) and on the dense state
   (the dense per-qubit transfer), and at n = 10 and 16 on the GHZ-Werner
   state alone;
+- ``accelerate.ghz_werner.n7.cold`` and ``evaluate.ghz_werner.n7.cold``:
+  the same calls at n = 7, but each at a fresh r (0.5 minus 1e-9 per
+  call, its ``AccelerationConfig`` built in the call) or a fresh probe
+  point (phi = pi plus 1e-9 per call, its ``SphericalPoint`` built in
+  the call), so they time the build that the memoized transfer maps and
+  point weights skip on the other rows, which repeat one key;
 - ``evaluate`` of the Wigner kernel at n = 1..7 with every qubit at the
   probe point (pi/2, pi), on the same three states as built (the first
   two X states, the last dense), and at n = 10 and 16 on the GHZ-Werner
@@ -56,6 +62,7 @@ from that side's ``src/``.  This script imports nothing from ``bench/``.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -158,6 +165,15 @@ def layer_samples(repeats: int) -> dict[str, list[float]]:
         if n in (3, 5, 7):
             samples[f"normalization_check.dense.n{n}"] = time_per_call(
                 lambda rho=validated["dense"]: normalization_check(rho, DistributionKind.WIGNER), repeats)
+        if n == 7:
+            fresh = itertools.count(1)
+            samples["accelerate.ghz_werner.n7.cold"] = time_per_call(
+                lambda rho=validated["ghz_werner"], qubits=config.accelerated: accelerate(
+                    rho, AccelerationConfig(r=0.5 - 1e-9 * next(fresh), accelerated=qubits)), repeats)
+            samples["evaluate.ghz_werner.n7.cold"] = time_per_call(
+                lambda rho=validated["ghz_werner"]: evaluate(
+                    rho, DistributionKind.WIGNER, (SphericalPoint(math.pi / 2.0, math.pi + 1e-9 * next(fresh)),) * 7),
+                repeats)
     for n in range(8, 11):
         rho = ghz_werner(GhzWernerParams(nu=0.5, n_qubits=n))
         samples[f"grid_values.ghz_werner.n{n}"] = time_per_call(
