@@ -11,8 +11,7 @@ per-qubit pair digits (:func:`~spinwigner.linalg._entries`): an X
 state's stack or any other state's matrix, each entry meeting one
 operator entry per qubit.  So one trace sums the entries against the
 products of those operator entries (:func:`_weights`, :func:`_trace`),
-whatever the layout; a point value keeps those products per kind,
-points and layout (:func:`_point_weights`).  An independent-angle scan
+whatever the layout.  An independent-angle scan
 contracts the entries with the Pauli basis once and the real correlation
 tensor with the kernel's Pauli coefficients on each qubit's grid.  An
 equal-angle surface needs no tensor: with every qubit at one point, an
@@ -21,6 +20,13 @@ a stack of states are summed by that monomial (:func:`_pair_sums`) and
 each surface is one matrix product of a theta factor and the 2n + 1
 harmonics of phi (:func:`_surfaces`): also in every sweep over nu, r,
 theta and phi (:func:`_sweep`).
+
+What depends only on scalars and axes is memoized in bounded caches of
+read-only arrays: a point value's weights per kind, points and layout,
+a surface's theta factor per kind, theta axis and register size and its
+harmonics per phi axis and register size, and the quadrature's weights
+per kind, register size and layout.  States are never cached, and the
+checks of the kind, the angles and the realness run on every call.
 """
 
 from __future__ import annotations
@@ -61,6 +67,15 @@ QUAD_ORDER = 32
 # value keeps (_point_weights).  Each holds O(2^(n/2)) entries for an X
 # state and O(4^(n/2)) for a dense one, a square root of the state.
 POINT_WEIGHTS_CACHE_SIZE = 128
+# Most keys of each cache of state-free factors: the theta factor and the
+# phi harmonics of a surface (_theta_factor, _harmonics) and the quadrature
+# weights (_quadrature_weights).  A key of T thetas, P phis and n qubits
+# retains at most 8 T ((n + 1)^2 + 1) bytes of theta factor and 8 P (4n + 3)
+# of harmonics, key bytes included, and 64 * 2^ceil(n/2) bytes of quadrature
+# weights for an X state or 32 * 4^ceil(n/2) for a dense one.  So with all
+# three caches full on the figure grid, 91 x 181, they hold at most 3.3 MB
+# at n <= 7 and 10.4 MB at n = 16 (X states).
+FACTOR_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -161,6 +176,17 @@ def _pair_sums(entries: np.ndarray, digits: np.ndarray, n: int) -> np.ndarray:
     return sums.reshape(batch + (n + 1, n + 1, harmonics))
 
 
+def _shared_weights(ops: Sequence[np.ndarray], x_shaped: bool) -> tuple[np.ndarray | None, np.ndarray]:
+    """The :func:`_weights` of ``ops`` in the X layout or the dense one
+    (:func:`~spinwigner.linalg._entries`), read-only, since a cache shares
+    them with every caller of its key."""
+    weights = _weights(ops, _X_PAIRS if x_shaped else _DENSE_PAIRS)
+    for half in weights:
+        if half is not None:
+            half.setflags(write=False)
+    return weights
+
+
 @lru_cache(maxsize=POINT_WEIGHTS_CACHE_SIZE)
 def _point_weights(
     kind: DistributionKind, angles: tuple[tuple[float, float], ...], x_shaped: bool
@@ -175,11 +201,7 @@ def _point_weights(
     caller with the same key shares them.  A refused key raises and
     stores nothing.
     """
-    weights = _weights(_point_kernels(kind, angles), _X_PAIRS if x_shaped else _DENSE_PAIRS)
-    for half in weights:
-        if half is not None:
-            half.setflags(write=False)
-    return weights
+    return _shared_weights(_point_kernels(kind, angles), x_shaped)
 
 
 def evaluate(rho: DensityMatrix, kind: DistributionKind, points: Sequence[SphericalPoint]) -> QuasiProbSample:
@@ -225,21 +247,19 @@ def _check_axes(thetas, phis) -> tuple[np.ndarray, np.ndarray]:
     return thetas, phis
 
 
-def _surfaces(sums: np.ndarray, kind: DistributionKind, thetas, phis, context: str) -> np.ndarray:
-    """Equal-angle values W(theta_i, phi_j) of the pair sums ``sums``: shape (..., len(thetas), len(phis)).
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _theta_factor(kind: DistributionKind, thetas: bytes, n: int) -> np.ndarray:
+    """The monomials a^(n-k-m) b^k c^m of :func:`_surfaces` at each angle of
+    the float64 theta axis whose bytes are ``thetas``, for ``kind`` and n
+    qubits: shape (len(thetas), (n + 1)^2), flat in (k, m).
 
-    At one point (theta, phi) the kernel has K[0, 0] = a, K[1, 1] = b and
-    K[0, 1] = conj(K[1, 0]) = c e^(i phi) with a, b and c real functions
-    of theta, so an entry in the slot S[k, m, n + D] meets
-    a^(n-k-m) b^k c^m e^(i D phi) and W is the real part of one matrix
-    product over the 2n + 1 harmonics D = -n..n: with F[i] the pair sums
-    contracted with the monomials at theta_i,
-    W[i, j] = sum_D Re F[i, D] cos D phi_j - Im F[i, D] sin D phi_j.
-    The realness check is made on the pair sums: half the largest
-    |S[k, m, D] - conj(S[k, m, -D])| is the imaginary residue.
+    Memoized on (kind, the axis bytes, n), at most FACTOR_CACHE_SIZE keys;
+    the factor is read-only, since every caller with the same key shares
+    it.  The bytes tell -0.0 from 0.0, so each axis gets the factor an
+    unmemoized build gives it, bitwise.  The caller checks the kind and
+    the angles first.
     """
-    n = sums.shape[-1] // 2
-    _check_residue(0.5 * float(np.abs(sums - sums[..., ::-1].conj()).max()), context)
+    thetas = np.frombuffer(thetas)
     # The one condition on the kind's table: it maps sin theta cos phi only
     # to v_X and sin theta sin phi only to v_Y, with opposite signs, and
     # nothing else to either.  Then K[0, 1] = v_X - i v_Y is proportional to
@@ -250,19 +270,60 @@ def _surfaces(sums: np.ndarray, kind: DistributionKind, thetas, phis, context: s
     a, b, c = (kernels[row, col][:, None] ** powers for row, col in ((0, 0), (1, 1), (0, 1)))
     # slots with k + m > n hold no entry: their exponent of a is clipped to 0
     exponents = np.maximum(n - powers[:, None] - powers, 0)
-    monomials = a[:, exponents] * b[:, :, None] * c[:, None, :]
-    # F's real and imaginary parts interleaved by harmonic, as E's (cos, -sin)
-    f = monomials.reshape(thetas.size, -1) @ sums.reshape(sums.shape[:-3] + ((n + 1) ** 2, -1)).view(float)
+    monomials = (a[:, exponents] * b[:, :, None] * c[:, None, :]).reshape(thetas.size, -1)
+    monomials.setflags(write=False)
+    return monomials
+
+
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _harmonics(phis: bytes, n: int) -> np.ndarray:
+    """E of :func:`_surfaces` at each angle of the float64 phi axis whose
+    bytes are ``phis``: (cos D phi, -sin D phi) interleaved by harmonic
+    D = -n..n, of shape (2 (2n + 1), len(phis)).
+
+    Memoized on (the axis bytes, n), at most FACTOR_CACHE_SIZE keys, and
+    read-only like :func:`_theta_factor`.
+    """
+    phis = np.frombuffer(phis)
     angles = phis[:, None] * (np.arange(2 * n + 1) - n)
-    return f @ np.stack([np.cos(angles), -np.sin(angles)], axis=-1).reshape(phis.size, -1).T
+    harmonics = np.stack([np.cos(angles), -np.sin(angles)], axis=-1).reshape(phis.size, -1).T
+    harmonics.setflags(write=False)
+    return harmonics
+
+
+def _surfaces(sums: np.ndarray, kind: DistributionKind, thetas, phis, context: str) -> np.ndarray:
+    """Equal-angle values W(theta_i, phi_j) of the pair sums ``sums``: shape (..., len(thetas), len(phis)).
+
+    At one point (theta, phi) the kernel has K[0, 0] = a, K[1, 1] = b and
+    K[0, 1] = conj(K[1, 0]) = c e^(i phi) with a, b and c real functions
+    of theta, so an entry in the slot S[k, m, n + D] meets
+    a^(n-k-m) b^k c^m e^(i D phi) and W is the real part of one matrix
+    product over the 2n + 1 harmonics D = -n..n: with F[i] the pair sums
+    contracted with the monomials at theta_i (:func:`_theta_factor`),
+    W[i, j] = sum_D Re F[i, D] cos D phi_j - Im F[i, D] sin D phi_j
+    (:func:`_harmonics`).  Both factors depend only on the kind, the axes
+    and n, so they are memoized; the axes must come from
+    :func:`_check_axes`.  On every call, the realness check is made on the
+    pair sums (half the largest |S[k, m, D] - conj(S[k, m, -D])| is the
+    imaginary residue), then ``kind`` is checked.
+    """
+    n = sums.shape[-1] // 2
+    _check_residue(0.5 * float(np.abs(sums - sums[..., ::-1].conj()).max()), context)
+    monomials = _theta_factor(DistributionKind(kind), thetas.tobytes(), n)
+    # F's real and imaginary parts interleaved by harmonic, as E's (cos, -sin)
+    f = monomials @ sums.reshape(sums.shape[:-3] + ((n + 1) ** 2, -1)).view(float)
+    return f @ _harmonics(phis.tobytes(), n)
 
 
 def grid_values(rho: DensityMatrix, kind: DistributionKind, thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """Equal-angle values W(theta_i, phi_j) as a (len(thetas), len(phis)) array.
 
     Same kernel as :func:`evaluate`, read from the state's pair sums
-    (:func:`_surfaces`).  ``thetas`` and ``phis`` must be non-empty 1-D
-    axes (DimensionError) of finite angles (ValueError).
+    (:func:`_surfaces`), whose theta factor and phi harmonics are memoized
+    per (kind, axis, register size); the state is never cached.
+    ``thetas`` and ``phis`` must be non-empty 1-D axes (DimensionError) of
+    finite angles (ValueError), and ``kind`` a DistributionKind value
+    (ValueError), on every call.
     """
     thetas, phis = _check_axes(thetas, phis)
     return _surfaces(_pair_sums(*_entries(rho), rho.n_qubits), kind, thetas, phis, "grid values")
@@ -314,7 +375,9 @@ def grid_scan(
     built.  A scan of more than ``SPLIT_SCAN_MAX_CELLS`` cells is refused
     with :class:`DimensionError` before anything is allocated.  The
     equal-angle scan checks the pair sums for realness and the
-    independent-angle scan checks T, not W.
+    independent-angle scan checks T, not W.  An equal-angle scan reads the
+    memoized surface factors of :func:`grid_values`.  ``negative_fraction``
+    counts the cells below 0.0, so a -0.0 cell is not negative.
     """
     thetas, phis = sphere_grid(theta_steps, phi_steps)
     n = rho.n_qubits
@@ -370,7 +433,7 @@ def grid_scan(
         argmin=_points_at(flat_min),
         max_value=float(values.flat[flat_max]),
         argmax=_points_at(flat_max),
-        negative_fraction=float((values < 0.0).sum()) / values.size,
+        negative_fraction=np.count_nonzero(values < 0.0) / values.size,
         negative_volume=abs(float(volume[0])),  # a sum of terms <= 0
     )
 
@@ -383,18 +446,32 @@ def normalization_check(rho: DensityMatrix, kind: DistributionKind) -> float:
     is multilinear in the per-qubit kernels and the grid is a tensor
     product, so the full n-fold quadrature sum factorizes exactly into one
     quadrature of the four Pauli coefficients per qubit; their 2x2
-    operator is contracted with the state.
+    operator is contracted with the state.  Its trace weights are memoized
+    per (kind, register size, layout) (:func:`_quadrature_weights`); the
+    state is never cached, and ``kind`` (ValueError) and the realness of
+    the trace (NonRealResult) are checked on every call.
     """
-    op = _quadrature_mean(DistributionKind(kind))
-    entries, digits = _entries(rho)
-    return float(_real(_trace(entries, _weights([op] * rho.n_qubits, digits)), "normalization_check"))
+    weights = _quadrature_weights(DistributionKind(kind), rho.n_qubits, rho.x_shaped)
+    return float(_real(_trace(_entries(rho)[0], weights), "normalization_check"))
+
+
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def _quadrature_weights(
+    kind: DistributionKind, n: int, x_shaped: bool
+) -> tuple[np.ndarray | None, np.ndarray]:
+    """The :func:`_weights` of n copies of :func:`_quadrature_mean`'s
+    operator of ``kind``, in the X layout or the dense one: memoized on
+    (kind, n, x_shaped), at most FACTOR_CACHE_SIZE keys, read-only."""
+    return _shared_weights([_quadrature_mean(kind)] * n, x_shaped)
 
 
 @lru_cache(maxsize=None)
 def _quadrature_mean(kind: DistributionKind) -> np.ndarray:
     """The 2x2 kernel of ``kind`` averaged by normalization_check's
     quadrature.  Built on first use, not at import; read-only, since the
-    cache shares it."""
+    cache shares it.  One key per kind, apart from
+    :func:`_quadrature_weights`: a build takes about 0.4 ms, some thirty
+    weight builds, which a weights miss would otherwise repeat."""
     nodes, weights = np.polynomial.legendre.leggauss(QUAD_ORDER)
     n_phi = 2 * QUAD_ORDER
     phis = np.arange(n_phi) * (2.0 * math.pi / n_phi)

@@ -27,6 +27,9 @@ def test_parent_holds_the_committed_files_and_is_removed():
     with paired.checkouts(paired.git("rev-parse", "HEAD")) as dirs:
         parent = dirs["parent"]
         assert dirs["change"] == paired.ROOT
+        # beside the working tree, in the gitignored directory of run outputs
+        assert parent.parent.parent == paired.PARENTS == paired.ROOT / ".bench_out"
+        assert paired.git("check-ignore", str(parent)) == str(parent)
         assert (parent / "src" / "spinwigner" / "linalg.py").is_file()
         assert not (parent / ".git").exists()
     assert not parent.parent.exists()
@@ -41,7 +44,7 @@ def test_sigterm_removes_the_parent(tmp_path):
     proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE, text=True)
     try:
         parent = Path(proc.stdout.readline().strip())
-        assert parent.is_dir()
+        assert parent.is_dir() and parent.parent.parent == paired.PARENTS
         proc.send_signal(signal.SIGTERM)
         assert proc.wait(timeout=30) == 128 + signal.SIGTERM
     finally:

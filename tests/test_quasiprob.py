@@ -212,6 +212,115 @@ class TestPointWeightsCache:
             assert weights_info().misses == misses
 
 
+FACTOR_CACHES = ("_theta_factor", "_harmonics", "_quadrature_weights")
+
+
+def clear_factor_caches():
+    for name in FACTOR_CACHES:
+        getattr(quasiprob, name).cache_clear()
+
+
+def factor_sizes():
+    return [getattr(quasiprob, name).cache_info().currsize for name in FACTOR_CACHES]
+
+
+AXES = {
+    "one point": ([0.7], [2.1]),
+    "full": sphere_grid(91, 181),
+    "signed zeros": ([-0.0, 0.0, math.pi / 2.0, -math.pi], [0.0, -0.0, math.pi, -0.0]),
+}
+
+
+class TestFactorCaches:
+    """Equal-angle surfaces memoize their theta factor per (kind, theta
+    axis, n) and their phi harmonics per (phi axis, n), and
+    normalization_check its trace weights per (kind, n, layout); never the
+    state."""
+
+    @pytest.mark.parametrize("kind", list(DistributionKind))
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_results_are_bitwise_the_unmemoized_builds(self, monkeypatch, rng, kind, n):
+        states = (random_density(n, rng), accelerated_ghz(0.6, (0,), 0.4, n_qubits=n))
+        assert [rho.x_shaped for rho in states] == [False, True]
+        nus, rs = (0.2, 0.9), (0.0, 0.5)
+
+        def run():
+            out = [normalization_check(rho, kind) for rho in states]
+            for thetas, phis in AXES.values():
+                out += [grid_values(rho, kind, thetas, phis).tobytes() for rho in states]
+                out.append(quasiprob._sweep(nus, rs, n, kind, thetas, phis, n).tobytes())
+            return out
+
+        clear_factor_caches()
+        cached = [run(), run()]  # the first run fills the caches, the second reads them
+        for name in FACTOR_CACHES:
+            monkeypatch.setattr(quasiprob, name, getattr(quasiprob, name).__wrapped__)
+        fresh = run()
+        assert cached == [fresh, fresh]
+
+    def test_signed_zero_axes_are_separate_keys(self):
+        rho = ghz_werner(GhzWernerParams(nu=0.5, n_qubits=2))
+        clear_factor_caches()
+        for zero in (0.0, -0.0):
+            grid_values(rho, DistributionKind.WIGNER, [zero, 1.0], [zero, 2.0])
+        assert factor_sizes()[:2] == [2, 2]
+
+    @pytest.mark.parametrize("kind", list(DistributionKind))
+    def test_hits_share_read_only_arrays(self, kind):
+        thetas, phis = sphere_grid(7, 9)
+        arrays = [
+            quasiprob._theta_factor(kind, thetas.tobytes(), 3),
+            quasiprob._harmonics(phis.tobytes(), 3),
+            *quasiprob._quadrature_weights(kind, 3, True),
+            *quasiprob._quadrature_weights(kind, 3, False),
+        ]
+        again = [
+            quasiprob._theta_factor(kind, thetas.tobytes(), 3),
+            quasiprob._harmonics(phis.tobytes(), 3),
+            *quasiprob._quadrature_weights(kind, 3, True),
+            *quasiprob._quadrature_weights(kind, 3, False),
+        ]
+        assert all(a is b for a, b in zip(arrays, again, strict=True))
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0, 0] = 0.0
+
+    @pytest.mark.parametrize("kind, thetas, phis", [
+        (DistributionKind.WIGNER, [0.1, math.nan], [0.0]),
+        (DistributionKind.Q, [0.1], [0.0, math.inf]),
+        (DistributionKind.P, [-math.inf], [0.0]),
+        (7, [0.1], [0.0]),
+        ("wigner", [0.1], [0.0]),
+    ])
+    def test_refused_input_raises_on_every_call_and_stores_nothing(self, kind, thetas, phis):
+        rho = ghz_werner(GhzWernerParams(nu=0.5))
+        clear_factor_caches()
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                grid_values(rho, kind, thetas, phis)
+            with pytest.raises(ValueError):
+                quasiprob._sweep((0.5,), (0.3,), 1, kind, thetas, phis)
+            if not isinstance(kind, DistributionKind):
+                with pytest.raises(ValueError):
+                    normalization_check(rho, kind)
+            assert factor_sizes() == [0, 0, 0]
+
+    def test_filling_past_maxsize_keeps_at_most_maxsize_keys(self):
+        size = quasiprob.FACTOR_CACHE_SIZE
+        rho = ghz_werner(GhzWernerParams(nu=0.5, n_qubits=1))
+        clear_factor_caches()
+        for i in range(size + 5):
+            grid_values(rho, DistributionKind.WIGNER, [0.01 * i], [0.02 * i])
+            assert factor_sizes()[:2] == [min(i + 1, size)] * 2
+        for i, (n, kind) in enumerate((n, kind) for n in range(1, 13) for kind in DistributionKind):
+            normalization_check(ghz_werner(GhzWernerParams(nu=0.5, n_qubits=n)), kind)
+            assert factor_sizes()[2] == min(i + 1, size)
+        assert factor_sizes()[2] == size
+        for name in FACTOR_CACHES:
+            assert getattr(quasiprob, name).cache_info().maxsize == size
+
+
 class TestGridValues:
     def test_matches_pointwise_evaluation(self, rng):
         rho = random_density(3, rng)
@@ -317,6 +426,27 @@ class TestGridScan:
         mixed = ghz_werner(GhzWernerParams(nu=0.0))
         flat = grid_scan(mixed, DistributionKind.WIGNER, *steps, equal_angles=equal_angles)
         assert math.copysign(1.0, flat.negative_volume) == 1.0 and flat.negative_volume == 0.0
+
+    def test_negative_fraction_counts_cells_below_zero(self, monkeypatch):
+        # -0.0 < 0.0 is false: a signed-zero cell is not negative
+        real = quasiprob.grid_values
+        zeros = []
+
+        def with_signed_zeros(*args):
+            values = real(*args)
+            negative = np.flatnonzero(values < 0.0)
+            positive = np.flatnonzero(values > 0.0)
+            zeros.extend([negative[:5], positive[:3]])
+            values.flat[np.concatenate(zeros)] = -0.0
+            return values
+
+        monkeypatch.setattr(quasiprob, "grid_values", with_signed_zeros)
+        report = grid_scan(ghz_werner(GhzWernerParams(nu=1.0)), DistributionKind.WIGNER, 31, 40)
+        assert all(len(z) for z in zeros)
+        assert np.signbit(report.values.flat[np.concatenate(zeros)]).all()
+        count = sum(1 for v in report.values.flat if v < 0.0)
+        assert 0 < count < report.values.size
+        assert report.negative_fraction == count / report.values.size
 
     def test_independent_angles_contain_equal_diagonal(self):
         rho = ghz_werner(GhzWernerParams(nu=0.7))

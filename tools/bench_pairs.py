@@ -123,7 +123,8 @@ def main(argv=None) -> int:
     record = {
         "harness": (f"{' '.join(benchmark['command'])} --workload W --seed {args.seed} "
                     f"--seconds {args.seconds:g} --trace 0|1"),
-        "method": ("parent revision extracted by git archive into a temporary directory, change in "
+        "method": ("parent revision extracted by git archive into a temporary directory under "
+                   ".bench_out/ beside this checkout, change in "
                    "this checkout, identical bench/ invocation; the side that runs first alternates "
                    "from pair to pair"),
         **side_records(args.parent),

@@ -21,12 +21,17 @@ layers are
   on the GHZ-Werner state (the X-shaped layout) and on the dense state
   (the dense per-qubit transfer), and at n = 10 and 16 on the GHZ-Werner
   state alone;
-- ``accelerate.ghz_werner.n7.cold`` and ``evaluate.ghz_werner.n7.cold``:
-  the same calls at n = 7, but each at a fresh r (0.5 minus 1e-9 per
-  call, its ``AccelerationConfig`` built in the call) or a fresh probe
-  point (phi = pi plus 1e-9 per call, its ``SphericalPoint`` built in
-  the call), so they time the build that the memoized transfer maps and
-  point weights skip on the other rows, which repeat one key;
+- ``accelerate.ghz_werner.n7.cold``, ``evaluate.ghz_werner.n7.cold``,
+  ``grid_values.ghz_werner.n7.cold`` and
+  ``normalization_check.ghz_werner.n7.cold``: the same calls at n = 7,
+  but each at a fresh r (0.5 minus 1e-9 per call, its
+  ``AccelerationConfig`` built in the call), a fresh probe point (phi =
+  pi plus 1e-9 per call, its ``SphericalPoint`` built in the call),
+  fresh axes (every theta minus and every phi plus 1e-9 per call) or
+  with the quadrature weights' cache emptied first (on a side that has
+  one), so they time the build that the memoized transfer maps, point
+  weights, surface factors and quadrature weights skip on the other
+  rows, which repeat one key;
 - ``evaluate`` of the Wigner kernel at n = 1..7 with every qubit at the
   probe point (pi/2, pi), on the same three states as built (the first
   two X states, the last dense), and at n = 10 and 16 on the GHZ-Werner
@@ -120,7 +125,7 @@ def layer_samples(repeats: int) -> dict[str, list[float]]:
         sphere_grid,
         validate_density,
     )
-    from spinwigner import cli
+    from spinwigner import cli, quasiprob
 
     rng = np.random.default_rng(6)
     probe = SphericalPoint(math.pi / 2.0, math.pi)
@@ -174,6 +179,19 @@ def layer_samples(repeats: int) -> dict[str, list[float]]:
                 lambda rho=validated["ghz_werner"]: evaluate(
                     rho, DistributionKind.WIGNER, (SphericalPoint(math.pi / 2.0, math.pi + 1e-9 * next(fresh)),) * 7),
                 repeats)
+
+            def cold_grid_values(rho=validated["ghz_werner"]):
+                shift = 1e-9 * next(fresh)
+                return grid_values(rho, DistributionKind.WIGNER, thetas - shift, phis + shift)
+
+            def cold_normalization_check(rho=validated["ghz_werner"],
+                                         cache=getattr(quasiprob, "_quadrature_weights", None)):
+                if cache is not None:
+                    cache.cache_clear()
+                return normalization_check(rho, DistributionKind.WIGNER)
+
+            samples["grid_values.ghz_werner.n7.cold"] = time_per_call(cold_grid_values, repeats)
+            samples["normalization_check.ghz_werner.n7.cold"] = time_per_call(cold_normalization_check, repeats)
     for n in range(8, 11):
         rho = ghz_werner(GhzWernerParams(nu=0.5, n_qubits=n))
         samples[f"grid_values.ghz_werner.n{n}"] = time_per_call(

@@ -2,10 +2,12 @@
 
 ``bench_pairs.py`` and ``layer_times.py`` both time a parent revision
 against this checkout.  The parent's committed files are extracted with
-``git archive`` into a temporary directory, which is removed again when
-the ``checkouts`` block exits, also on an error, an interrupt or a
-SIGTERM; nothing is registered in the repository, so a killed run leaves
-no trace in it.
+``git archive`` into a temporary directory beside the working tree, under
+the gitignored ``.bench_out/`` (``PARENTS``), so both sides import from
+the same file system; the directory is removed again when the
+``checkouts`` block exits, also on an error, an interrupt or a SIGTERM.
+Nothing is registered with git, so a killed run leaves no trace in the
+repository's history or index.
 The working tree is the ``change`` side.  The side that runs first
 alternates from one pair (or round) to the next, the parent first in
 even ones.
@@ -22,6 +24,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+PARENTS = ROOT / ".bench_out"
 
 
 def git(*args: str) -> str:
@@ -49,11 +52,12 @@ def _exit_on_sigterm(signum, frame):
 @contextlib.contextmanager
 def checkouts(parent_commit: str) -> Iterator[dict[str, Path]]:
     """Yield the directory of each side: the parent commit extracted into a
-    temporary directory, and this checkout.  Inside the block a SIGTERM
-    exits through the cleanup, with status 143."""
+    temporary directory under ``PARENTS``, and this checkout.  Inside the
+    block a SIGTERM exits through the cleanup, with status 143."""
     previous = signal.signal(signal.SIGTERM, _exit_on_sigterm)
     try:
-        with tempfile.TemporaryDirectory(prefix="paired-") as tmp:
+        PARENTS.mkdir(exist_ok=True)
+        with tempfile.TemporaryDirectory(prefix="paired-", dir=PARENTS) as tmp:
             parent_dir = Path(tmp) / "parent"
             parent_dir.mkdir()
             archive = subprocess.run(["git", "archive", parent_commit], cwd=ROOT, check=True,
