@@ -55,9 +55,10 @@ def test_one_repeat_writes_every_layer_of_both_sides(monkeypatch, tmp_path):
     monkeypatch.setattr(layer_times, "run_worker", run_worker)
     out = tmp_path / "LAYERS.json"
     assert layer_times.main(["--parent", "HEAD", "--repeats", "1", "--out", str(out)]) == 0
-    parent = calls[0][0]
-    assert parent != paired.ROOT
-    sides = {"parent": parent, "change": paired.ROOT}
+    # round 0 runs the parent first; both sides are extracted copies
+    sides = {"parent": calls[0][0], "change": calls[1][0]}
+    assert sides["parent"] != sides["change"]
+    assert {path.parent.parent for path in sides.values()} == {paired.EXTRACT_ROOT}
     order = [side for i in range(layer_times.ROUNDS) for side in paired.side_order(i)]
     assert calls == [(sides[side], 1, True) for side in order]
     record = json.loads(out.read_text(encoding="utf-8"))

@@ -5,8 +5,8 @@ Run from the repository root:
     python3 tools/bench_pairs.py --parent HEAD~1 --pairs 10 --seed 17 \\
         --seconds 40 --out BENCH_4.json
 
-The parent revision is extracted and the sides alternate as ``paired.py``
-describes.  For each workload of ``BENCHMARK.json``, ``bench/run.py``
+Both sides are extracted and alternate as ``paired.py`` describes.
+For each workload of ``BENCHMARK.json``, ``bench/run.py``
 runs as a subprocess in both checkouts, ``--pairs`` times, with the same
 seed and seconds on both sides.  One ``--trace 1`` run per side follows
 the pairs.  This script only starts ``bench/run.py``; it
@@ -123,10 +123,9 @@ def main(argv=None) -> int:
     record = {
         "harness": (f"{' '.join(benchmark['command'])} --workload W --seed {args.seed} "
                     f"--seconds {args.seconds:g} --trace 0|1"),
-        "method": ("parent revision extracted by git archive into a temporary directory under "
-                   ".bench_out/ beside this checkout, change in "
-                   "this checkout, identical bench/ invocation; the side that runs first alternates "
-                   "from pair to pair"),
+        "method": ("parent revision and the working tree as it is each extracted by git archive into "
+                   "one temporary directory under .bench_out/ beside this checkout, identical bench/ "
+                   "invocation; the side that runs first alternates from pair to pair"),
         **side_records(args.parent),
         "python": platform.python_version(),
         "workloads": {},

@@ -57,9 +57,9 @@ layers are
   (51 x 51 would stack about 200 MB), and the three sweeps of the fig5
   r curves (4 nu x 50 r, one per k = 1, 2, 3).
 
-The ``--parent`` revision is extracted and the sides alternate as
-``paired.py`` describes, over ``ROUNDS`` rounds; each layer's samples are
-pooled over the rounds.  Every side and round runs in its own subprocess,
+The ``--parent`` revision and the working tree are extracted and the
+sides alternate as ``paired.py`` describes, over ``ROUNDS`` rounds; each
+layer's samples are pooled over the rounds.  Every side and round runs in its own subprocess,
 pinned to one CPU with BLAS on one thread, that imports ``spinwigner``
 from that side's ``src/``.  This script imports nothing from ``bench/``.
 """
