@@ -268,19 +268,17 @@ class TestFactorCaches:
     @pytest.mark.parametrize("kind", list(DistributionKind))
     def test_hits_share_read_only_arrays(self, kind):
         thetas, phis = sphere_grid(7, 9)
-        arrays = [
-            quasiprob._theta_factor(kind, thetas.tobytes(), 3),
-            quasiprob._harmonics(phis.tobytes(), 3),
-            *quasiprob._quadrature_weights(kind, 3, True),
-            *quasiprob._quadrature_weights(kind, 3, False),
-        ]
-        again = [
-            quasiprob._theta_factor(kind, thetas.tobytes(), 3),
-            quasiprob._harmonics(phis.tobytes(), 3),
-            *quasiprob._quadrature_weights(kind, 3, True),
-            *quasiprob._quadrature_weights(kind, 3, False),
-        ]
-        assert all(a is b for a, b in zip(arrays, again, strict=True))
+
+        def lookup():
+            return [
+                quasiprob._theta_factor(kind, thetas.tobytes(), 3),
+                quasiprob._harmonics(phis.tobytes(), 3),
+                *quasiprob._quadrature_weights(kind, 3, True),
+                *quasiprob._quadrature_weights(kind, 3, False),
+            ]
+
+        arrays = lookup()
+        assert all(a is b for a, b in zip(arrays, lookup(), strict=True))
         for a in arrays:
             assert not a.flags.writeable
             with pytest.raises(ValueError):
