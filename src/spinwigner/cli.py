@@ -28,6 +28,7 @@ from .errors import (
 )
 from .quasiprob import (
     ClosedFormVariant,
+    _check_cells,
     _sweep,
     accelerated_ghz,
     compare_closed_form,
@@ -44,8 +45,17 @@ EXIT_IO = 3
 
 CSV_HEADER = "theta,phi,nu,r,k,s,W"
 _CELL = "%.12g"
+_CELL_BYTES = _CELL.encode()
 # rows per piece of CSV text: one piece's text is held at a time
 _CHUNK_ROWS = 4096
+# 10^(11 - e) and 10^(4 + e) for the decimal exponents e = -4..0 that
+# _format_cells writes itself; every one is an exact float
+_MANTISSA_SCALES = np.array([1e15, 1e14, 1e13, 1e12, 1e11])
+_DIGIT_SHIFTS = np.array([1e0, 1e1, 1e2, 1e3, 1e4])
+# how close to a rounding tie, or to 10^11 or 10^12, the scaled value y of
+# a cell may come before '%' formats it; y carries at most 2^-14 of error
+_TIE_MARGIN = 1e-3
+_WORD = np.dtype("<u4")
 _KIND_BY_LETTER = {
     "q": DistributionKind.Q,
     "w": DistributionKind.WIGNER,
@@ -114,26 +124,109 @@ def _float_rows(table: list[_Sweep]) -> np.ndarray:
     return np.concatenate(rows)
 
 
+@functools.cache
+def _digit_words() -> np.ndarray:
+    """The four ASCII digits of 0..9999 as little-endian words, then the
+    same with trailing '0's as NUL (so 0 is four NULs): 20,000 words."""
+    digits = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    kept = np.logical_or.accumulate(digits[:, ::-1] != ord("0"), axis=1)[:, ::-1]
+    return np.concatenate([digits, digits * kept]).astype(np.uint8).view(_WORD).ravel()
+
+
+def _fast_cells(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``%.12g`` of the cells of a 1-D float64 array that take the fast
+    path, as ``S20`` (NUL-padded), and the mask of those cells.
+
+    A finite, nonzero cell whose decimal exponent e = floor(log10 |v|) is
+    in -4..0 takes it: y = |v| 10^(11 - e) takes one rounding, as the power
+    is exact, so it is off by at most half an ulp, 2^-14, and unless y is
+    within ``_TIE_MARGIN`` of a tie or of 10^11 or 10^12, ``rint(y)`` is
+    the correctly rounded mantissa that '%' prints.  Its 16 digits of
+    units and fraction, 10^(4 + e) rint(y), go through a table of 4-digit
+    words whose trailing zeros, and a bare '.', become NUL; a row of six
+    words [NUL, '-', units, '.'], four digit words and NUL is read from its
+    second byte (negative) or its third.  A mantissa that rounds to 10^12
+    carries into the next exponent, except at e = 0, where '%' prints
+    "10".  The other cells' text is garbage.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = np.abs(v)
+        e = np.floor(np.log10(a))  # -inf, NaN or inf for 0, NaN or inf
+        fast = (e >= -4.0) & (e <= 0.0)
+        i = np.where(fast, e + 4.0, 0.0).astype(np.intp)
+        y = a * _MANTISSA_SCALES[i]
+        m = np.rint(y)
+        fast &= (np.abs(y - m) < 0.5 - _TIE_MARGIN) & (y > 1e11 + _TIE_MARGIN) & (y < 1e12 - _TIE_MARGIN)
+        # exact: m 5^i < 2^53; a carry at e = 0 gives 10^16
+        d = m * _DIGIT_SHIFTS[i]
+        fast &= d < 1e16
+        d = np.where(fast, d, 0.0).astype(np.int64)
+    units = d // 10**15
+    frac = (d - units * 10**15) * 10  # the 15 fraction digits and a 0
+    groups = np.empty((4, v.size), np.int64)
+    groups[0] = frac // 10**12
+    low = frac - groups[0] * 10**12
+    groups[1] = low // 10**8
+    low -= groups[1] * 10**8
+    groups[2] = low // 10**4
+    groups[3] = low - groups[2] * 10**4
+    zero = groups == 0
+    # a group behind which every group is 0 loses its trailing zeros
+    bare = np.empty_like(zero)
+    bare[3] = True
+    bare[2] = zero[3]
+    np.logical_and(bare[2], zero[2], out=bare[1])
+    np.logical_and(bare[1], zero[1], out=bare[0])
+    groups += 10_000 * bare
+    words = np.zeros((6, v.size), _WORD)
+    words[1:5] = _digit_words()[groups]
+    point = ~(bare[0] & zero[0])
+    words[0] = (units.astype(_WORD) + ord("0")) << 16 | point.astype(_WORD) * (ord(".") << 24) | ord("-") << 8
+    shift = np.where(np.signbit(v), _WORD.type(8), _WORD.type(16))
+    text = np.empty((v.size, 5), _WORD)
+    np.bitwise_or(words[:5] >> shift, words[1:] << (32 - shift), out=text.T)
+    return text.view("S20").ravel(), fast
+
+
+def _format_cells(values: np.ndarray) -> list[bytes]:
+    """``b"%.12g" % v`` for every cell of a float64 array, in C order.
+
+    The cells of :func:`_fast_cells` come from its array, whose ``tolist``
+    drops the NULs at the end; zero, NaN, infinities, every exponent
+    outside -4..0 and the cells near a tie or an edge take '%', one cell
+    at a time.
+    """
+    v = values.ravel()
+    text, fast = _fast_cells(v)
+    cells = text.tolist()
+    slow = np.flatnonzero(~fast)
+    for j, value in zip(slow.tolist(), v[slow].tolist()):
+        cells[j] = _CELL_BYTES % value
+    return cells
+
+
 def _csv_chunks(table: list[_Sweep]) -> Iterator[str]:
     """CSV text of a table: the header, then ``_CHUNK_ROWS`` rows per piece.
 
     Each axis value is formatted once.  For each (nu, r) the row tails
-    ``phi,nu,r,k,s,%.12g`` are built once, and each theta line joins them
-    behind ``theta,``; a piece's row templates then take its W values in
-    one ``%``.  Only one piece's text exists at a time.
+    ``phi,nu,r,k,s,%s`` are built once, and each theta line joins them
+    behind ``theta,``.  A piece's row templates then take, in one ``%``,
+    its W cells from :func:`_format_cells` (the piece's cells only, so
+    only one piece's text and temporaries exist at a time): byte for byte
+    ``%.12g`` of each cell.
     """
     yield CSV_HEADER + "\n"
     values = np.concatenate([sweep.values.ravel() for sweep in table])
     parts, room, done = [], _CHUNK_ROWS, 0
     for sweep in table:
-        thetas = [_CELL % v + "," for v in sweep.thetas.tolist()]
-        phis = [_CELL % v + "," for v in sweep.phis.tolist()]
-        rs = [_CELL % v + "," for v in sweep.rs.tolist()]
+        thetas = [_CELL_BYTES % v + b"," for v in sweep.thetas.tolist()]
+        phis = [_CELL_BYTES % v + b"," for v in sweep.phis.tolist()]
+        rs = [_CELL_BYTES % v + b"," for v in sweep.rs.tolist()]
         # every prefix cell is '%.12g' output, which never holds a '%', so
         # W's is the only conversion in a row template
-        ksw = f"{_CELL % sweep.k},{_CELL % sweep.s},{_CELL}\n"
+        ksw = b"%s,%s,%%s\n" % (_CELL_BYTES % sweep.k, _CELL_BYTES % sweep.s)
         for nu in sweep.nus.tolist():
-            nu = _CELL % nu + ","
+            nu = _CELL_BYTES % nu + b","
             for r in rs:
                 tails = [phi + nu + r + ksw for phi in phis]
                 for theta in thetas:
@@ -141,13 +234,14 @@ def _csv_chunks(table: list[_Sweep]) -> Iterator[str]:
                     while len(line) >= room:
                         parts.append(theta + theta.join(line[:room]))
                         line = line[room:]
-                        yield "".join(parts) % tuple(values[done:done + _CHUNK_ROWS].tolist())
+                        cells = _format_cells(values[done:done + _CHUNK_ROWS])
+                        yield (b"".join(parts) % tuple(cells)).decode("ascii")
                         parts, room, done = [], _CHUNK_ROWS, done + _CHUNK_ROWS
                     if line:
                         parts.append(theta + theta.join(line))
                         room -= len(line)
     if parts:
-        yield "".join(parts) % tuple(values[done:].tolist())
+        yield (b"".join(parts) % tuple(_format_cells(values[done:]))).decode("ascii")
 
 
 def _write_chunks(path: str | Path, chunks: Iterable[str]) -> None:
@@ -218,6 +312,7 @@ def _cmd_scan(args) -> int:
     accelerated = _parse_accelerated(args.accelerated)
     if args.steps < 2:
         raise UsageError(f"{args.command.removeprefix('scan-')}-steps must be at least 2")
+    _check_cells(args.steps, "{} of {} steps", args.command, args.steps)
     if args.command == "scan-r":
         if not accelerated:
             raise UsageError("scan-r needs at least one accelerated qubit")

@@ -55,11 +55,14 @@ from .su2kernel import (
 )
 
 IMAG_TOL = 1e-10
-# Most cells, (theta_steps * phi_steps) ** n, of one independent-angle scan.
-# A two-qubit scan of 3,992,004 cells (37 x 54 per qubit) peaks at 0.068 GB
-# of numpy allocations (tracemalloc): the values, their negative part for
-# the negative volume and the sign mask, side by side.
-SPLIT_SCAN_MAX_CELLS = 4_000_000
+# Most cells of one table of values, refused before anything is allocated
+# (_check_cells): (theta_steps * phi_steps) ** n of a scan (1 for equal
+# angles in place of n), len(thetas) * len(phis) of a surface or sphere
+# grid, and len(nus) * len(rs) * len(thetas) * len(phis) of a sweep.  A
+# two-qubit independent-angle scan of 3,992,004 cells (37 x 54 per qubit)
+# peaks at 0.068 GB of numpy allocations (tracemalloc): the values, their
+# negative part for the negative volume and the sign mask, side by side.
+MAX_CELLS = 4_000_000
 # Gauss-Legendre nodes in cos(theta) of normalization_check; twice as many
 # trapezoid points in phi.
 QUAD_ORDER = 32
@@ -227,11 +230,20 @@ def evaluate(rho: DensityMatrix, kind: DistributionKind, points: Sequence[Spheri
     return QuasiProbSample(points=pts, kind=kind, value=float(value.real))
 
 
+def _check_cells(cells: int, what: str, *args) -> None:
+    """DimensionError for a table of more than ``MAX_CELLS`` cells, named
+    ``what.format(*args)`` (formatted only then)."""
+    if cells > MAX_CELLS:
+        raise DimensionError(f"{what.format(*args)} needs {cells:,} cells, more than the {MAX_CELLS:,} allowed")
+
+
 def sphere_grid(theta_steps: int, phi_steps: int) -> tuple[np.ndarray, np.ndarray]:
     """Uniform equal-angle axes: theta over [0, pi] inclusive, phi over
-    [0, 2*pi) exclusive.  Fewer than 2 steps on either raises DimensionError."""
+    [0, 2*pi) exclusive.  Fewer than 2 steps on either, or a grid of more
+    than ``MAX_CELLS`` points, raises DimensionError."""
     if theta_steps < 2 or phi_steps < 2:
         raise DimensionError("theta_steps and phi_steps must both be at least 2")
+    _check_cells(theta_steps * phi_steps, "a {} x {} sphere grid", theta_steps, phi_steps)
     return np.linspace(0.0, math.pi, theta_steps), np.arange(phi_steps) * (2.0 * math.pi / phi_steps)
 
 
@@ -323,9 +335,11 @@ def grid_values(rho: DensityMatrix, kind: DistributionKind, thetas: np.ndarray, 
     per (kind, axis, register size); the state is never cached.
     ``thetas`` and ``phis`` must be non-empty 1-D axes (DimensionError) of
     finite angles (ValueError), and ``kind`` a DistributionKind value
-    (ValueError), on every call.
+    (ValueError), on every call; a surface of more than ``MAX_CELLS`` cells
+    is refused with DimensionError before anything is allocated.
     """
     thetas, phis = _check_axes(thetas, phis)
+    _check_cells(thetas.size * phis.size, "a surface of {} x {} angles", thetas.size, phis.size)
     return _surfaces(_pair_sums(*_entries(rho), rho.n_qubits), kind, thetas, phis, "grid values")
 
 
@@ -372,22 +386,17 @@ def grid_scan(
     per qubit and row of the layout, and contracted with the kernel's
     Pauli coefficients on each qubit's grid, one matrix product per
     qubit.  An X state's T comes from its stack: no dense matrix is
-    built.  A scan of more than ``SPLIT_SCAN_MAX_CELLS`` cells is refused
-    with :class:`DimensionError` before anything is allocated.  The
+    built.  A scan of more than ``MAX_CELLS`` cells is refused with
+    :class:`DimensionError` before anything is allocated.  The
     equal-angle scan checks the pair sums for realness and the
     independent-angle scan checks T, not W.  An equal-angle scan reads the
     memoized surface factors of :func:`grid_values`.  ``negative_fraction``
     counts the cells below 0.0, so a -0.0 cell is not negative.
     """
-    thetas, phis = sphere_grid(theta_steps, phi_steps)
     n = rho.n_qubits
     if not equal_angles:
-        cells = (theta_steps * phi_steps) ** n
-        if cells > SPLIT_SCAN_MAX_CELLS:
-            raise DimensionError(
-                f"independent-angle scan of {n} qubits needs {cells:,} cells, "
-                f"more than the {SPLIT_SCAN_MAX_CELLS:,} allowed"
-            )
+        _check_cells((theta_steps * phi_steps) ** n, "independent-angle scan of {} qubits", n)
+    thetas, phis = sphere_grid(theta_steps, phi_steps)
     d_theta = math.pi / (theta_steps - 1)
     d_phi = 2.0 * math.pi / phi_steps
     point_weight = np.repeat(np.sin(thetas) * d_theta * d_phi, phi_steps)  # by (theta, phi), row-major
@@ -607,12 +616,17 @@ def _sweep(
     :func:`~spinwigner.linalg._certify_x` certifies the (R, endpoints)
     batch, and one :func:`_pair_sums` feeds :func:`_surfaces`: each state
     gets the values :func:`grid_values` gives it alone, bitwise.  The
-    angles, then every nu and r, the register size and the accelerated set
-    are checked before the first state is built, also for an empty axis.
+    angles, the number of cells (at most ``MAX_CELLS``), then every nu and
+    r, the register size and the accelerated set are checked before the
+    first state is built, also for an empty axis.
     """
     thetas, phis = _check_axes(thetas, phis)
     nus = np.asarray(nus, dtype=float)
     rs = np.asarray(rs, dtype=float)
+    _check_cells(
+        nus.size * rs.size * thetas.size * phis.size,
+        "a sweep of {} nu x {} r x {} theta x {} phi", nus.size, rs.size, thetas.size, phis.size,
+    )
     for nu in nus:
         GhzWernerParams(nu=float(nu), n_qubits=n_qubits)
     for r in rs:

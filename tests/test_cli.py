@@ -214,6 +214,25 @@ class TestGrid:
         assert len(payload["samples"]) == 9
         assert all(len(row) == 7 for row in payload["samples"])
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["grid", "--nu", "1", "--theta-steps", "1000000", "--phi-steps", "1000000"],
+             "a 1000000 x 1000000 sphere grid needs 1,000,000,000,000 cells"),
+            (["scan-r", "--nu", "1", "--accelerated", "1", "--r-steps", str(10**12)],
+             "scan-r of 1000000000000 steps needs 1,000,000,000,000 cells"),
+            (["scan-nu", "--nu-steps", "4000001"], "scan-nu of 4000001 steps needs 4,000,001 cells"),
+            (["verify", "--theta-steps", "100000", "--phi-steps", "100000"],
+             "a 100000 x 100000 sphere grid needs 10,000,000,000 cells"),
+        ],
+        ids=["grid", "scan-r", "scan-nu", "verify"],
+    )
+    def test_oversized_table_exits_2_before_allocating(self, capsys, tmp_path, argv, message):
+        target = tmp_path / "out"
+        code, out, err = run_cli(capsys, *argv, "-o", str(target))
+        assert (code, out, target.exists()) == (2, "", False)
+        assert err == f"error: {message}, more than the 4,000,000 allowed\n"
+
     def test_unwritable_path_exits_3(self, capsys, tmp_path):
         missing = tmp_path / "no" / "such" / "dir" / "out.csv"
         code, _, err = run_cli(
@@ -361,8 +380,14 @@ class TestTableFormat:
 
 CHUNK_ROWS = cli._CHUNK_ROWS
 # cells whose bit patterns differ but values compare equal or unordered,
-# the extremes of the range, and a subnormal
-SPECIAL_CELLS = (-0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300)
+# the extremes of the range, and a subnormal; then an exact tie at the 12th
+# digit (4097 / 2^12), the double nearest to one, cells whose 12-digit
+# rounding carries into the next digit or exponent, the smallest exponent
+# of the fast path of _format_cells and the one below it
+SPECIAL_CELLS = (
+    -0.0, 0.0, math.nan, math.inf, -math.inf, 5e-324, 1e300,
+    1.000244140625, 0.1234567890125, 9.9999999999995, -0.99999999999995, 9.9999999999995e-5, 1e-4, -1e-5,
+)
 
 
 def reference_csv(table):
@@ -442,6 +467,118 @@ class TestCsvWriter:
         code_file, printed, _ = run_cli(capsys, *argv, "--format", fmt, "-o", str(target))
         assert code_out == code_file == 0 and printed == ""
         assert_same_bytes(target.read_bytes(), out.encode("utf-8"), str(target))
+
+
+def exact_ties():
+    """The doubles q / 2^(12 - e), for every 7th odd q, of decimal exponent
+    e = -4..0: 13 significant digits ending in 5, an exact tie at the 12th."""
+    ties = []
+    for e in range(-4, 1):
+        j = 12 - e
+        q = np.arange(math.ceil(10.0**e * 2**j) | 1, 10 ** (e + 1) * 2**j, 14)
+        ties.append(np.ldexp(q.astype(float), -j))
+    return np.concatenate(ties)
+
+
+def fuzz_cells(seed, size=20_000):
+    """Seeded cells for _format_cells: random bit patterns, uniform in
+    (-10, 10), those rounded to 0..12 decimals, exact ties of both signs,
+    the doubles nearest to 12th-digit ties at exponents -5..0, a scale
+    sweep over exponents -7..1, a few ulps either side of 10^k, carries,
+    subnormals, signed zeros, NaN and infinities."""
+    rng = np.random.default_rng(seed)
+    uniform = rng.uniform(-10.0, 10.0, size)
+    decimals = rng.integers(0, 13, size)
+    mantissas = rng.integers(10**11, 10**12, size) * 10 + 5
+    exponents = rng.integers(12, 18, size)
+    powers = np.array([float(f"1e{k}") for k in range(-7, 4)])
+    steps = np.arange(-3, 4)[:, None]
+    near_powers = powers + steps * np.spacing(powers)
+    carries = np.array([9.9999999999995, 0.99999999999995, 9.9999999999995e-5, 9.99999999999949, 0.999999999999949])
+    subnormals = rng.integers(1, 2**52, 200, dtype=np.uint64).view(float)
+    ties = exact_ties()
+    cells = np.concatenate([
+        rng.integers(0, 2**64, size, dtype=np.uint64).view(float),
+        uniform,
+        np.array([round(x, int(d)) for x, d in zip(rng.uniform(-10.0, 10.0, size).tolist(), decimals)]),
+        ties * rng.choice([-1.0, 1.0], ties.size),
+        np.array([float(f"{m}e-{k}") for m, k in zip(mantissas.tolist(), exponents.tolist())]),
+        rng.uniform(-1.0, 1.0, size) * 10.0 ** rng.integers(-6, 3, size),
+        near_powers.ravel(), -near_powers.ravel(),
+        carries, -carries, subnormals, -subnormals,
+        [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, 2.2250738585072014e-308],
+    ])
+    return cells[rng.permutation(cells.size)]
+
+
+def format_loop(cells):
+    """The reference: ``b"%.12g" % v`` one cell at a time."""
+    return [b"%.12g" % v for v in cells.tolist()]
+
+
+class TestFormatCells:
+    """cli._format_cells, the W cells of the CSV writer, bitwise against '%'."""
+
+    def test_every_figure_cell(self):
+        cells = np.concatenate([
+            sweep.values.ravel() for _, build in cli._figure_specs() for sweep in build()
+        ])
+        assert cells.size == 144_812
+        assert cli._format_cells(cells) == format_loop(cells)
+        # the fast path writes all but 348: 19 below 1e-4, 329 near a tie or an edge
+        _, fast = cli._fast_cells(cells)
+        assert np.count_nonzero(~fast) == 348
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_fuzz(self, seed):
+        cells = fuzz_cells(seed)
+        want = format_loop(cells)
+        assert cli._format_cells(cells) == want
+        # and the fast path alone, wherever it claims a cell
+        text, fast = cli._fast_cells(cells)
+        assert fast.any() and not fast.all()
+        for got, reference, claimed in zip(text.tolist(), want, fast.tolist()):
+            if claimed:
+                assert got == reference
+
+    def test_exact_ties_round_half_even(self):
+        ties = exact_ties()
+        assert ties.size > 1000
+        assert cli._format_cells(ties) == format_loop(ties)
+        assert cli._format_cells(np.array([1.000244140625, 1.000732421875])) == [b"1.00024414062", b"1.00073242188"]
+        assert not cli._fast_cells(ties)[1].any()
+
+    @pytest.mark.parametrize(
+        "value, text, fast",
+        [
+            (1.5, b"1.5", True),
+            (-0.25, b"-0.25", True),
+            (2.0, b"2", True),
+            (-7.12345678901234, b"-7.12345678901", True),
+            (0.000123456789012345, b"0.000123456789012", True),
+            (1e-4, b"0.0001", False),  # y = 10^11, an edge
+            (0.99999999999995, b"1", True),
+            (9.9999999999949e-5, b"9.99999999999e-05", False),
+            (9.9999999999995e-5, b"0.0001", False),
+            (9.99999999999951, b"10", False),
+            (12.5, b"12.5", False),
+            (1.23e-5, b"1.23e-05", False),
+            (0.0, b"0", False),
+            (-0.0, b"-0", False),
+            (math.nan, b"nan", False),
+            (-math.inf, b"-inf", False),
+        ],
+    )
+    def test_which_cells_take_the_fast_path(self, value, text, fast):
+        assert b"%.12g" % value == text
+        assert cli._format_cells(np.array([value])) == [text]
+        assert cli._fast_cells(np.array([value]))[1].tolist() == [fast]
+
+    def test_shapes(self):
+        values = np.linspace(-3.0, 3.0, 24).reshape(2, 3, 4)
+        assert cli._format_cells(values) == format_loop(values.ravel())
+        assert cli._format_cells(values[:, ::2].T) == format_loop(values[:, ::2].T.ravel())
+        assert cli._format_cells(np.empty(0)) == []
 
 
 class TestVerify:

@@ -380,6 +380,62 @@ class TestSphereGrid:
             compare_closed_form(ClosedFormVariant.GHZ, 0.5, 0.0, 1, 9)
 
 
+class TestCellBudget:
+    """A sphere grid, surface, scan or sweep of more than MAX_CELLS cells is
+    refused with DimensionError before a state, factor or value is built."""
+
+    @pytest.fixture
+    def nothing_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built for a refused table")
+
+        for name in ("ghz_werner", "_pair_sums", "_theta_factor", "_harmonics"):
+            monkeypatch.setattr(quasiprob, name, refuse)
+
+    def test_bound(self):
+        assert quasiprob.MAX_CELLS == 4_000_000
+        thetas, phis = sphere_grid(2000, 2000)
+        assert thetas.size * phis.size == quasiprob.MAX_CELLS
+
+    def test_sphere_grid_and_equal_angle_scan(self, nothing_built):
+        message = "a 2001 x 2000 sphere grid needs 4,002,000 cells, more than the 4,000,000 allowed"
+        with pytest.raises(DimensionError, match=message):
+            sphere_grid(2001, 2000)
+        rho = ghz_werner(GhzWernerParams(nu=0.5))
+        with pytest.raises(DimensionError, match=message):
+            grid_scan(rho, DistributionKind.WIGNER, 2001, 2000)
+        with pytest.raises(DimensionError, match="a 1000000 x 1000000 sphere grid needs 1,000,000,000,000 cells"):
+            compare_closed_form(ClosedFormVariant.GHZ, 0.5, 0.0, 10**6, 10**6)
+
+    def test_surface(self, nothing_built):
+        rho = ghz_werner(GhzWernerParams(nu=0.5))
+        thetas, phis = np.linspace(0.0, math.pi, 2001), np.linspace(0.0, 6.0, 2000)
+        with pytest.raises(DimensionError, match="a surface of 2001 x 2000 angles needs 4,002,000 cells"):
+            grid_values(rho, DistributionKind.WIGNER, thetas, phis)
+
+    def test_sweep(self, nothing_built):
+        with pytest.raises(
+            DimensionError, match="a sweep of 2 nu x 2 r x 1001 theta x 1000 phi needs 4,004,000 cells"
+        ):
+            quasiprob._sweep([0.1, 0.9], [0.0, 0.5], 1, DistributionKind.WIGNER, [0.5] * 1001, [1.0] * 1000)
+        with pytest.raises(DimensionError, match="a sweep of 2001 nu x 2000 r x 1 theta x 1 phi"):
+            quasiprob.probe_sweep(np.linspace(0, 1, 2001), np.linspace(0, 0.5, 2000), 1, DistributionKind.Q, PROBE)
+
+    def test_a_table_of_max_cells_passes_and_one_more_is_refused(self, monkeypatch):
+        monkeypatch.setattr(quasiprob, "MAX_CELLS", 12)
+        rho = ghz_werner(GhzWernerParams(nu=0.5))
+        W = DistributionKind.WIGNER
+        assert grid_values(rho, W, [0.1, 0.2, 0.3], [0.0, 1.0, 2.0, 3.0]).shape == (3, 4)
+        assert quasiprob._sweep([0.2, 0.8], [0.0, 0.6], 1, W, [0.1, 0.2, 0.3], [0.0]).shape == (2, 2, 3, 1)
+        assert grid_scan(rho, W, 3, 4).values.shape == (3, 4)
+        with pytest.raises(DimensionError, match="13 cells"):
+            grid_values(rho, W, [0.1] * 13, [0.0])
+        with pytest.raises(DimensionError, match="13 cells"):
+            quasiprob._sweep([0.5], [0.1], 1, W, [0.1] * 13, [0.0])
+        with pytest.raises(DimensionError, match="14 cells"):
+            grid_scan(rho, W, 7, 2)
+
+
 class TestGridScan:
     def test_rejects_degenerate_grid(self):
         rho = ghz_werner(GhzWernerParams(nu=0.5))

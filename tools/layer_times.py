@@ -49,7 +49,8 @@ layers are
 - ``kernel_grid`` of the Wigner kernel on the 91 x 181 equal-angle grid;
 - ``cli._csv_chunks`` of the fig1a table (one 91 x 181 Wigner surface),
   each side's table from its own ``cli._figure_specs`` builder, joined
-  into one string;
+  into one string, and (``cli._csv_chunks.figures``) of all 16 figure
+  tables, 144,812 rows, one string per table;
 - ``probe_sweep`` of the 51 x 51 nu x r Wigner map at the probe point
   with three accelerated qubits (the fig4c data), the same map of a
   7-qubit and of a 10-qubit register with every qubit accelerated, a
@@ -211,8 +212,10 @@ def layer_samples(repeats: int) -> dict[str, list[float]]:
                 rho, DistributionKind.WIGNER), repeats)
     samples["kernel_grid.91x181"] = time_per_call(
         lambda: kernel_grid(DistributionKind.WIGNER, thetas[:, None], phis), repeats)
-    fig1a = dict(cli._figure_specs())["fig1a.csv"]()
-    samples["cli._csv_chunks.fig1a"] = time_per_call(lambda: "".join(cli._csv_chunks(fig1a)), repeats)
+    figures = {name: build() for name, build in cli._figure_specs()}
+    samples["cli._csv_chunks.fig1a"] = time_per_call(lambda: "".join(cli._csv_chunks(figures["fig1a.csv"])), repeats)
+    samples["cli._csv_chunks.figures"] = time_per_call(
+        lambda: ["".join(cli._csv_chunks(table)) for table in figures.values()], repeats)
     nus = np.linspace(0.0, 1.0, cli.MAP_STEPS)
     rs = np.linspace(0.0, R_MAX, cli.MAP_STEPS)
     samples["probe_sweep.51x51.k3"] = time_per_call(
