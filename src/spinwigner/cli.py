@@ -19,6 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._memo import memo
 from .errors import (
     DimensionError,
     IndexOutOfRange,
@@ -124,7 +125,7 @@ def _float_rows(table: list[_Sweep]) -> np.ndarray:
     return np.concatenate(rows)
 
 
-@functools.cache
+@memo
 def _digit_words() -> np.ndarray:
     """The four ASCII digits of 0..9999 as little-endian words, then the
     same with trailing '0's as NUL (so 0 is four NULs): 20,000 words."""

@@ -5,7 +5,6 @@ Matrices are plain complex128 numpy arrays of dimension 2^n.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -101,16 +100,12 @@ class DensityMatrix:
         return 0j
 
 
-@functools.cache
 def _x_diagonals(dim: int) -> np.ndarray:
     """Flat indices of the diagonal and the anti-diagonal of a dim x dim
     matrix by row, shape (2, dim): (x, x) and (x, dim-1-x) for x = 0..dim-1.
-    For even dim the two never meet.  Read-only, since the cache shares it.
-    """
+    For even dim the two never meet."""
     x = np.arange(dim)
-    diagonals = np.stack([x * (dim + 1), (x + 1) * (dim - 1)])
-    diagonals.setflags(write=False)
-    return diagonals
+    return np.stack([x * (dim + 1), (x + 1) * (dim - 1)])
 
 
 def _hermiticity_and_min_eigenvalue(arr: np.ndarray) -> tuple[float, float]:

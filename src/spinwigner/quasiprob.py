@@ -21,8 +21,9 @@ each surface is one matrix product of a theta factor and the 2n + 1
 harmonics of phi (:func:`_surfaces`): also in every sweep over nu, r,
 theta and phi (:func:`_sweep`).
 
-What depends only on scalars and axes is memoized in bounded caches of
-read-only arrays: a point value's weights per kind, points and layout,
+What depends only on scalars and axes is memoized by
+:func:`~spinwigner._memo.memo`, at most MEMO_KEYS keys of read-only
+arrays per cache: a point value's weights per kind, points and layout,
 a surface's theta factor per kind, theta axis and register size and its
 harmonics per phi axis and register size, and the quadrature's weights
 per kind, register size and layout.  States are never cached, and the
@@ -34,11 +35,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
 
+from ._memo import memo
 from .errors import DimensionError, NonRealResult
 from .linalg import _DENSE_PAIRS, _X_PAIRS, DensityMatrix, _certify_x, _entries
 from .rindler import MATCH_TOL, AccelerationConfig, _accelerated_qubits, _check_r, _x_channel, accelerate
@@ -66,19 +67,6 @@ MAX_CELLS = 4_000_000
 # Gauss-Legendre nodes in cos(theta) of normalization_check; twice as many
 # trapezoid points in phi.
 QUAD_ORDER = 32
-# Most (kind, per-qubit angles, layout) keys whose trace weights a point
-# value keeps (_point_weights).  Each holds O(2^(n/2)) entries for an X
-# state and O(4^(n/2)) for a dense one, a square root of the state.
-POINT_WEIGHTS_CACHE_SIZE = 128
-# Most keys of each cache of state-free factors: the theta factor and the
-# phi harmonics of a surface (_theta_factor, _harmonics) and the quadrature
-# weights (_quadrature_weights).  A key of T thetas, P phis and n qubits
-# retains at most 8 T ((n + 1)^2 + 1) bytes of theta factor and 8 P (4n + 3)
-# of harmonics, key bytes included, and 64 * 2^ceil(n/2) bytes of quadrature
-# weights for an X state or 32 * 4^ceil(n/2) for a dense one.  So with all
-# three caches full on the figure grid, 91 x 181, they hold at most 3.3 MB
-# at n <= 7 and 10.4 MB at n = 16 (X states).
-FACTOR_CACHE_SIZE = 32
 
 
 @dataclass(frozen=True)
@@ -179,18 +167,7 @@ def _pair_sums(entries: np.ndarray, digits: np.ndarray, n: int) -> np.ndarray:
     return sums.reshape(batch + (n + 1, n + 1, harmonics))
 
 
-def _shared_weights(ops: Sequence[np.ndarray], x_shaped: bool) -> tuple[np.ndarray | None, np.ndarray]:
-    """The :func:`_weights` of ``ops`` in the X layout or the dense one
-    (:func:`~spinwigner.linalg._entries`), read-only, since a cache shares
-    them with every caller of its key."""
-    weights = _weights(ops, _X_PAIRS if x_shaped else _DENSE_PAIRS)
-    for half in weights:
-        if half is not None:
-            half.setflags(write=False)
-    return weights
-
-
-@lru_cache(maxsize=POINT_WEIGHTS_CACHE_SIZE)
+@memo
 def _point_weights(
     kind: DistributionKind, angles: tuple[tuple[float, float], ...], x_shaped: bool
 ) -> tuple[np.ndarray | None, np.ndarray]:
@@ -199,12 +176,10 @@ def _point_weights(
     (:func:`~spinwigner.linalg._entries`), built by
     :func:`~spinwigner.su2kernel._point_kernels` and its checks on a miss.
 
-    Memoized on (kind, angles, x_shaped), at most
-    POINT_WEIGHTS_CACHE_SIZE keys: the halves are read-only, since every
-    caller with the same key shares them.  A refused key raises and
-    stores nothing.
+    Memoized on (kind, angles, x_shaped), read-only.  A refused key
+    raises and stores nothing.
     """
-    return _shared_weights(_point_kernels(kind, angles), x_shaped)
+    return _weights(_point_kernels(kind, angles), _X_PAIRS if x_shaped else _DENSE_PAIRS)
 
 
 def evaluate(rho: DensityMatrix, kind: DistributionKind, points: Sequence[SphericalPoint]) -> QuasiProbSample:
@@ -213,12 +188,12 @@ def evaluate(rho: DensityMatrix, kind: DistributionKind, points: Sequence[Spheri
     The kernels come from :func:`~spinwigner.su2kernel._point_kernels`, one
     per distinct point (the same as :func:`kernel_grid` gives), and their
     :func:`_trace` weights from :func:`_point_weights`, memoized on
-    (kind, the per-qubit (theta, phi) floats, the state's layout) for at
-    most POINT_WEIGHTS_CACHE_SIZE keys; the shared weights are read-only.
-    The state is never cached: its entries meet the weights on every
-    call.  A wrong number of points raises DimensionError, an unknown
-    ``kind`` or a non-finite angle ValueError, on every call, and an
-    imaginary residue above IMAG_TOL NonRealResult.
+    (kind, the per-qubit (theta, phi) floats, the state's layout); the
+    shared weights are read-only.  The state is never cached: its
+    entries meet the weights on every call.  A wrong number of points
+    raises DimensionError, an unknown ``kind`` or a non-finite angle
+    ValueError, on every call, and an imaginary residue above IMAG_TOL
+    NonRealResult.
     """
     pts = tuple(points)
     if len(pts) != rho.n_qubits:
@@ -259,17 +234,15 @@ def _check_axes(thetas, phis) -> tuple[np.ndarray, np.ndarray]:
     return thetas, phis
 
 
-@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+@memo
 def _theta_factor(kind: DistributionKind, thetas: bytes, n: int) -> np.ndarray:
     """The monomials a^(n-k-m) b^k c^m of :func:`_surfaces` at each angle of
     the float64 theta axis whose bytes are ``thetas``, for ``kind`` and n
     qubits: shape (len(thetas), (n + 1)^2), flat in (k, m).
 
-    Memoized on (kind, the axis bytes, n), at most FACTOR_CACHE_SIZE keys;
-    the factor is read-only, since every caller with the same key shares
-    it.  The bytes tell -0.0 from 0.0, so each axis gets the factor an
-    unmemoized build gives it, bitwise.  The caller checks the kind and
-    the angles first.
+    Memoized on (kind, the axis bytes, n), read-only.  The bytes tell
+    -0.0 from 0.0, so each axis gets the factor an unmemoized build gives
+    it, bitwise.  The caller checks the kind and the angles first.
     """
     thetas = np.frombuffer(thetas)
     # The one condition on the kind's table: it maps sin theta cos phi only
@@ -282,25 +255,20 @@ def _theta_factor(kind: DistributionKind, thetas: bytes, n: int) -> np.ndarray:
     a, b, c = (kernels[row, col][:, None] ** powers for row, col in ((0, 0), (1, 1), (0, 1)))
     # slots with k + m > n hold no entry: their exponent of a is clipped to 0
     exponents = np.maximum(n - powers[:, None] - powers, 0)
-    monomials = (a[:, exponents] * b[:, :, None] * c[:, None, :]).reshape(thetas.size, -1)
-    monomials.setflags(write=False)
-    return monomials
+    return (a[:, exponents] * b[:, :, None] * c[:, None, :]).reshape(thetas.size, -1)
 
 
-@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+@memo
 def _harmonics(phis: bytes, n: int) -> np.ndarray:
     """E of :func:`_surfaces` at each angle of the float64 phi axis whose
     bytes are ``phis``: (cos D phi, -sin D phi) interleaved by harmonic
     D = -n..n, of shape (2 (2n + 1), len(phis)).
 
-    Memoized on (the axis bytes, n), at most FACTOR_CACHE_SIZE keys, and
-    read-only like :func:`_theta_factor`.
+    Memoized on (the axis bytes, n), read-only.
     """
     phis = np.frombuffer(phis)
     angles = phis[:, None] * (np.arange(2 * n + 1) - n)
-    harmonics = np.stack([np.cos(angles), -np.sin(angles)], axis=-1).reshape(phis.size, -1).T
-    harmonics.setflags(write=False)
-    return harmonics
+    return np.stack([np.cos(angles), -np.sin(angles)], axis=-1).reshape(phis.size, -1).T
 
 
 def _surfaces(sums: np.ndarray, kind: DistributionKind, thetas, phis, context: str) -> np.ndarray:
@@ -464,32 +432,29 @@ def normalization_check(rho: DensityMatrix, kind: DistributionKind) -> float:
     return float(_real(_trace(_entries(rho)[0], weights), "normalization_check"))
 
 
-@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+@memo
 def _quadrature_weights(
     kind: DistributionKind, n: int, x_shaped: bool
 ) -> tuple[np.ndarray | None, np.ndarray]:
     """The :func:`_weights` of n copies of :func:`_quadrature_mean`'s
     operator of ``kind``, in the X layout or the dense one: memoized on
-    (kind, n, x_shaped), at most FACTOR_CACHE_SIZE keys, read-only."""
-    return _shared_weights([_quadrature_mean(kind)] * n, x_shaped)
+    (kind, n, x_shaped), read-only."""
+    return _weights([_quadrature_mean(kind)] * n, _X_PAIRS if x_shaped else _DENSE_PAIRS)
 
 
-@lru_cache(maxsize=None)
+@memo
 def _quadrature_mean(kind: DistributionKind) -> np.ndarray:
     """The 2x2 kernel of ``kind`` averaged by normalization_check's
-    quadrature.  Built on first use, not at import; read-only, since the
-    cache shares it.  One key per kind, apart from
-    :func:`_quadrature_weights`: a build takes about 0.4 ms, some thirty
-    weight builds, which a weights miss would otherwise repeat."""
+    quadrature.  Built on first use, not at import; memoized per kind,
+    read-only, apart from :func:`_quadrature_weights`: a build takes about
+    0.4 ms, some thirty weight builds, which a weights miss would repeat."""
     nodes, weights = np.polynomial.legendre.leggauss(QUAD_ORDER)
     n_phi = 2 * QUAD_ORDER
     phis = np.arange(n_phi) * (2.0 * math.pi / n_phi)
     v = _pauli_coefficients(kind, np.arccos(nodes)[:, None], phis[None, :])
     # the phi step 2*pi/n_phi times the (2*pi)^-1 of the functional
     mean = (v * weights[:, None]).sum(axis=(1, 2)) / n_phi
-    op = _PAULIS @ mean
-    op.setflags(write=False)
-    return op
+    return _PAULIS @ mean
 
 
 class ClosedFormVariant(Enum):

@@ -15,19 +15,16 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
+from ._memo import memo
 from .errors import IndexOutOfRange, ROutOfRange
 from .linalg import DensityMatrix, _check_n_qubits, _dense_state, _x_state, validate_density
 from .states import GhzWernerParams, ghz_werner
 
 R_MAX = math.pi / 4.0
 MATCH_TOL = 1e-12
-# Most tuples of r whose transfer maps _transfer keeps: each is 16 complex
-# entries per r.
-TRANSFER_CACHE_SIZE = 64
 
 COEFFICIENT_VARIANTS = ("A", "B", "C")
 _K_FOR_VARIANT = {"A": 1, "B": 2, "C": 3}
@@ -106,22 +103,19 @@ def _kraus_pair(r: float) -> np.ndarray:
     return unruh_isometry(r).reshape(2, 2, 2).transpose(1, 0, 2)
 
 
-@lru_cache(maxsize=TRANSFER_CACHE_SIZE)
+@memo
 def _transfer(rs: tuple[float, ...]) -> np.ndarray:
     """The channel on one qubit at each r of ``rs``, shape (R, 4, 4): the
     map of the Kraus pair of :func:`_kraus_pair` on the qubit's (row bit,
     column bit) pair, (a, c) by (b, d) with the row bit first.
 
-    A pure function of r, so it is memoized on the tuple of float rs, at
-    most TRANSFER_CACHE_SIZE tuples, and read-only, since callers with
-    the same tuple share it.  Each r passes :func:`_check_r` on a miss;
-    a refused r raises and stores nothing.  No state is cached.
+    A pure function of r, so it is memoized on the tuple of float rs,
+    read-only.  Each r passes :func:`_check_r` on a miss; a refused r
+    raises and stores nothing.  No state is cached.
     """
     kraus = np.array([_kraus_pair(r) for r in rs])
     # rho'[a, c] = sum_j K_j[a, b] rho[b, d] conj(K_j[c, d])
-    transfer = np.einsum("rjab,rjcd->racbd", kraus, kraus.conj()).reshape(-1, 4, 4)
-    transfer.setflags(write=False)
-    return transfer
+    return np.einsum("rjab,rjcd->racbd", kraus, kraus.conj()).reshape(-1, 4, 4)
 
 
 def _x_channel(stack: np.ndarray, rs, qubits: tuple[int, ...]) -> np.ndarray:
@@ -179,9 +173,8 @@ def accelerate(rho: DensityMatrix, config: AccelerationConfig) -> DensityMatrix:
     and any other is validated.
 
     The transfer map at r is memoized by :func:`_transfer` (key: the
-    tuple of float rs; at most TRANSFER_CACHE_SIZE keys; the shared map
-    is read-only).  States are never cached: every output is computed
-    and certified on every call.
+    tuple of float rs; the shared map is read-only).  States are never
+    cached: every output is computed and certified on every call.
     """
     n = rho.n_qubits
     config.check_register(n)

@@ -15,10 +15,10 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
+from ._memo import memo
 from .errors import InvalidQuantumNumbers, NonRealResult, UnsupportedOrder
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -183,21 +183,6 @@ def spherical_harmonic(L: int, K: int, point: SphericalPoint) -> complex:
     return complex(_ylm(L, K, point.theta, point.phi))
 
 
-@lru_cache(maxsize=None)
-def _ito_frozen(L: int, M: int) -> np.ndarray:
-    norm = math.sqrt((2 * L + 1) / 2.0)
-    t = np.zeros((2, 2), dtype=complex)
-    # basis index 0 holds m = -1/2, index 1 holds m = +1/2
-    for ki, k in ((0, -0.5), (1, 0.5)):
-        for kpi, kp in ((0, -0.5), (1, 0.5)):
-            c = clebsch_gordan(0.5, k, L, -M, 0.5, kp)
-            if c != 0.0:
-                t[kpi, ki] = c
-    t *= (-1) ** M * norm
-    t.setflags(write=False)
-    return t
-
-
 def ito(L: int, M: int) -> np.ndarray:
     """Adjoint irreducible tensor operator for spin 1/2, as a 2x2 matrix.
 
@@ -208,30 +193,36 @@ def ito(L: int, M: int) -> np.ndarray:
         raise UnsupportedOrder(f"rank L={L} outside the implemented range {{0, 1}}")
     if abs(M) > L:
         raise InvalidQuantumNumbers(f"|M|={abs(M)} exceeds L={L}")
-    return _ito_frozen(L, M).copy()
+    t = np.zeros((2, 2), dtype=complex)
+    # basis index 0 holds m = -1/2, index 1 holds m = +1/2
+    for ki, k in ((0, -0.5), (1, 0.5)):
+        for kpi, kp in ((0, -0.5), (1, 0.5)):
+            c = clebsch_gordan(0.5, k, L, -M, 0.5, kp)
+            if c != 0.0:
+                t[kpi, ki] = c
+    t *= (-1) ** M * math.sqrt((2 * L + 1) / 2.0)
+    return t
 
 
-@lru_cache(maxsize=None)
+@memo
 def _pauli_table(kind: DistributionKind) -> np.ndarray:
     """Real 4x4 table: row m maps the angular basis to v_m = Tr[K sigma_m] / 2.
 
     Regroups K = sqrt(2 pi) [T_00 Y_00 + 3^(s/2) sum_M T_1M Y_1M] (tensor
-    operators from :func:`_ito_frozen`) onto the basis of _YLM_ON_BASIS.
+    operators from :func:`ito`) onto the basis of _YLM_ON_BASIS.
     An imaginary part above _TABLE_IMAG_TOL raises NonRealResult.
-    Read-only, since the cache shares it.
+    Memoized per kind, read-only.
     """
     gain = SQRT3 ** int(kind)
     table = np.zeros((4, 4), dtype=complex)
     for (L, M), on_basis in _YLM_ON_BASIS.items():
-        half_traces = 0.5 * np.einsum("ij,jim->m", _ito_frozen(L, M), _PAULIS)
+        half_traces = 0.5 * np.einsum("ij,jim->m", ito(L, M), _PAULIS)
         table += gain ** L * np.outer(half_traces, on_basis)
     table *= SQRT_2PI
     residue = float(np.abs(table.imag).max())
     if residue > _TABLE_IMAG_TOL:
         raise NonRealResult(f"Pauli table of s={int(kind)}: imaginary residue {residue:.3e}")
-    table = table.real.copy()
-    table.setflags(write=False)
-    return table
+    return table.real.copy()
 
 
 def _pauli_coefficients(kind: DistributionKind, theta, phi) -> np.ndarray:

@@ -1,5 +1,7 @@
 import os
 import re
+import shutil
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +11,8 @@ from spinwigner import validate_density
 
 # pyproject's `pythonpath` puts src/ on this process's path; tests that
 # start `python -m spinwigner` in a subprocess need it there as well.
-_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_ROOT = Path(__file__).resolve().parents[1]
+_SRC = str(_ROOT / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 CRITERIA_DESCRIPTIONS = {
@@ -108,3 +111,27 @@ def off_x(m):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def scratch_repo(tmp_path, monkeypatch):
+    """A throwaway git repository with one commit of this checkout's
+    ``.gitignore``, ``README.md``, ``src/`` and ``tools/``, made the root of
+    ``tools/paired.py`` (``ROOT`` and ``EXTRACT_ROOT``), so the paired
+    tools' tests need no git work tree of their own: they also run from a
+    ``git archive`` copy."""
+    monkeypatch.syspath_prepend(str(_ROOT / "tools"))
+    import paired
+
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    for name in (".gitignore", "README.md"):
+        shutil.copy(_ROOT / name, repo / name)
+    for name in ("src", "tools"):
+        shutil.copytree(_ROOT / name, repo / name, ignore=shutil.ignore_patterns("__pycache__"))
+    commit = ["-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "c"]
+    for args in (["init", "-q"], ["add", "."], commit):
+        subprocess.run(["git", *args], cwd=repo, check=True, capture_output=True)
+    monkeypatch.setattr(paired, "ROOT", repo)
+    monkeypatch.setattr(paired, "EXTRACT_ROOT", repo / ".bench_out")
+    return repo

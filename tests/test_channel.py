@@ -14,6 +14,7 @@ from spinwigner import (
     AccelerationConfig,
     GhzWernerParams,
     ROutOfRange,
+    _memo,
     accelerate,
     ghz_werner,
     rindler,
@@ -177,7 +178,7 @@ class TestTransferCache:
     @pytest.mark.parametrize("rs", [(0.1, 1.0), (-0.1,), (math.nan,), (0.2, R_MAX + 1e-12)])
     def test_refused_r_raises_on_every_call_and_stores_nothing(self, rng, rs):
         stack = x_stack(random_x_density(2, rng))
-        rindler._transfer.cache_clear()
+        _memo.clear_caches()
         for _ in range(3):
             with pytest.raises(ROutOfRange):
                 rindler._transfer(rs)
@@ -186,8 +187,8 @@ class TestTransferCache:
             assert transfer_info().currsize == 0
 
     def test_filling_past_maxsize_keeps_maxsize_keys(self):
-        size = rindler.TRANSFER_CACHE_SIZE
-        rindler._transfer.cache_clear()
+        size = _memo.MEMO_KEYS
+        _memo.clear_caches()
         for i in range(size + 10):
             rindler._transfer((R_MAX * i / (size + 10),))
             assert transfer_info().currsize == min(i + 1, size)

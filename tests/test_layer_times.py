@@ -35,7 +35,7 @@ def run_tool(*args):
     return subprocess.run([sys.executable, str(TOOL), *args], capture_output=True, text=True, timeout=300)
 
 
-def test_the_worker_times_every_layer():
+def test_the_worker_times_every_layer(scratch_repo):
     # one real worker subprocess, on the parent's extracted sources
     with paired.checkouts("HEAD") as dirs:
         samples = layer_times.run_worker(dirs["parent"], 1)
@@ -44,7 +44,7 @@ def test_the_worker_times_every_layer():
         assert len(values) == 1 and all(isinstance(t, float) and t > 0.0 for t in values)
 
 
-def test_one_repeat_writes_every_layer_of_both_sides(monkeypatch, tmp_path):
+def test_one_repeat_writes_every_layer_of_both_sides(monkeypatch, tmp_path, scratch_repo):
     # the rounds, the side order, the pooling and the JSON, with each worker
     # call returning one sample per layer: 1, 2, 3, ... ms in call order
     calls = []

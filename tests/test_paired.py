@@ -16,14 +16,14 @@ def test_sides_alternate_parent_first():
         ("parent", "change"), ("change", "parent"), ("parent", "change")]
 
 
-def test_side_records_name_both_commits():
+def test_side_records_name_both_commits(scratch_repo):
     sides = paired.side_records("HEAD")
     assert sides["parent"] == {"revision": "HEAD", "commit": paired.git("rev-parse", "HEAD")}
     assert sides["change"]["commit"] == sides["parent"]["commit"]
     assert isinstance(sides["change"]["uncommitted"], bool)
 
 
-def test_both_sides_are_extracted_beside_the_working_tree_and_removed():
+def test_both_sides_are_extracted_beside_the_working_tree_and_removed(scratch_repo):
     index = paired.git("ls-files", "--stage")
     with paired.checkouts(paired.git("rev-parse", "HEAD")) as dirs:
         parent, change = dirs["parent"], dirs["change"]
@@ -68,8 +68,9 @@ def test_worktree_tree_holds_uncommitted_and_untracked_files(monkeypatch, tmp_pa
     assert git("ls-files", "--stage") == index
 
 
-def test_sigterm_removes_the_parent(tmp_path):
+def test_sigterm_removes_the_parent(scratch_repo):
     script = (f"import sys, time; sys.path.insert(0, {str(TOOLS)!r}); import paired\n"
+              f"paired.ROOT = paired.Path({str(scratch_repo)!r}); paired.EXTRACT_ROOT = paired.ROOT / '.bench_out'\n"
               "with paired.checkouts('HEAD') as dirs:\n"
               "    print(dirs['parent'], flush=True)\n"
               "    time.sleep(60)\n")

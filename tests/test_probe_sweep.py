@@ -31,7 +31,7 @@ from spinwigner import (
     unruh_isometry,
     validate_density,
 )
-from spinwigner import cli, linalg, rindler
+from spinwigner import _memo, cli, linalg, rindler
 from spinwigner.cli import main
 
 SWEEP_TOL = 1e-12
@@ -262,10 +262,10 @@ def break_kraus_pair(monkeypatch):
     """Patch ``rindler._kraus_pair`` with ``broken_kraus_pair(defects)``
     through ``monkeypatch``, on an empty transfer cache: a cached transfer
     would bypass the broken pair, and one built from it would outlive the
-    patch, so the cache is cleared before the patch and after the test."""
-    rindler._transfer.cache_clear()
+    patch, so the caches are cleared before the patch and after the test."""
+    _memo.clear_caches()
     yield lambda defects: monkeypatch.setattr(rindler, "_kraus_pair", broken_kraus_pair(defects))
-    rindler._transfer.cache_clear()
+    _memo.clear_caches()
 
 
 class TestErrorEquivalence:

@@ -15,6 +15,7 @@ from spinwigner import (
     DistributionKind,
     GhzWernerParams,
     SphericalPoint,
+    _memo,
     accelerated_ghz,
     closed_form,
     compare_closed_form,
@@ -168,7 +169,7 @@ class TestPointWeightsCache:
     def test_refused_input_raises_on_every_call_and_stores_nothing(self, kind, theta):
         rho = ghz_werner(GhzWernerParams(nu=0.5))
         pts = (PROBE, SimpleNamespace(theta=theta, phi=0.5), PROBE)
-        quasiprob._point_weights.cache_clear()
+        _memo.clear_caches()
         for _ in range(3):
             with pytest.raises(ValueError):
                 evaluate(rho, kind, pts)
@@ -178,7 +179,7 @@ class TestPointWeightsCache:
         rho = accelerated_ghz(0.7, 2, 0.4, n_qubits=5)
         dense = validate_density(rho.matrix, 5)
         pts = [SphericalPoint(0.4 + 0.3 * q, 1.1 * q) for q in range(5)]
-        quasiprob._point_weights.cache_clear()
+        _memo.clear_caches()
         x_value = evaluate(rho, DistributionKind.WIGNER, pts).value
         dense_value = evaluate(dense, DistributionKind.WIGNER, pts).value
         assert weights_info().currsize == 2
@@ -186,8 +187,8 @@ class TestPointWeightsCache:
 
     def test_filling_past_maxsize_keeps_maxsize_keys(self):
         rho = ghz_werner(GhzWernerParams(nu=0.5, n_qubits=1))
-        size = quasiprob.POINT_WEIGHTS_CACHE_SIZE
-        quasiprob._point_weights.cache_clear()
+        size = _memo.MEMO_KEYS
+        _memo.clear_caches()
         for i in range(size + 10):
             evaluate(rho, DistributionKind.WIGNER, (SphericalPoint(1.0, 0.01 * i),))
             assert weights_info().currsize == min(i + 1, size)
@@ -213,11 +214,6 @@ class TestPointWeightsCache:
 
 
 FACTOR_CACHES = ("_theta_factor", "_harmonics", "_quadrature_weights")
-
-
-def clear_factor_caches():
-    for name in FACTOR_CACHES:
-        getattr(quasiprob, name).cache_clear()
 
 
 def factor_sizes():
@@ -251,7 +247,7 @@ class TestFactorCaches:
                 out.append(quasiprob._sweep(nus, rs, n, kind, thetas, phis, n).tobytes())
             return out
 
-        clear_factor_caches()
+        _memo.clear_caches()
         cached = [run(), run()]  # the first run fills the caches, the second reads them
         for name in FACTOR_CACHES:
             monkeypatch.setattr(quasiprob, name, getattr(quasiprob, name).__wrapped__)
@@ -260,7 +256,7 @@ class TestFactorCaches:
 
     def test_signed_zero_axes_are_separate_keys(self):
         rho = ghz_werner(GhzWernerParams(nu=0.5, n_qubits=2))
-        clear_factor_caches()
+        _memo.clear_caches()
         for zero in (0.0, -0.0):
             grid_values(rho, DistributionKind.WIGNER, [zero, 1.0], [zero, 2.0])
         assert factor_sizes()[:2] == [2, 2]
@@ -293,7 +289,7 @@ class TestFactorCaches:
     ])
     def test_refused_input_raises_on_every_call_and_stores_nothing(self, kind, thetas, phis):
         rho = ghz_werner(GhzWernerParams(nu=0.5))
-        clear_factor_caches()
+        _memo.clear_caches()
         for _ in range(3):
             with pytest.raises(ValueError):
                 grid_values(rho, kind, thetas, phis)
@@ -305,16 +301,19 @@ class TestFactorCaches:
             assert factor_sizes() == [0, 0, 0]
 
     def test_filling_past_maxsize_keeps_at_most_maxsize_keys(self):
-        size = quasiprob.FACTOR_CACHE_SIZE
+        size = _memo.MEMO_KEYS
         rho = ghz_werner(GhzWernerParams(nu=0.5, n_qubits=1))
-        clear_factor_caches()
+        _memo.clear_caches()
         for i in range(size + 5):
             grid_values(rho, DistributionKind.WIGNER, [0.01 * i], [0.02 * i])
             assert factor_sizes()[:2] == [min(i + 1, size)] * 2
-        for i, (n, kind) in enumerate((n, kind) for n in range(1, 13) for kind in DistributionKind):
-            normalization_check(ghz_werner(GhzWernerParams(nu=0.5, n_qubits=n)), kind)
+        # 3 kinds of X states at n = 1..16 and of dense states at n = 1..6: 66 keys
+        states = [ghz_werner(GhzWernerParams(nu=0.5, n_qubits=n)) for n in range(1, 17)]
+        states += [validate_density(rho.matrix, rho.n_qubits) for rho in states[:6]]
+        for i, (rho, kind) in enumerate((rho, kind) for rho in states for kind in DistributionKind):
+            normalization_check(rho, kind)
             assert factor_sizes()[2] == min(i + 1, size)
-        assert factor_sizes()[2] == size
+        assert i + 1 > size and factor_sizes()[2] == size
         for name in FACTOR_CACHES:
             assert getattr(quasiprob, name).cache_info().maxsize == size
 
